@@ -6,11 +6,13 @@ The package is organized bottom-up:
 * ``posets``     finite posets, chain and interval enumeration
 * ``linalg``     sparse exact Gaussian elimination (rank, kernel, solve)
 * ``opcore``     carrier-generic operad operations and all Koszul signs
-* ``simplicial`` cochains on the nerve, nerve cohomology
-* ``hochschild`` incidence algebra, relative and full Hochschild cochains
-* ``gsiso``      the coefficient-copy isomorphism between the two operads
+* ``simplicial`` the one weak-chain cochain type, the simplicial carrier,
+                 nerve cohomology
+* ``hochschild`` incidence algebra; the relative Hochschild carrier (the
+                 same cochains, composed in kP) and the full one
+* ``suites``     randomized exact verification suites, one registry
+* ``gsiso``      the isomorphism phi between the two operads, the "iso" suite
 * ``deform``     Maurer-Cartan elements, Witt cocycles, gauge, moduli
-* ``suites``     randomized exact verification suites for all the axioms
 * ``cli``        command line interface over the whole stack
 
 Everything is computed exactly over Q; there is no floating point in the
@@ -25,12 +27,15 @@ from .hochschild import (
     FullCochain,
     FullHochschildCarrier,
     IncElem,
-    RelCochain,
     RelHochschildCarrier,
     hh_dims,
 )
 from .opcore import brace, bracket, circle, differential, dot, gamma
-from .gsiso import phi, phi_inv, verify_morphism
+
+# suites before gsiso: suites registers gsiso's verify_morphism as its
+# "iso" suite, and gsiso builds that suite on the helpers in suites
+from .suites import SUITES
+from .gsiso import phi, verify_morphism
 from .deform import MCElement, WittCochain, gauge_equivalent, mc_check, moduli, to_witt
 from .scalars import TruncSeries, WittElem
 
@@ -44,7 +49,6 @@ __all__ = [
     "SimplicialCarrier",
     "cohomology_dims",
     "IncElem",
-    "RelCochain",
     "RelHochschildCarrier",
     "FullCochain",
     "FullHochschildCarrier",
@@ -56,8 +60,8 @@ __all__ = [
     "differential",
     "bracket",
     "phi",
-    "phi_inv",
     "verify_morphism",
+    "SUITES",
     "MCElement",
     "WittCochain",
     "mc_check",

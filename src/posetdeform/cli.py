@@ -22,10 +22,9 @@ import time
 
 from . import __version__
 from .deform import MCElement, NotMC, gauge_equivalent, mc_check, moduli
-from .gsiso import verify_morphism
 from .hochschild import TooLarge, hh_dims
 from .posets import Poset, PosetError
-from .simplicial import cohomology_dims
+from .simplicial import SimplicialCarrier, cohomology_dims
 from .suites import SUITES
 
 
@@ -107,7 +106,7 @@ def _parser():
     ver.add_argument("poset")
     ver.add_argument(
         "--suite",
-        choices=("operad", "brace", "hga", "dgla", "iso", "all"),
+        choices=(*SUITES, "all"),
         default="all",
     )
     ver.add_argument("--samples", type=int, default=50)
@@ -194,27 +193,13 @@ def _run_verify(args):
         raise _InputError("--samples must be >= 1")
     if not 0 <= args.max_degree <= 3:
         raise _InputError("--max-degree must lie in 0..3")
-    names = (
-        ["operad", "brace", "hga", "dgla", "iso"]
-        if args.suite == "all"
-        else [args.suite]
-    )
-    reports = []
-    for name in names:
-        if name == "iso":
-            rep = verify_morphism(
-                p, samples=args.samples, seed=args.seed, max_degree=args.max_degree
-            )
-        else:
-            from .simplicial import SimplicialCarrier
-
-            rep = SUITES[name](
-                SimplicialCarrier(p),
-                samples=args.samples,
-                seed=args.seed,
-                max_degree=args.max_degree,
-            )
-        reports.append(rep)
+    car = SimplicialCarrier(p)
+    reports = [
+        SUITES[name](
+            car, samples=args.samples, seed=args.seed, max_degree=args.max_degree
+        )
+        for name in (SUITES if args.suite == "all" else [args.suite])
+    ]
     ok = all(r.ok for r in reports)
     if len(reports) == 1:
         report = {"verb": "verify", **reports[0].to_dict()}

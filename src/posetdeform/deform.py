@@ -19,13 +19,10 @@ side precisely so the equivalence of the two roads is testable.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .hochschild import IncElem, RelCochain, RelHochschildCarrier, rel_eval
+from .hochschild import IncElem, rel_eval
 from .linalg import SparseMat, rank, rank_kernel, solve_in_image
 from .opcore import circle, differential
-from .posets import Poset
-from .scalars import F0, F1, SeriesRing, TruncSeries, WittElem
+from .scalars import F0, F1, TruncSeries, WittElem
 from .simplicial import SimpCochain, SimplicialCarrier, coboundary_matrix
 
 
@@ -96,11 +93,18 @@ class MCElement:
 
     @classmethod
     def from_dict(cls, poset, d):
+        """Inverse of to_dict; rejects malformed documents with ValueError
+        (see SimpCochain.from_dict for the checks on each term)."""
+        if not isinstance(d, dict) or not isinstance(d.get("terms", {}), dict):
+            raise ValueError("an element must be a JSON object with a 'terms' object")
+        order = d["order"]
+        if isinstance(order, bool) or not isinstance(order, int):
+            raise ValueError("order %r is not an integer" % (order,))
         terms = {
             int(k): SimpCochain.from_dict(poset, cd)
             for k, cd in d.get("terms", {}).items()
         }
-        return cls(d["order"], terms)
+        return cls(order, terms)
 
 
 def mc_check(p, e, carrier=None):
@@ -112,12 +116,13 @@ def mc_check(p, e, carrier=None):
     the sensitivity tests poke this harness.
     """
     car = carrier if carrier is not None else SimplicialCarrier(p)
+    terms = e.terms
     for n in range(1, e.order + 1):
-        defect = differential(car, e.term(n))
+        # absent layers are zero, and so are their differentials and products
+        defect = differential(car, terms[n]) if n in terms else car.zero(3)
         for a in range(1, n):
-            quad = circle(car, e.term(a), e.term(n - a))
-            if not quad.is_zero():
-                defect = car.add(defect, quad)
+            if a in terms and n - a in terms:
+                defect = car.add(defect, circle(car, terms[a], terms[n - a]))
         if not defect.is_zero():
             for ch in p.chains(3):
                 v = defect.value(ch)
@@ -412,22 +417,18 @@ def deformation_product(p, e):
     """The deformed product as a relative 2-cochain over truncated
     series: coefficient 1 + sum omega_n(chain) lam^n on each weak
     2-chain."""
-    ring = SeriesRing(e.order)
     w = to_witt(e)
-    coeffs = {ch: w.value(ch).value for ch in p.chains(2)}
-    return RelCochain(2, coeffs, ring=ring)
+    return SimpCochain(2, {ch: w.value(ch).value for ch in p.chains(2)})
 
 
 def associativity_witness(p, e):
     """First weak 3-chain where the deformed product fails to be
     associative, or None; agrees with mc_check by the central
     equivalence and is computed on the algebra side via rel_eval."""
-    ring = SeriesRing(e.order)
+    one = TruncSeries.one(e.order)
     F = deformation_product(p, e)
     for ch in p.chains(3):
-        a = IncElem.basis(ch[0], ch[1], ring)
-        b = IncElem.basis(ch[1], ch[2], ring)
-        c = IncElem.basis(ch[2], ch[3], ring)
+        a, b, c = (IncElem({(ch[t], ch[t + 1]): one}) for t in range(3))
         left = rel_eval(F, [rel_eval(F, [a, b]), c])
         right = rel_eval(F, [a, rel_eval(F, [b, c])])
         if left != right:

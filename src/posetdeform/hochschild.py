@@ -8,13 +8,16 @@ idempotents E[i, i].
 Two cochain carriers live here.
 
 *Relative* cochains (relative to the diagonal subalgebra) are determined
-by one scalar per weak n-chain: such a cochain sends the basis tuple
-(E[i0, i1], ..., E[i_{n-1}, i_n]) to coeff * E[i0, i_n] and kills
+by one scalar per weak n-chain, so they are stored as the same
+simplicial.SimpCochain as simplicial cochains: a coefficient v on the
+chain (i0, ..., in) means the cochain sends the basis tuple
+(E[i0, i1], ..., E[i_{n-1}, i_n]) to v * E[i0, i_n] and kills
 non-composable tuples.  Degree 0 is the diagonal of kP, one scalar per
-element.  Crucially, composition here is computed *natively* -- by
-multilinear evaluation in the algebra and re-extraction of coefficients
--- not by transporting through the simplicial side; the isomorphism
-between the two operads is then a checkable statement, not a tautology.
+element (as_element).  The relative carrier shares everything with the
+simplicial one except composition, which here is computed *natively* --
+by multilinear evaluation in the algebra and re-extraction of
+coefficients -- not by face restriction; the isomorphism between the two
+operads is then a checkable statement, not a tautology.
 
 *Full* cochains are arbitrary multilinear maps (kP)**n -> kP, tabulated
 on basis tuples.  The full carrier is the endomorphism operad of kP; its
@@ -22,9 +25,10 @@ multiplication is the algebra product itself and d = [m, -] is the
 Hochschild differential.  Tables grow like (#intervals)**n, so degrees
 are capped and exceeding the cap raises TooLarge.
 
-Scalars are plain rationals by default; every structure here also works
-verbatim over truncated series (see scalars.SeriesRing), which is what
-formal deformations of the product need.
+Scalars are Fractions.  IncElem and rel_eval use nothing of them but
++, * and the zero test, so they also evaluate cochains over truncated
+series (scalars.TruncSeries), which is what formal deformations of the
+product need (deform.associativity_witness).
 """
 
 from __future__ import annotations
@@ -34,114 +38,80 @@ from itertools import product
 
 from .linalg import SparseMat, rank
 from .opcore import ArityMismatch, SlotOutOfRange, differential
-from .scalars import RAT, SeriesRing
+from .simplicial import SimpCochain, SimplicialCarrier
 
 F1 = Fraction(1)
 
 FULL_TABLE_LIMIT = 10_000
 
 
-class RingMismatch(ValueError):
-    """Operands live over different scalar rings."""
-
-
 class TooLarge(ValueError):
     """Full-complex computation beyond the documented size cap."""
 
 
-def _check_ring(a, b):
-    if a.ring != b.ring:
-        raise RingMismatch("scalar rings differ: %r vs %r" % (a.ring, b.ring))
+def _accumulate(acc, key, v):
+    """acc[key] += v, dropping the key when the sum vanishes."""
+    cur = acc.get(key)
+    if cur is not None:
+        v = cur + v
+    if v:
+        acc[key] = v
+    else:
+        acc.pop(key, None)
 
 
 class IncElem:
     """Element of the incidence algebra: terms maps intervals (i, j) with
     i <= j to nonzero scalars."""
 
-    __slots__ = ("ring", "terms")
+    __slots__ = ("terms",)
 
-    def __init__(self, terms=(), ring=RAT):
-        self.ring = ring
-        tv = {}
+    def __init__(self, terms=()):
         items = terms.items() if isinstance(terms, dict) else terms
-        zero = ring.zero
-        for ij, v in items:
-            if v != zero:
-                tv[tuple(ij)] = v
-        self.terms = tv
+        self.terms = {tuple(ij): v for ij, v in items if v}
 
     @classmethod
-    def basis(cls, i, j, ring=RAT):
+    def _of(cls, terms):
         e = cls.__new__(cls)
-        e.ring = ring
-        e.terms = {(i, j): ring.one}
+        e.terms = terms
         return e
+
+    @classmethod
+    def basis(cls, i, j):
+        return cls._of({(i, j): F1})
 
     def is_zero(self):
         return not self.terms
 
     def add(self, other):
-        _check_ring(self, other)
         out = dict(self.terms)
-        zero = self.ring.zero
         for ij, v in other.terms.items():
-            nv = out.get(ij, zero) + v
-            if nv == zero:
-                out.pop(ij, None)
-            else:
-                out[ij] = nv
-        e = IncElem.__new__(IncElem)
-        e.ring = self.ring
-        e.terms = out
-        return e
+            _accumulate(out, ij, v)
+        return IncElem._of(out)
 
     def scale(self, c):
-        zero = self.ring.zero
-        out = {}
-        for ij, v in self.terms.items():
-            nv = c * v
-            if nv != zero:
-                out[ij] = nv
-        e = IncElem.__new__(IncElem)
-        e.ring = self.ring
-        e.terms = out
-        return e
+        return IncElem._of({ij: nv for ij, v in self.terms.items() if (nv := c * v)})
 
     def mul(self, other):
         """Algebra product: E[i,j] * E[j,k] = E[i,k], zero otherwise."""
-        _check_ring(self, other)
-        zero = self.ring.zero
         out = {}
         for (i, j), a in self.terms.items():
             for (jj, k), b in other.terms.items():
-                if j != jj:
-                    continue
-                key = (i, k)
-                nv = out.get(key, zero) + a * b
-                if nv == zero:
-                    out.pop(key, None)
-                else:
-                    out[key] = nv
-        e = IncElem.__new__(IncElem)
-        e.ring = self.ring
-        e.terms = out
-        return e
+                if j == jj:
+                    _accumulate(out, (i, k), a * b)
+        return IncElem._of(out)
 
     __add__ = add
     __mul__ = mul
 
     def __sub__(self, other):
-        return self.add(other.scale(-self.ring.one))
+        return self.add(other.scale(-1))
 
     def __neg__(self):
-        return self.scale(-self.ring.one)
+        return self.scale(-1)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, IncElem)
-            and self.ring == other.ring
-            and self.terms == other.terms
-        )
+        return isinstance(other, IncElem) and self.terms == other.terms
 
     __hash__ = None
 
@@ -149,125 +119,16 @@ class IncElem:
         return "IncElem(%d terms)" % len(self.terms)
 
 
-def inc_mul(a, b):
-    return a.mul(b)
-
-
-def inc_unit(poset, ring=RAT):
+def inc_unit(poset):
     """The algebra unit: the sum of all diagonal idempotents."""
-    return IncElem({(i, i): ring.one for i in range(poset.n)}, ring=ring)
+    return IncElem({(i, i): F1 for i in range(poset.n)})
 
 
-class RelCochain:
-    """Cochain relative to the diagonal subalgebra.
-
-    coeffs maps weak n-chains to nonzero scalars; degree 0 is keyed by
-    singleton chains (i,).  The meaning of coeffs[c] for an n-chain
-    c = (i0, ..., in) is: the cochain sends (E[i0,i1], ..., E[i_{n-1},in])
-    to coeffs[c] * E[i0, in].
-    """
-
-    __slots__ = ("degree", "coeffs", "ring")
-
-    def __init__(self, degree, coeffs=(), ring=RAT):
-        if degree < 0:
-            raise ValueError("degree must be >= 0")
-        self.degree = degree
-        self.ring = ring
-        out = {}
-        zero = ring.zero
-        items = coeffs.items() if isinstance(coeffs, dict) else coeffs
-        for ch, v in items:
-            if len(ch) != degree + 1:
-                raise ValueError(
-                    "chain %r has %d entries, expected %d" % (ch, len(ch), degree + 1)
-                )
-            if v != zero:
-                out[tuple(ch)] = v
-        self.coeffs = out
-
-    def value(self, chain):
-        return self.coeffs.get(chain, self.ring.zero)
-
-    def is_zero(self):
-        return not self.coeffs
-
-    def add(self, other):
-        if self.degree != other.degree:
-            raise ValueError("degree mismatch in cochain sum")
-        _check_ring(self, other)
-        out = dict(self.coeffs)
-        zero = self.ring.zero
-        for ch, v in other.coeffs.items():
-            nv = out.get(ch, zero) + v
-            if nv == zero:
-                out.pop(ch, None)
-            else:
-                out[ch] = nv
-        c = RelCochain.__new__(RelCochain)
-        c.degree = self.degree
-        c.ring = self.ring
-        c.coeffs = out
-        return c
-
-    def scale(self, f):
-        zero = self.ring.zero
-        out = {}
-        for ch, v in self.coeffs.items():
-            nv = f * v
-            if nv != zero:
-                out[ch] = nv
-        c = RelCochain.__new__(RelCochain)
-        c.degree = self.degree
-        c.ring = self.ring
-        c.coeffs = out
-        return c
-
-    __add__ = add
-
-    def __sub__(self, other):
-        return self.add(other.scale(-self.ring.one))
-
-    def __rmul__(self, f):
-        return self.scale(f)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, RelCochain)
-            and self.degree == other.degree
-            and self.ring == other.ring
-            and self.coeffs == other.coeffs
-        )
-
-    __hash__ = None
-
-    def __repr__(self):
-        return "RelCochain(deg=%d, %d entries)" % (self.degree, len(self.coeffs))
-
-    def as_element(self):
-        """Degree-0 cochain as the diagonal algebra element it is."""
-        if self.degree != 0:
-            raise ArityMismatch("only degree-0 cochains are algebra elements")
-        return IncElem(
-            {(c[0], c[0]): v for c, v in self.coeffs.items()}, ring=self.ring
-        )
-
-    def to_dict(self, poset):
-        from .scalars import format_rat
-
-        entries = [
-            {"chain": list(poset.chain_labels(ch)), "value": format_rat(v)}
-            for ch, v in sorted(self.coeffs.items())
-        ]
-        return {"degree": self.degree, "entries": entries}
-
-    @classmethod
-    def from_dict(cls, poset, d):
-        vals = {}
-        for e in d.get("entries", ()):
-            ch = poset.chain_indices(e["chain"])
-            vals[ch] = Fraction(e["value"])
-        return cls(d["degree"], vals)
+def as_element(f):
+    """A degree-0 relative cochain as the diagonal algebra element it is."""
+    if f.degree != 0:
+        raise ArityMismatch("only degree-0 cochains are algebra elements")
+    return IncElem({(c[0], c[0]): v for c, v in f.values.items()})
 
 
 def rel_eval(f, args):
@@ -280,11 +141,6 @@ def rel_eval(f, args):
         raise ArityMismatch("rel_eval needs degree >= 1")
     if len(args) != n:
         raise ArityMismatch("expected %d arguments, got %d" % (n, len(args)))
-    ring = f.ring
-    for a in args:
-        if a.ring != ring:
-            raise RingMismatch("argument ring %r != cochain ring %r" % (a.ring, ring))
-    zero = ring.zero
     # paths: (vertex chain so far, accumulated scalar)
     paths = [((), None)]
     for a in args:
@@ -302,64 +158,29 @@ def rel_eval(f, args):
             break
     acc = {}
     for chain, s in paths:
-        coeff = f.coeffs.get(chain)
-        if coeff is None:
-            continue
-        key = (chain[0], chain[-1])
-        v = acc.get(key, zero) + coeff * s
-        if v == zero:
-            acc.pop(key, None)
-        else:
-            acc[key] = v
-    e = IncElem.__new__(IncElem)
-    e.ring = ring
-    e.terms = acc
-    return e
+        coeff = f.values.get(chain)
+        if coeff is not None:
+            _accumulate(acc, (chain[0], chain[-1]), coeff * s)
+    return IncElem._of(acc)
 
 
-class RelHochschildCarrier:
+class RelHochschildCarrier(SimplicialCarrier):
     """Operad carrier of relative Hochschild cochains, with composition
-    computed by evaluation in the incidence algebra."""
+    computed by evaluation in the incidence algebra.  Everything else --
+    the cochains, their arithmetic, identity (the identity map of kP) and
+    mult (the algebra product) -- is the simplicial carrier's."""
 
     name = "relative"
 
-    def __init__(self, poset, ring=RAT):
-        self.poset = poset
-        self.ring = ring
+    def __init__(self, poset):
+        super().__init__(poset)
         self._bargs = {}
-
-    def chains(self, n):
-        return self.poset.chains(n)
-
-    def arity(self, x):
-        return x.degree
-
-    def zero(self, n):
-        return RelCochain(n, ring=self.ring)
-
-    def add(self, x, y):
-        return x.add(y)
-
-    def scale(self, c, x):
-        if self.ring.order is not None and isinstance(c, (int, Fraction)):
-            c = self.ring.one * c
-        return x.scale(c)
-
-    def equal(self, x, y):
-        return x == y
-
-    def is_zero(self, x):
-        return x.is_zero()
 
     def _basis_args(self, chain):
         # shared immutable IncElems; cached since compose_at revisits chains
         got = self._bargs.get(chain)
         if got is None:
-            ring = self.ring
-            got = [
-                IncElem.basis(chain[t], chain[t + 1], ring)
-                for t in range(len(chain) - 1)
-            ]
+            got = [IncElem.basis(chain[t], chain[t + 1]) for t in range(len(chain) - 1)]
             self._bargs[chain] = got
         return got
 
@@ -367,10 +188,8 @@ class RelHochschildCarrier:
         p, q = f.degree, g.degree
         if p < 1 or not 1 <= j <= p:
             raise SlotOutOfRange("slot %d invalid for arity %d" % (j, p))
-        _check_ring(f, g)
-        ring = self.ring
         out = {}
-        g_elem = g.as_element() if q == 0 else None
+        g_elem = as_element(g) if q == 0 else None
         for c in self.chains(p + q - 1):
             if q == 0:
                 inner = g_elem
@@ -385,38 +204,7 @@ class RelHochschildCarrier:
             coeff = val.terms.get((c[0], c[-1]))
             if coeff is not None:
                 out[c] = coeff
-        res = RelCochain.__new__(RelCochain)
-        res.degree = p + q - 1
-        res.ring = ring
-        res.coeffs = out
-        return res
-
-    def constant(self, n, value=None):
-        v = self.ring.one if value is None else value
-        return RelCochain(n, {c: v for c in self.chains(n)}, ring=self.ring)
-
-    def identity(self):
-        """The identity map of kP: coefficient 1 on every weak 1-chain."""
-        return self.constant(1)
-
-    def mult(self):
-        """The algebra product as a relative 2-cochain: coefficient 1 on
-        every weak 2-chain."""
-        return self.constant(2)
-
-    def random_elem(self, n, rng):
-        one = self.ring.one
-        vals = {}
-        for c in self.chains(n):
-            vals[c] = one * Fraction(rng.randint(-3, 3), rng.randint(1, 3))
-        return RelCochain(n, vals, ring=self.ring)
-
-    def diff_witness(self, x, y):
-        keys = sorted(set(x.coeffs) | set(y.coeffs))
-        for ch in keys:
-            if x.value(ch) != y.value(ch):
-                return str(tuple(self.poset.chain_labels(ch)))
-        return ""
+        return SimpCochain._of(p + q - 1, out)
 
 
 class FullCochain:
@@ -424,13 +212,12 @@ class FullCochain:
     table maps tuples of intervals to nonzero IncElem values; degree 0 is
     keyed by the empty tuple."""
 
-    __slots__ = ("degree", "table", "ring")
+    __slots__ = ("degree", "table")
 
-    def __init__(self, degree, table=(), ring=RAT):
+    def __init__(self, degree, table=()):
         if degree < 0:
             raise ValueError("degree must be >= 0")
         self.degree = degree
-        self.ring = ring
         out = {}
         items = table.items() if isinstance(table, dict) else table
         for tup, val in items:
@@ -443,7 +230,7 @@ class FullCochain:
     def value(self, tup):
         got = self.table.get(tup)
         if got is None:
-            return IncElem(ring=self.ring)
+            return IncElem()
         return got
 
     def is_zero(self):
@@ -452,7 +239,6 @@ class FullCochain:
     def add(self, other):
         if self.degree != other.degree:
             raise ValueError("degree mismatch in cochain sum")
-        _check_ring(self, other)
         out = dict(self.table)
         for tup, val in other.table.items():
             cur = out.get(tup)
@@ -463,7 +249,6 @@ class FullCochain:
                 out[tup] = nv
         c = FullCochain.__new__(FullCochain)
         c.degree = self.degree
-        c.ring = self.ring
         c.table = out
         return c
 
@@ -475,7 +260,6 @@ class FullCochain:
                 out[tup] = nv
         c = FullCochain.__new__(FullCochain)
         c.degree = self.degree
-        c.ring = self.ring
         c.table = out
         return c
 
@@ -483,7 +267,6 @@ class FullCochain:
         return (
             isinstance(other, FullCochain)
             and self.degree == other.degree
-            and self.ring == other.ring
             and self.table == other.table
         )
 
@@ -498,9 +281,8 @@ class FullHochschildCarrier:
 
     name = "full"
 
-    def __init__(self, poset, ring=RAT):
+    def __init__(self, poset):
         self.poset = poset
-        self.ring = ring
         self._tuples = {}
 
     def tuples(self, n):
@@ -519,14 +301,12 @@ class FullHochschildCarrier:
         return x.degree
 
     def zero(self, n):
-        return FullCochain(n, ring=self.ring)
+        return FullCochain(n)
 
     def add(self, x, y):
         return x.add(y)
 
     def scale(self, c, x):
-        if self.ring.order is not None and isinstance(c, (int, Fraction)):
-            c = self.ring.one * c
         return x.scale(c)
 
     def equal(self, x, y):
@@ -539,7 +319,6 @@ class FullHochschildCarrier:
         p, q = f.degree, g.degree
         if p < 1 or not 1 <= j <= p:
             raise SlotOutOfRange("slot %d invalid for arity %d" % (j, p))
-        _check_ring(f, g)
         out = {}
         for t in self.tuples(p + q - 1):
             inner = g.value(t[j - 1 : j - 1 + q])
@@ -556,41 +335,35 @@ class FullHochschildCarrier:
                 out[t] = acc
         res = FullCochain.__new__(FullCochain)
         res.degree = p + q - 1
-        res.ring = self.ring
         res.table = out
         return res
 
     def identity(self):
-        ring = self.ring
         return FullCochain(
-            1,
-            {(iv,): IncElem.basis(iv[0], iv[1], ring) for iv in self.poset.intervals()},
-            ring=ring,
+            1, {(iv,): IncElem.basis(iv[0], iv[1]) for iv in self.poset.intervals()}
         )
 
     def mult(self):
         """The algebra multiplication as an arity-2 endomorphism."""
-        ring = self.ring
         table = {}
         for a in self.poset.intervals():
             for b in self.poset.intervals():
                 if a[1] == b[0]:
-                    table[(a, b)] = IncElem.basis(a[0], b[1], ring)
-        return FullCochain(2, table, ring=ring)
+                    table[(a, b)] = IncElem.basis(a[0], b[1])
+        return FullCochain(2, table)
 
     def random_elem(self, n, rng):
-        ring = self.ring
         ivs = self.poset.intervals()
         table = {}
         for t in self.tuples(n):
             if rng.random() < 0.5:
                 continue
             tgt = ivs[rng.randrange(len(ivs))]
-            c = ring.one * Fraction(rng.randint(-3, 3), rng.randint(1, 3))
-            val = IncElem.basis(tgt[0], tgt[1], ring).scale(c)
+            c = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+            val = IncElem.basis(tgt[0], tgt[1]).scale(c)
             if not val.is_zero():
                 table[t] = val
-        return FullCochain(n, table, ring=ring)
+        return FullCochain(n, table)
 
     def diff_witness(self, x, y):
         keys = sorted(set(x.table) | set(y.table))
@@ -600,26 +373,15 @@ class FullHochschildCarrier:
         return ""
 
 
-def include_relative(full_car, f):
+def include_relative(f):
     """The inclusion of relative cochains into the full complex."""
-    ring = full_car.ring
     if f.degree == 0:
-        return FullCochain(0, {(): f.as_element()}, ring=ring)
+        return FullCochain(0, {(): as_element(f)})
     table = {}
-    for c, v in f.coeffs.items():
+    for c, v in f.values.items():
         tup = tuple((c[t], c[t + 1]) for t in range(len(c) - 1))
-        table[tup] = IncElem({(c[0], c[-1]): v}, ring=ring)
-    return FullCochain(f.degree, table, ring=ring)
-
-
-def full_differential(full_car, f):
-    """Hochschild differential d = [m, -] on the full complex (the shifted
-    convention shared by the whole package)."""
-    return differential(full_car, f)
-
-
-def _rel_basis(poset, n):
-    return poset.chains(n)
+        table[tup] = IncElem({(c[0], c[-1]): v})
+    return FullCochain(f.degree, table)
 
 
 def _full_basis(poset, car, n):
@@ -640,10 +402,10 @@ def hh_dims(poset, max_n, which="relative"):
         car = RelHochschildCarrier(poset)
 
         def basis(n):
-            return _rel_basis(poset, n)
+            return poset.chains(n)
 
         def elem(n, key):
-            return RelCochain(n, {key: F1})
+            return SimpCochain(n, {key: F1})
 
         def matrix(n):
             src = basis(n)
@@ -652,7 +414,7 @@ def hh_dims(poset, max_n, which="relative"):
             m = SparseMat(len(dst), len(src))
             for k, key in enumerate(src):
                 df = differential(car, elem(n, key))
-                for ch, v in df.coeffs.items():
+                for ch, v in df.values.items():
                     m.set(rowof[ch], k, v)
             return m
 

@@ -41,40 +41,6 @@ class SparseMat:
     def add_to(self, r, c, v):
         self.set(r, c, self.get(r, c) + v)
 
-    @classmethod
-    def from_rows(cls, rows_data):
-        rows = len(rows_data)
-        cols = max((len(r) for r in rows_data), default=0)
-        m = cls(rows, cols)
-        for r, row in enumerate(rows_data):
-            for c, v in enumerate(row):
-                if v:
-                    m.set(r, c, Fraction(v))
-        return m
-
-    @classmethod
-    def identity(cls, n):
-        m = cls(n, n)
-        for i in range(n):
-            m.set(i, i, F1)
-        return m
-
-    def transpose(self):
-        t = SparseMat(self.cols, self.rows)
-        for (r, c), v in self.entries.items():
-            t.entries[(c, r)] = v
-        return t
-
-    def mul_vec(self, vec):
-        if len(vec) != self.cols:
-            raise ValueError("vector length %d != %d columns" % (len(vec), self.cols))
-        out = [F0] * self.rows
-        for (r, c), v in self.entries.items():
-            x = vec[c]
-            if x:
-                out[r] += v * x
-        return out
-
     def __repr__(self):
         return "SparseMat(%dx%d, %d nonzero)" % (self.rows, self.cols, len(self.entries))
 

@@ -3,10 +3,14 @@
 A *carrier* is any object exposing the small duck-typed interface used
 below: ``arity(x)``, ``zero(n)``, ``add(x, y)``, ``scale(c, x)``,
 ``equal(x, y)``, ``is_zero(x)``, ``compose_at(f, j, g)``, ``identity()``
-and ``mult()`` (a fixed associative arity-2 element with m o m = 0).  The
-simplicial and Hochschild carriers both implement it; everything in this
-module is written once against that interface, so the two sides share one
-set of sign conventions by construction.
+and ``mult()`` (a fixed associative arity-2 element with m o m = 0); the
+suites also use ``poset``, ``random_elem(n, rng)`` and
+``diff_witness(x, y)``.  simplicial.SimplicialCarrier implements it on
+the one weak-chain cochain type, and the relative Hochschild carrier
+inherits all of it but ``compose_at``; the full Hochschild carrier
+implements it on its own tables.  Everything in this module is written
+once against that interface, so all carriers share one set of sign
+conventions by construction.
 
 Degree bookkeeping.  For an element x of arity n we write |x| = n for its
 unshifted degree and <x> = n - 1 for its shifted degree.  All signs below

@@ -36,10 +36,6 @@ def format_rat(q):
     return "%d/%d" % (q.numerator, q.denominator)
 
 
-def parse_rat(s):
-    return Fraction(s)
-
-
 class TruncSeries:
     """Power series mod lam**(order+1), stored as an exact coefficient tuple.
 
@@ -76,6 +72,9 @@ class TruncSeries:
 
     def is_zero(self):
         return all(c == 0 for c in self.coeffs)
+
+    def __bool__(self):
+        return any(self.coeffs)
 
     def _match(self, other):
         if not isinstance(other, TruncSeries):
@@ -226,53 +225,3 @@ class WittElem:
 
     def __repr__(self):
         return "WittElem(%s)" % (self.value.to_strings(),)
-
-
-class RatRing:
-    """Scalar-ring marker for plain rationals."""
-
-    order = None
-
-    @property
-    def zero(self):
-        return F0
-
-    @property
-    def one(self):
-        return F1
-
-    def __eq__(self, other):
-        return isinstance(other, RatRing)
-
-    def __hash__(self):
-        return hash("RatRing")
-
-    def __repr__(self):
-        return "RatRing()"
-
-
-class SeriesRing:
-    """Scalar-ring marker for truncated series of a fixed order."""
-
-    def __init__(self, order):
-        self.order = order
-
-    @property
-    def zero(self):
-        return TruncSeries.zero(self.order)
-
-    @property
-    def one(self):
-        return TruncSeries.one(self.order)
-
-    def __eq__(self, other):
-        return isinstance(other, SeriesRing) and self.order == other.order
-
-    def __hash__(self):
-        return hash(("SeriesRing", self.order))
-
-    def __repr__(self):
-        return "SeriesRing(%d)" % self.order
-
-
-RAT = RatRing()

@@ -22,14 +22,23 @@ from fractions import Fraction
 
 from .linalg import SparseMat, rank
 from .opcore import SlotOutOfRange
+from .scalars import TruncSeries, format_rat
 
 F0 = Fraction(0)
 F1 = Fraction(1)
 
 
 class SimpCochain:
-    """Sparse exact cochain: values maps weak chains (tuples of element
-    indices) to nonzero Fractions; anything absent reads as zero."""
+    """One scalar per weak chain, stored sparsely: values maps weak chains
+    (tuples of element indices) to nonzero scalars; anything absent reads
+    as zero.  This is the data of a simplicial cochain and of a relative
+    Hochschild cochain alike (see hochschild); the carriers differ only in
+    how they compose it.
+
+    Scalars are Fractions, or TruncSeries where a deformed product is
+    evaluated (deform.deformation_product).  Each kind brings its own zero
+    test and refuses to mix with the other (TypeError), and series of
+    different orders refuse to mix (scalars.OrderMismatch)."""
 
     __slots__ = ("degree", "values")
 
@@ -44,10 +53,20 @@ class SimpCochain:
                 raise ValueError(
                     "chain %r has %d entries, expected %d" % (ch, len(ch), degree + 1)
                 )
-            v = v if isinstance(v, Fraction) else Fraction(v)
-            if v != 0:
+            if not isinstance(v, (Fraction, TruncSeries)):
+                v = Fraction(v)
+            if v:
                 vals[tuple(ch)] = v
         self.values = vals
+
+    @classmethod
+    def _of(cls, degree, values):
+        """Wrap a dict that already has tuple keys of the right length and
+        nonzero values, without copying or checking it."""
+        c = cls.__new__(cls)
+        c.degree = degree
+        c.values = values
+        return c
 
     def value(self, chain):
         return self.values.get(chain, F0)
@@ -60,24 +79,24 @@ class SimpCochain:
             raise ValueError("degree mismatch in cochain sum")
         out = dict(self.values)
         for ch, v in other.values.items():
-            nv = out.get(ch, F0) + v
-            if nv == 0:
-                out.pop(ch, None)
-            else:
+            cur = out.get(ch)
+            if cur is None:
+                out[ch] = v
+                continue
+            nv = cur + v
+            if nv:
                 out[ch] = nv
-        c = SimpCochain.__new__(SimpCochain)
-        c.degree = self.degree
-        c.values = out
-        return c
+            else:
+                del out[ch]
+        return SimpCochain._of(self.degree, out)
 
     def scale(self, f):
-        f = f if isinstance(f, Fraction) else Fraction(f)
-        if f == 0:
+        if not f:
             return SimpCochain(self.degree)
-        c = SimpCochain.__new__(SimpCochain)
-        c.degree = self.degree
-        c.values = {ch: f * v for ch, v in self.values.items()}
-        return c
+        # series have zero divisors, so a product of nonzero values can vanish
+        return SimpCochain._of(
+            self.degree, {ch: nv for ch, v in self.values.items() if (nv := f * v)}
+        )
 
     __add__ = add
 
@@ -103,8 +122,6 @@ class SimpCochain:
         return "SimpCochain(deg=%d, %d entries)" % (self.degree, len(self.values))
 
     def to_dict(self, poset):
-        from .scalars import format_rat
-
         entries = [
             {"chain": list(poset.chain_labels(ch)), "value": format_rat(v)}
             for ch, v in sorted(self.values.items())
@@ -113,15 +130,31 @@ class SimpCochain:
 
     @classmethod
     def from_dict(cls, poset, d):
+        """Inverse of to_dict.  Raises ValueError (or TypeError, KeyError)
+        on anything that is not a cochain on this poset: a document that is
+        not an object, an entry on a tuple that is not a weak chain, or a
+        value that is not an exact rational written as a string or an int."""
+        if not isinstance(d, dict):
+            raise ValueError("a cochain must be a JSON object")
         vals = {}
         for e in d.get("entries", ()):
             ch = poset.chain_indices(e["chain"])
-            vals[ch] = Fraction(e["value"])
+            if not all(poset.le(a, b) for a, b in zip(ch, ch[1:])):
+                raise ValueError("%r is not a chain" % (e["chain"],))
+            v = e["value"]
+            if isinstance(v, bool) or not isinstance(v, (str, int)):
+                raise ValueError("value %r is not a string or an integer" % (v,))
+            try:
+                vals[ch] = Fraction(v)
+            except ZeroDivisionError:
+                raise ValueError("value %r divides by zero" % (v,)) from None
         return cls(d["degree"], vals)
 
 
 class SimplicialCarrier:
-    """Operad carrier of simplicial cochains on one poset."""
+    """Operad carrier of simplicial cochains on one poset, composing by
+    face restriction.  hochschild.RelHochschildCarrier inherits everything
+    here except compose_at."""
 
     name = "simplicial"
 
@@ -164,14 +197,10 @@ class SimplicialCarrier:
             if b is None:
                 continue
             out[c] = a * b
-        res = SimpCochain.__new__(SimpCochain)
-        res.degree = p + q - 1
-        res.values = out
-        return res
+        return SimpCochain._of(p + q - 1, out)
 
     def constant(self, n, value=F1):
-        v = value if isinstance(value, Fraction) else Fraction(value)
-        return SimpCochain(n, {c: v for c in self.chains(n)})
+        return SimpCochain(n, {c: value for c in self.chains(n)})
 
     def identity(self):
         return self.constant(1)
@@ -192,12 +221,6 @@ class SimplicialCarrier:
             if x.value(ch) != y.value(ch):
                 return str(tuple(self.poset.chain_labels(ch)))
         return ""
-
-
-def constants(poset):
-    """The operadic identity (degree 1) and multiplication (degree 2)."""
-    car = SimplicialCarrier(poset)
-    return car.identity(), car.mult()
 
 
 def coboundary_matrix(poset, n, strict=False):

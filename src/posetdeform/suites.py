@@ -4,10 +4,12 @@ Each suite draws seeded random elements over a grid of degree pairs and
 asserts a family of exact identities: the partial-composition axioms
 (operad_suite), the brace identity with its insertion sign
 (brace_suite), the differential graded algebra laws including the
-two-argument product compatibility (hga_suite), and the differential
-graded Lie laws derived from the circle product (dgla_suite).  All
-comparisons are exact; a mismatch is recorded as a Failure with the
-first differing chain.
+two-argument product compatibility (hga_suite), the differential
+graded Lie laws derived from the circle product (dgla_suite), and the
+isomorphism with the relative Hochschild operad (gsiso.verify_morphism).
+SUITES registers all five under one signature, suite(car, samples, seed,
+max_degree, mutate).  All comparisons are exact; a mismatch is recorded
+as a Failure with the first differing chain.
 
 The generator is split per degree pair as Random("seed:suite:p:q"), so
 reports are reproducible and independent of iteration order changes
@@ -361,9 +363,14 @@ def _associator(car, f, g, h):
     return _zsum(car, [left, car.scale(-1, right)])
 
 
+# gsiso builds the iso suite on SuiteReport, agree and _witness above, so
+# it is imported only now (the package imports suites before gsiso)
+from .gsiso import verify_morphism  # noqa: E402
+
 SUITES = {
     "operad": operad_suite,
     "brace": brace_suite,
     "hga": hga_suite,
     "dgla": dgla_suite,
+    "iso": verify_morphism,
 }

@@ -23,7 +23,6 @@ from posetdeform.deform import (
     witt_coboundary,
     witt_exp,
 )
-from posetdeform.gsiso import verify_morphism
 from posetdeform.hochschild import RelHochschildCarrier, hh_dims
 from posetdeform.opcore import SignFlip
 from posetdeform.simplicial import SimpCochain, SimplicialCarrier, cohomology_dims
@@ -211,9 +210,7 @@ def test_criterion_6_complex_agreement(capsys, chain2, chain3, diamond):
 
 def test_criterion_7_mutation_sensitivity(capsys, diamond):
     def check():
-        rep = verify_morphism(diamond, samples=3, seed=0, mutate=True)
-        assert rep.failed >= 1
-        for name in ("operad", "brace", "hga", "dgla"):
+        for name in SUITES:
             rep = SUITES[name](
                 SimplicialCarrier(diamond), samples=3, seed=0, mutate=True
             )

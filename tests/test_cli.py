@@ -13,7 +13,10 @@ from posetdeform.deform import MCElement, moduli
 from posetdeform.posets import save_poset, sphere_poset
 from posetdeform.simplicial import SimpCochain
 
-POSETS = Path(__file__).resolve().parents[1] / "posets"
+ROOT = Path(__file__).resolve().parents[1]
+POSETS = ROOT / "posets"
+GOLDEN = Path(__file__).resolve().parent / "golden"
+GOLDEN_CASES = json.loads((GOLDEN / "cases.json").read_text())
 SCHEMA = json.loads(
     (Path(cli.__file__).parent / "schemas" / "report.schema.json").read_text()
 )
@@ -251,3 +254,53 @@ def test_json_output_is_a_single_document(capsys):
     # the table path prints more than one line instead
     _, table, _ = run(capsys, "cohomology", poset_path("diamond"))
     assert len(table.splitlines()) > 1
+
+
+def _element(entry):
+    return {"order": 1, "terms": {"1": {"degree": 2, "entries": [entry]}}}
+
+
+BAD_ELEMENTS = {
+    "non-chain": _element({"chain": ["top", "bot", "a"], "value": "1"}),
+    "zero-denominator": _element({"chain": ["bot", "a", "top"], "value": "1/0"}),
+    "float": _element({"chain": ["bot", "a", "top"], "value": 1.5}),
+    "list": [],
+}
+
+
+@pytest.mark.parametrize(
+    "verb,bad",
+    [
+        ("mc-check", "non-chain"),
+        ("gauge-equiv", "non-chain"),
+        ("mc-check", "zero-denominator"),
+        ("mc-check", "float"),
+        ("mc-check", "list"),
+    ],
+)
+def test_malformed_element_is_an_input_error(capsys, tmp_path, verb, bad):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(BAD_ELEMENTS[bad]))
+    elements = [str(path)]
+    if verb == "gauge-equiv":
+        zero = tmp_path / "zero.json"
+        zero.write_text(json.dumps({"order": 1, "terms": {}}))
+        elements.append(str(zero))
+    code, out, err = run(capsys, verb, poset_path("diamond"), *elements)
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_CASES))
+def test_no_meta_output_matches_golden(capsys, case):
+    """--format json --no-meta stdout and the exit code, byte for byte,
+    against files captured before the simplicial and relative cochain
+    types were merged.  Regenerate a file only for an intended change of
+    output."""
+    spec = GOLDEN_CASES[case]
+    argv = [str(ROOT / a) if a.endswith(".json") else a for a in spec["argv"]]
+    code, out, _ = run(capsys, *argv, "--format", "json", "--no-meta")
+    assert code == spec["exit"]
+    assert out.encode() == (GOLDEN / ("%s.json" % case)).read_bytes()

@@ -3,29 +3,27 @@
 import random
 from fractions import Fraction
 
-import pytest
-
 from posetdeform.hochschild import (
     IncElem,
     RelHochschildCarrier,
-    RingMismatch,
+    as_element,
     rel_eval,
 )
-from posetdeform.gsiso import phi, phi_inv, verify_morphism
-from posetdeform.scalars import SeriesRing
+from posetdeform.gsiso import phi, verify_morphism
 from posetdeform.simplicial import SimpCochain, SimplicialCarrier
 
 
 def test_round_trips(diamond):
+    """Both carriers hold the same data, so phi is the identity on it:
+    equal draws give equal cochains on either side, and phi(x) reads and
+    writes back to x."""
     car = SimplicialCarrier(diamond)
-    rng = random.Random("iso:rt")
-    for n in range(4):
-        x = car.random_elem(n, rng)
-        assert phi_inv(phi(x)) == x
     rel = RelHochschildCarrier(diamond)
     for n in range(4):
-        f = rel.random_elem(n, rng)
-        assert phi(phi_inv(f)) == f
+        x = car.random_elem(n, random.Random("iso:rt:%d" % n))
+        f = rel.random_elem(n, random.Random("iso:rt:%d" % n))
+        assert phi(x) == x == f
+        assert SimpCochain.from_dict(diamond, phi(x).to_dict(diamond)) == x
 
 
 def test_linearity_and_degree(diamond):
@@ -57,35 +55,29 @@ def test_coefficients_become_evaluations(chain2):
 def test_degree_zero_lands_on_the_diagonal(diamond):
     car = SimplicialCarrier(diamond)
     x = car.random_elem(0, random.Random("iso:d0"))
-    e = phi(x).as_element()
+    e = as_element(phi(x))
     assert e == IncElem({(i, i): x.value((i,)) for i in range(diamond.n)})
 
 
-def test_phi_inv_requires_rational_coefficients(chain2):
-    ring = SeriesRing(1)
-    rel = RelHochschildCarrier(chain2, ring=ring)
-    with pytest.raises(RingMismatch):
-        phi_inv(rel.mult())
-
-
 def test_verifier_passes_on_two_element_chain(chain2):
-    rep = verify_morphism(chain2, samples=50, seed=0)
+    rep = verify_morphism(SimplicialCarrier(chain2), samples=50, seed=0)
     assert rep.ok and rep.failed == 0
     assert rep.checks > 0
 
 
 def test_verifier_passes_on_crown(cr4):
-    rep = verify_morphism(cr4, samples=5, seed=1)
+    rep = verify_morphism(SimplicialCarrier(cr4), samples=5, seed=1)
     assert rep.ok and rep.failed == 0
 
 
 def test_verifier_transcript_is_deterministic(chain2):
-    a = verify_morphism(chain2, samples=5, seed=3).to_dict()
-    b = verify_morphism(chain2, samples=5, seed=3).to_dict()
+    car = SimplicialCarrier(chain2)
+    a = verify_morphism(car, samples=5, seed=3).to_dict()
+    b = verify_morphism(car, samples=5, seed=3).to_dict()
     assert a == b
 
 
 def test_verifier_catches_mutation(chain2):
-    rep = verify_morphism(chain2, samples=5, seed=0, mutate=True)
+    rep = verify_morphism(SimplicialCarrier(chain2), samples=5, seed=0, mutate=True)
     assert not rep.ok and rep.failed >= 1
     assert rep.failures and rep.failures[0].check

@@ -12,7 +12,6 @@ from posetdeform.simplicial import (
     SimplicialCarrier,
     coboundary_matrix,
     cohomology_dims,
-    constants,
 )
 
 
@@ -27,7 +26,8 @@ def test_compose_on_two_element_chain(chain2):
 
 
 def test_constants(diamond):
-    e, m = constants(diamond)
+    car = SimplicialCarrier(diamond)
+    e, m = car.identity(), car.mult()
     assert e.degree == 1 and m.degree == 2
     for c in diamond.chains(1):
         assert e.value(c) == 1

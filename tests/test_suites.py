@@ -2,6 +2,7 @@
 
 import pytest
 
+from posetdeform.gsiso import verify_morphism
 from posetdeform.hochschild import RelHochschildCarrier
 from posetdeform.simplicial import SimplicialCarrier
 from posetdeform.suites import (
@@ -18,8 +19,9 @@ def carriers(p):
 
 
 def test_suite_registry():
-    assert set(SUITES) == {"operad", "brace", "hga", "dgla"}
+    assert list(SUITES) == ["operad", "brace", "hga", "dgla", "iso"]
     assert SUITES["operad"] is operad_suite
+    assert SUITES["iso"] is verify_morphism
 
 
 @pytest.mark.parametrize("name", sorted(SUITES))
