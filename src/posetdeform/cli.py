@@ -43,6 +43,8 @@ def _load_json(path):
             "%s: invalid JSON at line %d column %d: %s"
             % (path, e.lineno, e.colno, e.msg)
         ) from e
+    except RecursionError as e:
+        raise _InputError("%s: JSON nested too deeply" % path) from e
 
 
 def _load_poset(path):

@@ -100,10 +100,11 @@ class MCElement:
         order = d["order"]
         if isinstance(order, bool) or not isinstance(order, int):
             raise ValueError("order %r is not an integer" % (order,))
-        terms = {
-            int(k): SimpCochain.from_dict(poset, cd)
-            for k, cd in d.get("terms", {}).items()
-        }
+        terms = {}
+        for k, cd in d.get("terms", {}).items():
+            if int(k) in terms:
+                raise ValueError("layer %r repeats layer %d" % (k, int(k)))
+            terms[int(k)] = SimpCochain.from_dict(poset, cd)
         return cls(order, terms)
 
 

@@ -36,7 +36,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 
-from .linalg import SparseMat, rank
+from .linalg import SparseMat, dims_from_ranks, rank
 from .opcore import ArityMismatch, SlotOutOfRange, differential
 from .simplicial import SimpCochain, SimplicialCarrier
 
@@ -450,9 +450,4 @@ def hh_dims(poset, max_n, which="relative"):
 
     sizes = [len(basis(n)) for n in range(max_n + 1)]
     ranks = [rank(matrix(n)) for n in range(max_n + 1)]
-    dims = []
-    prev = 0
-    for n in range(max_n + 1):
-        dims.append(sizes[n] - ranks[n] - prev)
-        prev = ranks[n]
-    return dims
+    return dims_from_ranks(sizes, ranks)

@@ -102,34 +102,49 @@ def _eliminate(mat, rhs=None):
     return pivots, rowmap
 
 
+def _back_substitute(pivots, rowmap, x):
+    """Solve the pivot rows of an elimination for their pivot coordinates
+    of x, right to left, given its free coordinates; a row's right-hand
+    side, if any, sits in column len(x)."""
+    cols = len(x)
+    for c, r in reversed(pivots):
+        row = rowmap[r]
+        s = row.get(cols, F0)
+        for cc, vv in row.items():
+            if cc != c and cc < cols:
+                xv = x[cc]
+                if xv:
+                    s -= vv * xv
+        x[c] = s / row[c]
+    return x
+
+
 def rank_kernel(mat):
     """Rank and an exact kernel basis.  Kernel vectors are built one per
     free column by back substitution; they are linearly independent by
     construction (each has a 1 in its own free coordinate)."""
     pivots, rowmap = _eliminate(mat)
-    rank = len(pivots)
     pivot_cols = {c for c, _ in pivots}
-    free_cols = [c for c in range(mat.cols) if c not in pivot_cols]
     kernel = []
-    for fc in free_cols:
-        x = [F0] * mat.cols
-        x[fc] = F1
-        for c, r in reversed(pivots):
-            row = rowmap[r]
-            s = F0
-            for cc, vv in row.items():
-                if cc != c and cc < mat.cols:
-                    xv = x[cc]
-                    if xv:
-                        s += vv * xv
-            x[c] = -s / row[c]
-        kernel.append(x)
-    return rank, kernel
+    for fc in range(mat.cols):
+        if fc not in pivot_cols:
+            x = [F0] * mat.cols
+            x[fc] = F1
+            kernel.append(_back_substitute(pivots, rowmap, x))
+    return len(pivots), kernel
 
 
 def rank(mat):
     pivots, _ = _eliminate(mat)
     return len(pivots)
+
+
+def dims_from_ranks(sizes, ranks):
+    """Cohomology dimensions of a cochain complex with sizes[n] cochains
+    in degree n and a differential of rank ranks[n] out of degree n:
+    dim H^n = sizes[n] - ranks[n] - ranks[n-1]."""
+    return [sizes[n] - ranks[n] - (ranks[n - 1] if n else 0)
+            for n in range(len(sizes))]
 
 
 def solve_in_image(mat, b):
@@ -146,14 +161,4 @@ def solve_in_image(mat, b):
     for r, row in rowmap.items():
         if r not in pivoted and row.get(BCOL):
             return None
-    x = [F0] * mat.cols
-    for c, r in reversed(pivots):
-        row = rowmap[r]
-        s = row.get(BCOL, F0)
-        for cc, vv in row.items():
-            if cc != c and cc < mat.cols:
-                xv = x[cc]
-                if xv:
-                    s -= vv * xv
-        x[c] = s / row[c]
-    return x
+    return _back_substitute(pivots, rowmap, [F0] * mat.cols)

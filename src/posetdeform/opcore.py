@@ -21,13 +21,20 @@ live on the shifted side:
   (-1)**sum_p <x_p> * i_p, where i_p counts every input of the composite
   standing strictly before the block of x_p (inputs swallowed by earlier
   blocks included).  With a single argument this reduces to the circle
-  product f o g = sum_j (-1)**((j-1)<g>) f o_j g.
+  product f o g = sum_j (-1)**((j-1)<g>) f o_j g.  With more arguments
+  than slots the sum is empty: the brace is the zero element of the
+  arity the insertions would have had, clamped at 0.  Identities such
+  as the brace relation need that convention, and circle inherits it.
 * dot:     x . y = (-1)**|x| m{x, y}, an associative product of degree 0.
 * d:       d x = m o x - (-1)**<x> x o m, the differential of the shifted
   complex; the classical alternating-face-sum differential is
   (-1)**(|x|+1) times it, so kernels and images agree degreewise.  The
   unshifted differential -d is also provided.
 * bracket: [f, g] = f o g - (-1)**(<f><g>) g o f.
+
+SignFlip(car) is the one way to doctor a carrier: it negates every
+insertion into slot 2, and each harness (the law suites, the iso suite,
+mc_check) takes it in place of car to show that it reports failures.
 """
 
 from __future__ import annotations
@@ -42,12 +49,13 @@ class ArityMismatch(ValueError):
     """Argument list length does not match the arity being saturated."""
 
 
-class TooManyArguments(ValueError):
-    """brace with more arguments than the receiving element has slots."""
-
-
 class SlotOutOfRange(ValueError):
     """compose_at with j outside 1..arity(f)."""
+
+
+def signed(car, e, x):
+    """(-1)**e x: every sign rule of this module and of the suites."""
+    return car.scale(FNEG, x) if e % 2 else x
 
 
 def gamma(car, f, args):
@@ -66,23 +74,10 @@ def gamma(car, f, args):
 def brace(car, x, args):
     """x{x_1, ..., x_k}: the signed sum over order-preserving insertions.
 
-    x{} is x itself.  Raises TooManyArguments when k exceeds arity(x);
-    see brace_or_zero for the convention used inside identities, where an
-    overflowing brace is an empty sum."""
-    args = list(args)
-    if not args:
-        return x
-    m = car.arity(x)
-    if len(args) > m:
-        raise TooManyArguments(
-            "%d arguments into %d slots" % (len(args), m)
-        )
-    return _brace_sum(car, x, m, args)
-
-
-def brace_or_zero(car, x, args):
-    """Like brace, but an overflowing insertion is the zero element (the
-    sum over an empty set of insertions).  Identity checks need this."""
+    x{} is x itself.  With more arguments than x has slots there is no
+    insertion, and the empty sum is the zero element of arity
+    max(arity(x) + sum(arity(x_i) - 1), 0), the arity the insertions
+    would have had, clamped at 0."""
     args = list(args)
     if not args:
         return x
@@ -110,35 +105,25 @@ def _brace_sum(car, x, m, args):
         term = x
         for p in range(k - 1, -1, -1):
             term = car.compose_at(term, slots[p], args[p])
-        if eps % 2:
-            term = car.scale(FNEG, term)
-        total = car.add(total, term)
+        total = car.add(total, signed(car, eps, term))
     return total
 
 
 def circle(car, f, g):
-    """f o g = f{g}.  For arity-0 f the insertion sum is empty, so the
-    product is zero (clamped to arity 0 when arity(g) is also 0)."""
-    if car.arity(f) == 0:
-        return car.zero(max(car.arity(g) - 1, 0))
+    """f o g = f{g}; for arity-0 f it is the empty sum, a zero."""
     return brace(car, f, [g])
 
 
 def dot(car, x, y):
     """The associative product x . y = (-1)**|x| m{x, y}."""
-    prod = brace(car, car.mult(), [x, y])
-    if car.arity(x) % 2:
-        prod = car.scale(FNEG, prod)
-    return prod
+    return signed(car, car.arity(x), brace(car, car.mult(), [x, y]))
 
 
 def differential(car, x):
     """Differential of the shifted complex: d x = m o x - (-1)**<x> x o m.
     Raises arity by one and squares to zero."""
     left = circle(car, car.mult(), x)
-    right = circle(car, x, car.mult())
-    if (car.arity(x) - 1) % 2 == 0:
-        right = car.scale(FNEG, right)
+    right = signed(car, car.arity(x), circle(car, x, car.mult()))
     return car.add(left, right)
 
 
@@ -150,19 +135,11 @@ def differential_unshifted(car, x):
 
 def bracket(car, f, g):
     """Graded bracket [f, g] = f o g - (-1)**(<f><g>) g o f on the shifted
-    complex."""
+    complex.  Both products have arity max(|f| + |g| - 1, 0), zeros
+    included, so they add directly."""
     fg = circle(car, f, g)
-    gf = circle(car, g, f)
-    if ((car.arity(f) - 1) * (car.arity(g) - 1)) % 2 == 0:
-        gf = car.scale(FNEG, gf)
-    # arity-0 corner: f o g and g o f may be zeros clamped to different
-    # recorded arities; adding a zero of the wrong arity would corrupt the
-    # result, so short-circuit when one side vanishes
-    if car.is_zero(gf):
-        return fg
-    if car.is_zero(fg):
-        return gf
-    return car.add(fg, gf)
+    e = (car.arity(f) - 1) * (car.arity(g) - 1) + 1
+    return car.add(fg, signed(car, e, circle(car, g, f)))
 
 
 class SignFlip:

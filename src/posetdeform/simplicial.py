@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .linalg import SparseMat, rank
+from .linalg import SparseMat, dims_from_ranks, rank
 from .opcore import SlotOutOfRange
 from .scalars import TruncSeries, format_rat
 
@@ -132,15 +132,20 @@ class SimpCochain:
     def from_dict(cls, poset, d):
         """Inverse of to_dict.  Raises ValueError (or TypeError, KeyError)
         on anything that is not a cochain on this poset: a document that is
-        not an object, an entry on a tuple that is not a weak chain, or a
+        not an object, a chain that is not a list of labels, an entry on a
+        tuple that is not a weak chain or on a chain listed before, or a
         value that is not an exact rational written as a string or an int."""
         if not isinstance(d, dict):
             raise ValueError("a cochain must be a JSON object")
         vals = {}
         for e in d.get("entries", ()):
+            if not isinstance(e["chain"], list):
+                raise ValueError("chain %r is not a list" % (e["chain"],))
             ch = poset.chain_indices(e["chain"])
             if not all(poset.le(a, b) for a, b in zip(ch, ch[1:])):
                 raise ValueError("%r is not a chain" % (e["chain"],))
+            if ch in vals:
+                raise ValueError("chain %r is listed twice" % (e["chain"],))
             v = e["value"]
             if isinstance(v, bool) or not isinstance(v, (str, int)):
                 raise ValueError("value %r is not a string or an integer" % (v,))
@@ -247,9 +252,4 @@ def cohomology_dims(poset, max_n, strict=True):
         raise ValueError("max_n must be >= 0")
     sizes = [len(poset.chains(n, strict=strict)) for n in range(max_n + 1)]
     ranks = [rank(coboundary_matrix(poset, n, strict=strict)) for n in range(max_n + 1)]
-    dims = []
-    prev_rank = 0
-    for n in range(max_n + 1):
-        dims.append(sizes[n] - ranks[n] - prev_rank)
-        prev_rank = ranks[n]
-    return dims
+    return dims_from_ranks(sizes, ranks)

@@ -8,31 +8,33 @@ two-argument product compatibility (hga_suite), the differential
 graded Lie laws derived from the circle product (dgla_suite), and the
 isomorphism with the relative Hochschild operad (gsiso.verify_morphism).
 SUITES registers all five under one signature, suite(car, samples, seed,
-max_degree, mutate).  All comparisons are exact; a mismatch is recorded
-as a Failure with the first differing chain.
+max_degree).  All comparisons are exact and all go through
+SuiteReport.same (two sides agree) or SuiteReport.vanishes (one side is
+zero); a mismatch is recorded as a Failure with the first differing
+chain.
 
 The generator is split per degree pair as Random("seed:suite:p:q"), so
 reports are reproducible and independent of iteration order changes
-elsewhere.  Every suite accepts mutate=True, which wraps the carrier so
-that insertion into slot 2 flips sign; a sound suite must then report
-failures (sensitivity check).
+elsewhere.  A suite checks whatever carrier it is given; passed
+opcore.SignFlip(car), which flips the sign of every insertion into
+slot 2, a sound suite must report failures (sensitivity check).
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import partial
 
 from .opcore import (
-    SignFlip,
     brace,
-    brace_or_zero,
     bracket,
     circle,
     differential,
     differential_unshifted,
     dot,
     gamma,
+    signed,
 )
 
 MAX_RECORDED_FAILURES = 25
@@ -75,6 +77,16 @@ class SuiteReport:
                     witness = witness()
                 self.failures.append(Failure(name, tuple(degrees), witness))
         return ok
+
+    def same(self, car, name, degrees, lhs, rhs):
+        """Check that lhs equals rhs on car (zeros of any arity agree)."""
+        return self.check(name, degrees, agree(car, lhs, rhs),
+                          partial(_witness, car, lhs, rhs))
+
+    def vanishes(self, car, name, degrees, x):
+        """Check that x is zero on car."""
+        return self.check(name, degrees, car.is_zero(x),
+                          partial(_witness, car, x, car.zero(car.arity(x))))
 
     @property
     def ok(self):
@@ -130,17 +142,13 @@ def _grid(max_degree):
     return [(p, q) for p in range(max_degree + 1) for q in range(max_degree + 1)]
 
 
-def operad_suite(car, samples=25, seed=0, max_degree=3, mutate=False):
+def operad_suite(car, samples=25, seed=0, max_degree=3):
     """Two-sided unit laws and May associativity of partial composition."""
-    if mutate:
-        car = SignFlip(car)
     rep = SuiteReport("operad", car.poset.name, samples, seed)
     ident = car.identity()
     m = car.mult()
 
-    mm = circle(car, m, m)
-    rep.check("mult-square", (2, 2), car.is_zero(mm),
-              lambda: _witness(car, mm, car.zero(car.arity(mm))))
+    rep.vanishes(car, "mult-square", (2, 2), circle(car, m, m))
 
     for p, q in _grid(max_degree):
         rng = _rng_for(seed, "operad", p, q)
@@ -149,16 +157,12 @@ def operad_suite(car, samples=25, seed=0, max_degree=3, mutate=False):
             g = car.random_elem(q, rng)
 
             for j in range(1, p + 1):
-                got = car.compose_at(f, j, ident)
-                rep.check("unit-right[%d]" % j, (p,), agree(car, got, f),
-                          lambda a=got, b=f: _witness(car, a, b))
-            got = car.compose_at(ident, 1, f)
-            rep.check("unit-left", (p,), agree(car, got, f),
-                      lambda a=got, b=f: _witness(car, a, b))
+                rep.same(car, "unit-right[%d]" % j, (p,),
+                         car.compose_at(f, j, ident), f)
+            rep.same(car, "unit-left", (p,), car.compose_at(ident, 1, f), f)
             if p >= 1:
-                got = gamma(car, f, [ident] * p)
-                rep.check("unit-gamma", (p,), agree(car, got, f),
-                          lambda a=got, b=f: _witness(car, a, b))
+                rep.same(car, "unit-gamma", (p,),
+                         gamma(car, f, [ident] * p), f)
 
             if p < 1:
                 continue
@@ -184,9 +188,8 @@ def operad_suite(car, samples=25, seed=0, max_degree=3, mutate=False):
                         rhs = car.compose_at(
                             car.compose_at(f, j - q + 1, h), i, g
                         )
-                    rep.check("assoc[i=%d,j=%d]" % (i, j), (p, q, r),
-                              agree(car, lhs, rhs),
-                              lambda a=lhs, b=rhs: _witness(car, a, b))
+                    rep.same(car, "assoc[i=%d,j=%d]" % (i, j), (p, q, r),
+                             lhs, rhs)
     return rep
 
 
@@ -200,31 +203,27 @@ def _brace_rhs(car, x, xs, ys):
     def place(p, start, args, eps):
         if p == len(xs):
             args = args + ys[start:]
-            t = brace_or_zero(car, x, args)
-            terms.append(car.scale(-1, t) if eps % 2 else t)
+            terms.append(signed(car, eps, brace(car, x, args)))
             return
         for i in range(start, n + 1):
             e = eps + _sdeg(car, xs[p]) * sum(sy[:i])
             for j in range(i, n + 1):
-                inner = brace_or_zero(car, xs[p], ys[i:j])
+                inner = brace(car, xs[p], ys[i:j])
                 place(p + 1, j, args + ys[start:i] + [inner], e)
 
     place(0, 0, [], 0)
     return _zsum(car, terms)
 
 
-def brace_suite(car, samples=25, seed=0, max_degree=3, mutate=False):
+def brace_suite(car, samples=25, seed=0, max_degree=3):
     """x{} = x and the brace composition identity for one or two inner
     arguments against up to two outer arguments."""
-    if mutate:
-        car = SignFlip(car)
     rep = SuiteReport("brace", car.poset.name, samples, seed)
     for p, q in _grid(max_degree):
         rng = _rng_for(seed, "brace", p, q)
         for _ in range(samples):
             x = car.random_elem(p, rng)
-            rep.check("brace-empty", (p,), agree(car, brace(car, x, []), x),
-                      lambda a=x: _witness(car, brace(car, a, []), a))
+            rep.same(car, "brace-empty", (p,), brace(car, x, []), x)
 
             # one (m, n) shape per sample; the rng walks all six shapes
             # across a run.  Extra elements stay at degree <= 1 so the
@@ -235,22 +234,16 @@ def brace_suite(car, samples=25, seed=0, max_degree=3, mutate=False):
             if m_ct == 2:
                 xs.append(car.random_elem(rng.randint(0, 1), rng))
             ys = [car.random_elem(rng.randint(0, 1), rng) for _ in range(n_ct)]
-            lhs = brace_or_zero(car, brace_or_zero(car, x, xs), ys)
-            rhs = _brace_rhs(car, x, xs, ys)
-            rep.check(
-                "brace-identity[m=%d,n=%d]" % (m_ct, n_ct),
-                (p, q), agree(car, lhs, rhs),
-                lambda a=lhs, b=rhs: _witness(car, a, b),
-            )
+            rep.same(car, "brace-identity[m=%d,n=%d]" % (m_ct, n_ct), (p, q),
+                     brace(car, brace(car, x, xs), ys),
+                     _brace_rhs(car, x, xs, ys))
     return rep
 
 
-def hga_suite(car, samples=25, seed=0, max_degree=3, mutate=False):
+def hga_suite(car, samples=25, seed=0, max_degree=3):
     """DGA laws: associativity of dot, the product-brace interchange for
     up to two arguments, d squared zero, and the Leibniz rule of the
     unshifted differential over dot."""
-    if mutate:
-        car = SignFlip(car)
     rep = SuiteReport("hga", car.poset.name, samples, seed)
     for p, q in _grid(max_degree):
         rng = _rng_for(seed, "hga", p, q)
@@ -260,55 +253,39 @@ def hga_suite(car, samples=25, seed=0, max_degree=3, mutate=False):
             r = rng.randint(0, min(2, max_degree))
             z = car.random_elem(r, rng)
 
-            lhs = dot(car, dot(car, x, y), z)
-            rhs = dot(car, x, dot(car, y, z))
-            rep.check("dot-assoc", (p, q, r), agree(car, lhs, rhs),
-                      lambda a=lhs, b=rhs: _witness(car, a, b))
+            rep.same(car, "dot-assoc", (p, q, r),
+                     dot(car, dot(car, x, y), z), dot(car, x, dot(car, y, z)))
 
             n_ct = rng.randint(0, 2)
             ys = [car.random_elem(rng.randint(0, 1), rng)
                   for _ in range(n_ct)]
             sy = [_sdeg(car, w) for w in ys]
-            lhs = brace_or_zero(car, dot(car, x, y), ys)
+            lhs = brace(car, dot(car, x, y), ys)
             terms = []
             for i in range(n_ct + 1):
-                t = dot(car,
-                        brace_or_zero(car, x, ys[:i]),
-                        brace_or_zero(car, y, ys[i:]))
-                if (car.arity(y) * sum(sy[:i])) % 2:
-                    t = car.scale(-1, t)
-                terms.append(t)
-            rhs = _zsum(car, terms)
-            rep.check("dot-brace[n=%d]" % n_ct, (p, q), agree(car, lhs, rhs),
-                      lambda a=lhs, b=rhs: _witness(car, a, b))
+                t = dot(car, brace(car, x, ys[:i]), brace(car, y, ys[i:]))
+                terms.append(signed(car, car.arity(y) * sum(sy[:i]), t))
+            rep.same(car, "dot-brace[n=%d]" % n_ct, (p, q),
+                     lhs, _zsum(car, terms))
 
-            dd = differential(car, differential(car, x))
-            rep.check("d-squared", (p,), car.is_zero(dd),
-                      lambda a=dd: _witness(car, a, car.zero(car.arity(a))))
+            rep.vanishes(car, "d-squared", (p,),
+                         differential(car, differential(car, x)))
 
             lhs = differential_unshifted(car, dot(car, x, y))
-            right = dot(car, x, differential_unshifted(car, y))
-            if car.arity(x) % 2:
-                right = car.scale(-1, right)
+            right = signed(car, car.arity(x),
+                           dot(car, x, differential_unshifted(car, y)))
             rhs = _zsum(car, [dot(car, differential_unshifted(car, x), y), right])
-            rep.check("leibniz-dot", (p, q), agree(car, lhs, rhs),
-                      lambda a=lhs, b=rhs: _witness(car, a, b))
+            rep.same(car, "leibniz-dot", (p, q), lhs, rhs)
     return rep
 
 
-def dgla_suite(car, samples=25, seed=0, max_degree=3, mutate=False):
+def dgla_suite(car, samples=25, seed=0, max_degree=3):
     """Lie laws of the circle-product commutator on shifted degrees."""
-    if mutate:
-        car = SignFlip(car)
     rep = SuiteReport("dgla", car.poset.name, samples, seed)
     m = car.mult()
 
-    dm = differential(car, m)
-    rep.check("d-mult", (2,), car.is_zero(dm),
-              lambda: _witness(car, dm, car.zero(car.arity(dm))))
-    mm = bracket(car, m, m)
-    rep.check("bracket-mult", (2, 2), car.is_zero(mm),
-              lambda: _witness(car, mm, car.zero(car.arity(mm))))
+    rep.vanishes(car, "d-mult", (2,), differential(car, m))
+    rep.vanishes(car, "bracket-mult", (2, 2), bracket(car, m, m))
 
     for p, q in _grid(max_degree):
         rng = _rng_for(seed, "dgla", p, q)
@@ -320,40 +297,23 @@ def dgla_suite(car, samples=25, seed=0, max_degree=3, mutate=False):
             h = car.random_elem(r, rng)
             sr = r - 1
 
-            gf = bracket(car, g, f)
-            if (sp * sq) % 2:
-                gf = car.scale(-1, gf)
-            anti = _zsum(car, [bracket(car, f, g), gf])
-            rep.check("antisymmetry", (p, q), car.is_zero(anti),
-                      lambda a=anti: _witness(car, a, car.zero(car.arity(a))))
+            gf = signed(car, sp * sq, bracket(car, g, f))
+            rep.vanishes(car, "antisymmetry", (p, q),
+                         _zsum(car, [bracket(car, f, g), gf]))
 
             lhs = _associator(car, f, g, h)
-            rhs = _associator(car, f, h, g)
-            if (sq * sr) % 2:
-                rhs = car.scale(-1, rhs)
-            rep.check("prelie-symmetry", (p, q, r), agree(car, lhs, rhs),
-                      lambda a=lhs, b=rhs: _witness(car, a, b))
+            rhs = signed(car, sq * sr, _associator(car, f, h, g))
+            rep.same(car, "prelie-symmetry", (p, q, r), lhs, rhs)
 
-            t1 = bracket(car, bracket(car, f, g), h)
-            if (sp * sr) % 2:
-                t1 = car.scale(-1, t1)
-            t2 = bracket(car, bracket(car, g, h), f)
-            if (sq * sp) % 2:
-                t2 = car.scale(-1, t2)
-            t3 = bracket(car, bracket(car, h, f), g)
-            if (sr * sq) % 2:
-                t3 = car.scale(-1, t3)
-            jac = _zsum(car, [t1, t2, t3])
-            rep.check("jacobi", (p, q, r), car.is_zero(jac),
-                      lambda a=jac: _witness(car, a, car.zero(car.arity(a))))
+            t1 = signed(car, sp * sr, bracket(car, bracket(car, f, g), h))
+            t2 = signed(car, sq * sp, bracket(car, bracket(car, g, h), f))
+            t3 = signed(car, sr * sq, bracket(car, bracket(car, h, f), g))
+            rep.vanishes(car, "jacobi", (p, q, r), _zsum(car, [t1, t2, t3]))
 
             lhs = differential(car, bracket(car, f, g))
-            right = bracket(car, f, differential(car, g))
-            if sp % 2:
-                right = car.scale(-1, right)
+            right = signed(car, sp, bracket(car, f, differential(car, g)))
             rhs = _zsum(car, [bracket(car, differential(car, f), g), right])
-            rep.check("leibniz-bracket", (p, q), agree(car, lhs, rhs),
-                      lambda a=lhs, b=rhs: _witness(car, a, b))
+            rep.same(car, "leibniz-bracket", (p, q), lhs, rhs)
     return rep
 
 
@@ -363,7 +323,7 @@ def _associator(car, f, g, h):
     return _zsum(car, [left, car.scale(-1, right)])
 
 
-# gsiso builds the iso suite on SuiteReport, agree and _witness above, so
+# gsiso builds the iso suite on SuiteReport, _grid and _rng_for above, so
 # it is imported only now (the package imports suites before gsiso)
 from .gsiso import verify_morphism  # noqa: E402
 

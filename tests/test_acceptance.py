@@ -212,7 +212,7 @@ def test_criterion_7_mutation_sensitivity(capsys, diamond):
     def check():
         for name in SUITES:
             rep = SUITES[name](
-                SimplicialCarrier(diamond), samples=3, seed=0, mutate=True
+                SignFlip(SimplicialCarrier(diamond)), samples=3, seed=0
             )
             assert rep.failed >= 1, name
         car = SimplicialCarrier(diamond)

@@ -265,6 +265,32 @@ BAD_ELEMENTS = {
     "zero-denominator": _element({"chain": ["bot", "a", "top"], "value": "1/0"}),
     "float": _element({"chain": ["bot", "a", "top"], "value": 1.5}),
     "list": [],
+    # read as the last value, "0", this answered ok: yes
+    "duplicate-chain": {
+        "order": 1,
+        "terms": {
+            "1": {
+                "degree": 2,
+                "entries": [
+                    {"chain": ["bot", "a", "top"], "value": "1"},
+                    {"chain": ["bot", "a", "top"], "value": "0"},
+                ],
+            }
+        },
+    },
+    # both keys are layer 1; keeping "01" dropped the nonzero layer
+    "duplicate-layer": {
+        "order": 1,
+        "terms": {
+            "1": {
+                "degree": 2,
+                "entries": [{"chain": ["bot", "a", "top"], "value": "1"}],
+            },
+            "01": {"degree": 2, "entries": []},
+        },
+    },
+    # a string is not a list of labels, though "aaa" spells a, a, a
+    "string-chain": _element({"chain": "aaa", "value": "1"}),
 }
 
 
@@ -276,6 +302,9 @@ BAD_ELEMENTS = {
         ("mc-check", "zero-denominator"),
         ("mc-check", "float"),
         ("mc-check", "list"),
+        ("mc-check", "duplicate-chain"),
+        ("mc-check", "duplicate-layer"),
+        ("mc-check", "string-chain"),
     ],
 )
 def test_malformed_element_is_an_input_error(capsys, tmp_path, verb, bad):
@@ -287,6 +316,23 @@ def test_malformed_element_is_an_input_error(capsys, tmp_path, verb, bad):
         zero.write_text(json.dumps({"order": 1, "terms": {}}))
         elements.append(str(zero))
     code, out, err = run(capsys, verb, poset_path("diamond"), *elements)
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("verb", ["validate", "mc-check"])
+def test_deeply_nested_json_is_an_input_error(capsys, tmp_path, verb):
+    """json.load raises RecursionError on deep nesting; that is bad
+    input, not a negative answer."""
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    if verb == "validate":
+        argv = [verb, str(path)]
+    else:
+        argv = [verb, poset_path("diamond"), str(path)]
+    code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")

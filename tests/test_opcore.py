@@ -10,9 +10,7 @@ from posetdeform.opcore import (
     ArityMismatch,
     SignFlip,
     SlotOutOfRange,
-    TooManyArguments,
     brace,
-    brace_or_zero,
     bracket,
     circle,
     differential,
@@ -88,11 +86,14 @@ def test_brace_with_no_arguments(car):
 
 
 def test_brace_overflow(car):
+    """More arguments than slots is the empty sum: zero at the arity the
+    insertions would have had, clamped at 0."""
     x = rnd(car, 1, "bo")
-    a, b = rnd(car, 1, "boa"), rnd(car, 1, "bob")
-    with pytest.raises(TooManyArguments):
-        brace(car, x, [a, b])
-    assert brace_or_zero(car, x, [a, b]).is_zero()
+    a, b = rnd(car, 1, "boa"), rnd(car, 2, "bob")
+    out = brace(car, x, [a, b])
+    assert out.is_zero() and out.degree == 2
+    z = rnd(car, 0, "boz")
+    assert brace(car, z, [z]).is_zero() and brace(car, z, [z]).degree == 0
 
 
 def test_circle_is_signed_sum_of_insertions(car):

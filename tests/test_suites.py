@@ -4,6 +4,7 @@ import pytest
 
 from posetdeform.gsiso import verify_morphism
 from posetdeform.hochschild import RelHochschildCarrier
+from posetdeform.opcore import SignFlip
 from posetdeform.simplicial import SimplicialCarrier
 from posetdeform.suites import (
     SUITES,
@@ -36,7 +37,7 @@ def test_laws_hold_on_both_carriers(diamond, name):
 @pytest.mark.parametrize("name", sorted(SUITES))
 def test_sign_sabotage_is_detected(diamond, name):
     for car in carriers(diamond):
-        rep = SUITES[name](car, samples=4, seed=0, mutate=True)
+        rep = SUITES[name](SignFlip(car), samples=4, seed=0)
         assert rep.failed >= 1
 
 
@@ -52,7 +53,7 @@ def test_report_shape(diamond):
 
 
 def test_failures_record_witnesses(diamond):
-    rep = dgla_suite(SimplicialCarrier(diamond), samples=3, seed=0, mutate=True)
+    rep = dgla_suite(SignFlip(SimplicialCarrier(diamond)), samples=3, seed=0)
     assert rep.failed >= len(rep.failures) >= 1
     assert len(rep.failures) <= 25
     f = rep.failures[0].to_dict()
