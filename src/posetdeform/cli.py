@@ -32,10 +32,29 @@ class _InputError(Exception):
     """Anything that should terminate with exit code 2."""
 
 
+class _RepeatedKey(ValueError):
+    """A JSON object names one key twice."""
+
+
+def _unique_keys(pairs):
+    """object_pairs_hook for json.load, which on its own keeps the last of
+    repeated keys without a word."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise _RepeatedKey(key)
+        obj[key] = value
+    return obj
+
+
 def _load_json(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=_unique_keys)
+    except _RepeatedKey as e:
+        raise _InputError(
+            "%s: key %s appears twice in one object" % (path, json.dumps(e.args[0]))
+        ) from e
     except OSError as e:
         raise _InputError("%s: %s" % (path, e.strerror or e)) from e
     except json.JSONDecodeError as e:

@@ -22,8 +22,14 @@ operads is then a checkable statement, not a tautology.
 *Full* cochains are arbitrary multilinear maps (kP)**n -> kP, tabulated
 on basis tuples.  The full carrier is the endomorphism operad of kP; its
 multiplication is the algebra product itself and d = [m, -] is the
-Hochschild differential.  Tables grow like (#intervals)**n, so degrees
-are capped and exceeding the cap raises TooLarge.
+Hochschild differential.  Tables grow like (#intervals)**n, so the list
+of all basis tuples of a degree (tuples) is capped, and so are hh_dims
+and random_elem, which walk it; exceeding the cap raises TooLarge.
+
+Composition in either carrier enumerates the pairs of entries of f and
+g that meet in slot j (grouped by the interval there), never all chains
+or all tuples of the output degree: it costs one pass over each support
+plus one step per pair, and needs no cap.
 
 Scalars are Fractions.  IncElem and rel_eval use nothing of them but
 +, * and the zero test, so they also evaluate cochains over truncated
@@ -185,25 +191,45 @@ class RelHochschildCarrier(SimplicialCarrier):
         return got
 
     def compose_at(self, f, j, g):
+        """f o_j g by evaluation in kP, over the basis tuples that can give
+        a nonzero value.
+
+        f's chains are grouped by their slot-j interval (a[j-1], a[j]).
+        For q >= 1, g is evaluated on the basis tuple of each chain b in
+        its support whose end points form such an interval: a relative
+        cochain is bilinear over the diagonal, so g(b) lies in
+        E[b0] kP E[bq] and can only fill a slot with that interval.  For
+        q = 0 the inner argument is g as a diagonal element, whose term
+        (x, x) fills the slots with interval (x, x).  f is then evaluated
+        on its chain a with the inner value in slot j, and the coefficient
+        at (a[0], a[-1]) is the value on a[:j-1] + b + a[j+1:].  Grouping
+        only skips tuples whose value is zero; every value still comes
+        from rel_eval, so the comparison with the simplicial carrier's
+        face restriction stays a comparison of two rules."""
         p, q = f.degree, g.degree
         if p < 1 or not 1 <= j <= p:
             raise SlotOutOfRange("slot %d invalid for arity %d" % (j, p))
+        by_slot = {}
+        for a in f.values:
+            by_slot.setdefault(a[j - 1 : j + 1], []).append(a)
+        if q == 0:
+            elem = as_element(g)
+            inners = [((x,), elem) for x, _ in elem.terms]
+        else:
+            inners = [
+                (b, rel_eval(g, self._basis_args(b)))
+                for b in g.values
+                if (b[0], b[-1]) in by_slot
+            ]
         out = {}
-        g_elem = as_element(g) if q == 0 else None
-        for c in self.chains(p + q - 1):
-            if q == 0:
-                inner = g_elem
-            else:
-                inner = rel_eval(g, self._basis_args(c[j - 1 : j + q]))
-                if inner.is_zero():
-                    continue
-            args = (
-                self._basis_args(c[:j]) + [inner] + self._basis_args(c[j + q - 1 :])
-            )
-            val = rel_eval(f, args)
-            coeff = val.terms.get((c[0], c[-1]))
-            if coeff is not None:
-                out[c] = coeff
+        for b, inner in inners:
+            for a in by_slot.get((b[0], b[-1]), ()):
+                args = (
+                    self._basis_args(a[:j]) + [inner] + self._basis_args(a[j:])
+                )
+                coeff = rel_eval(f, args).terms.get((a[0], a[-1]))
+                if coeff is not None:
+                    out[a[: j - 1] + b + a[j + 1 :]] = coeff
         return SimpCochain._of(p + q - 1, out)
 
 
@@ -316,26 +342,32 @@ class FullHochschildCarrier:
         return x.is_zero()
 
     def compose_at(self, f, j, g):
-        p, q = f.degree, g.degree
+        """f o_j g of multilinear maps, enumerating pairs of table entries.
+
+        (f o_j g)(t) = f(t[:j-1] + (g(u),) + t[j-1+q:]) with u the q
+        arguments in slots j..j+q-1.  So f's table is grouped by the
+        interval in slot j, and each term s * E[K] of each value g(u)
+        meets only the entries of f with K there: f(s') adds s * f(s') to
+        the output tuple s'[:j-1] + u + s'[j:].  K is not part of that
+        tuple, so the terms of one g(u) land on one output: outputs are
+        summed and zeros dropped.  No list of all tuples is built, so this
+        raises no TooLarge."""
+        p = f.degree
         if p < 1 or not 1 <= j <= p:
             raise SlotOutOfRange("slot %d invalid for arity %d" % (j, p))
-        out = {}
-        for t in self.tuples(p + q - 1):
-            inner = g.value(t[j - 1 : j - 1 + q])
-            if inner.is_zero():
-                continue
-            acc = None
-            for K, s in inner.terms.items():
-                ft = f.table.get(t[: j - 1] + (K,) + t[j - 1 + q :])
-                if ft is None:
-                    continue
-                term = ft.scale(s)
-                acc = term if acc is None else acc.add(term)
-            if acc is not None and not acc.is_zero():
-                out[t] = acc
+        by_slot = {}
+        for t, ft in f.table.items():
+            by_slot.setdefault(t[j - 1], []).append((t, ft))
+        acc = {}
+        for u, gu in g.table.items():
+            for K, s in gu.terms.items():
+                for t, ft in by_slot.get(K, ()):
+                    terms = acc.setdefault(t[: j - 1] + u + t[j:], {})
+                    for iv, v in ft.terms.items():
+                        _accumulate(terms, iv, s * v)
         res = FullCochain.__new__(FullCochain)
-        res.degree = p + q - 1
-        res.table = out
+        res.degree = p + g.degree - 1
+        res.table = {t: IncElem._of(terms) for t, terms in acc.items() if terms}
         return res
 
     def identity(self):

@@ -188,21 +188,29 @@ class SimplicialCarrier:
         return x.is_zero()
 
     def compose_at(self, f, j, g):
-        p, q = f.degree, g.degree
+        """f o_j g by face restriction, enumerating pairs of supports.
+
+        An output chain c is the pair (a, b) glued in slot j: a = f's
+        chain with its interval (a[j-1], a[j]) filled in by b = g's chain
+        from a[j-1] to a[j], c = a[:j-1] + b + a[j+1:].  So g's chains
+        are grouped by their end points (a degree-0 chain (x,) by (x, x))
+        and each chain of f meets only its own group; every output comes
+        from exactly one pair and costs one product."""
+        p = f.degree
         if p < 1 or not 1 <= j <= p:
             raise SlotOutOfRange("slot %d invalid for arity %d" % (j, p))
-        fv = f.values
-        gv = g.values
+        by_ends = {}
+        for b, y in g.values.items():
+            by_ends.setdefault((b[0], b[-1]), []).append((b, y))
         out = {}
-        for c in self.chains(p + q - 1):
-            a = fv.get(c[:j] + c[j + q - 1 :])
-            if a is None:
+        for a, x in f.values.items():
+            group = by_ends.get(a[j - 1 : j + 1])
+            if group is None:
                 continue
-            b = gv.get(c[j - 1 : j + q])
-            if b is None:
-                continue
-            out[c] = a * b
-        return SimpCochain._of(p + q - 1, out)
+            head, tail = a[: j - 1], a[j + 1 :]
+            for b, y in group:
+                out[head + b + tail] = x * y
+        return SimpCochain._of(p + g.degree - 1, out)
 
     def constant(self, n, value=F1):
         return SimpCochain(n, {c: value for c in self.chains(n)})

@@ -64,18 +64,17 @@ class SuiteReport:
     failed: int = 0
     failures: list = field(default_factory=list)
 
-    def check(self, name, degrees, ok, witness=""):
+    def check(self, name, degrees, ok, witness):
         """Count one comparison; record a Failure when it missed.
 
-        witness may be a string or a thunk (only called on failure, so
-        callers can defer the cost of locating the differing chain)."""
+        witness is a thunk that names where the two sides differ; it is
+        only called for a recorded failure, so locating the differing
+        chain costs nothing when the check passes."""
         self.checks += 1
         if not ok:
             self.failed += 1
             if len(self.failures) < MAX_RECORDED_FAILURES:
-                if callable(witness):
-                    witness = witness()
-                self.failures.append(Failure(name, tuple(degrees), witness))
+                self.failures.append(Failure(name, tuple(degrees), witness()))
         return ok
 
     def same(self, car, name, degrees, lhs, rhs):

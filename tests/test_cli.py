@@ -227,6 +227,18 @@ def test_cyclic_poset_rejected(capsys, tmp_path):
     assert code == 2 and err != ""
 
 
+def test_repeated_key_in_poset_rejected(capsys, tmp_path):
+    path = tmp_path / "twice.json"
+    path.write_text(
+        '{"name": "first", "elements": ["a"], "relations": [], "name": "second"}'
+    )
+    code, out, err = run(capsys, "validate", str(path))
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert '"name"' in lines[0]
+
+
 def test_usage_errors(capsys):
     assert run(capsys, "no-such-verb", "x")[0] == 2
     assert run(capsys)[0] == 2
@@ -291,6 +303,17 @@ BAD_ELEMENTS = {
     },
     # a string is not a list of labels, though "aaa" spells a, a, a
     "string-chain": _element({"chain": "aaa", "value": "1"}),
+    # documents as text, since a dict cannot repeat a key: json.load kept
+    # the last of the two, the empty layer 1, and this answered ok: yes
+    "repeated-layer-key": (
+        '{"order": 1, "terms": {"1": {"degree": 2, "entries": '
+        '[{"chain": ["bot", "bot", "a"], "value": "1"}]}, '
+        '"1": {"degree": 2, "entries": []}}}'
+    ),
+    "repeated-value-key": (
+        '{"order": 1, "terms": {"1": {"degree": 2, "entries": '
+        '[{"chain": ["bot", "bot", "a"], "value": "1", "value": "0"}]}}}'
+    ),
 }
 
 
@@ -305,11 +328,14 @@ BAD_ELEMENTS = {
         ("mc-check", "duplicate-chain"),
         ("mc-check", "duplicate-layer"),
         ("mc-check", "string-chain"),
+        ("mc-check", "repeated-layer-key"),
+        ("mc-check", "repeated-value-key"),
     ],
 )
 def test_malformed_element_is_an_input_error(capsys, tmp_path, verb, bad):
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps(BAD_ELEMENTS[bad]))
+    doc = BAD_ELEMENTS[bad]
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
     elements = [str(path)]
     if verb == "gauge-equiv":
         zero = tmp_path / "zero.json"

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -17,8 +18,9 @@ from posetdeform.hochschild import (
     rel_eval,
 )
 from posetdeform.opcore import differential
+from posetdeform.posets import Poset
 from posetdeform.scalars import OrderMismatch, TruncSeries
-from posetdeform.simplicial import SimpCochain
+from posetdeform.simplicial import SimpCochain, cohomology_dims
 
 
 def rand_inc(p, rng):
@@ -214,6 +216,39 @@ def test_dimension_tables(chain2, diamond):
     assert hh_dims(chain2, 2, "relative") == [1, 0, 0]
     assert hh_dims(chain2, 2, "full") == [1, 0, 0]
     assert hh_dims(diamond, 2, "relative") == [1, 0, 0]
+
+
+def _s3_face_poset(opposite=False):
+    """Face poset of the boundary of the 4-simplex, a 3-sphere: the 30
+    nonempty proper subsets of {0, ..., 4} ordered by inclusion (or by
+    reverse inclusion)."""
+    faces = [
+        "".join(c) for k in range(1, 5) for c in combinations("01234", k)
+    ]
+    pairs = [
+        (a, b) if not opposite else (b, a)
+        for a in faces
+        for b in faces
+        if len(b) == len(a) + 1 and set(a) <= set(b)
+    ]
+    return Poset.from_relations(faces, pairs, name="s3_5")
+
+
+def test_relative_hh_of_the_two_sphere_up_to_degree_3(sphere):
+    """Gerstenhaber-Schack: HH* of the incidence algebra is the nerve's
+    cohomology, here the 2-sphere's."""
+    assert hh_dims(sphere, 3, "relative") == [1, 0, 1, 0]
+
+
+def test_relative_hh_of_the_three_sphere():
+    s3 = _s3_face_poset()
+    assert s3.n == 30
+    assert hh_dims(s3, 3, "relative") == [1, 0, 0, 1] == cohomology_dims(s3, 3)
+
+
+def test_relative_hh_of_the_opposite_three_sphere():
+    """P and P^op have the same nerve, so the same dimensions."""
+    assert hh_dims(_s3_face_poset(opposite=True), 2, "relative") == [1, 0, 0]
 
 
 def test_series_ring_cochains(chain2):
