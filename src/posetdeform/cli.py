@@ -57,6 +57,8 @@ def _load_json(path):
         ) from e
     except OSError as e:
         raise _InputError("%s: %s" % (path, e.strerror or e)) from e
+    except UnicodeDecodeError as e:
+        raise _InputError("%s: not UTF-8 text (%s)" % (path, e.reason)) from e
     except json.JSONDecodeError as e:
         raise _InputError(
             "%s: invalid JSON at line %d column %d: %s"

@@ -1,15 +1,17 @@
 """Sparse exact linear algebra over the rationals.
 
-Plain Gaussian elimination with a deterministic pivot rule: columns are
-processed left to right and the pivot is the live row of smallest index
-with a nonzero entry in the current column.  Same matrix, same answer,
-always.  Rank, a kernel basis, and image membership with an explicit
-witness are all computed this way; nothing here ever touches a float.
+Fraction-free Gaussian elimination over the integers, with the pivot
+rule of elimination over Q: columns are processed left to right and the
+pivot is the live row of smallest index with a nonzero entry in the
+current column.  Same matrix, same answer, always.  Rank, a kernel basis,
+and image membership with an explicit Fraction witness are all computed
+this way; nothing here ever touches a float.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 F0 = Fraction(0)
 F1 = Fraction(1)
@@ -35,12 +37,6 @@ class SparseMat:
         else:
             self.entries[(r, c)] = v
 
-    def get(self, r, c):
-        return self.entries.get((r, c), F0)
-
-    def add_to(self, r, c, v):
-        self.set(r, c, self.get(r, c) + v)
-
     def __repr__(self):
         return "SparseMat(%dx%d, %d nonzero)" % (self.rows, self.cols, len(self.entries))
 
@@ -48,8 +44,10 @@ class SparseMat:
 def _eliminate(mat, rhs=None):
     """Forward elimination.  Returns (pivots, rowmap) where pivots is a
     list of (col, row) in column order and rowmap holds the surviving row
-    dictionaries (col -> value, with the optional right-hand side stored
+    dictionaries (col -> int, with the optional right-hand side stored
     under key BCOL).  Unpivoted rows end up empty except possibly BCOL.
+    Rows are cleared of denominators, then only replaced by scale*row -
+    factor*prow with scale > 0: each stays a nonzero multiple of its row over Q.
     """
     BCOL = mat.cols  # sentinel column index for the rhs
     rowmap = {}
@@ -67,6 +65,10 @@ def _eliminate(mat, rhs=None):
         for r, v in enumerate(rhs):
             if v:
                 rowmap.setdefault(r, {})[BCOL] = v
+    for row in rowmap.values():
+        den = lcm(*[v.denominator for v in row.values()])
+        for c, v in row.items():
+            row[c] = v.numerator * (den // v.denominator)
 
     pivots = []
     pivoted = set()
@@ -86,9 +88,14 @@ def _eliminate(mat, rhs=None):
             if r == pr or r in pivoted:
                 continue
             row = rowmap[r]
-            factor = row[c] / pval
+            a = row[c]
+            g = gcd(a, pval) if pval > 0 else -gcd(a, pval)
+            scale, factor = pval // g, a // g
+            if scale != 1:
+                for cc in row:
+                    row[cc] *= scale
             for cc, vv in prow.items():
-                nv = row.get(cc, F0) - factor * vv
+                nv = row.get(cc, 0) - factor * vv
                 if nv == 0:
                     row.pop(cc, None)
                     if cc != BCOL:
@@ -109,7 +116,7 @@ def _back_substitute(pivots, rowmap, x):
     cols = len(x)
     for c, r in reversed(pivots):
         row = rowmap[r]
-        s = row.get(cols, F0)
+        s = Fraction(row.get(cols, 0))
         for cc, vv in row.items():
             if cc != c and cc < cols:
                 xv = x[cc]

@@ -36,59 +36,63 @@ class UnknownElement(PosetError):
 class Poset:
     """Finite poset on labeled elements.
 
-    ``leq`` holds the full relation (reflexive and transitive); build
-    instances through :meth:`from_relations`, which closes an arbitrary
-    generating set of pairs and validates antisymmetry.
+    ``upsets[i]`` is the up-set of element i as an int bitset: bit j is
+    set exactly when i <= j (so bit i always is).  ``up[i]`` lists the
+    same elements as a sorted tuple.  Build instances through
+    :meth:`from_relations`, which closes an arbitrary generating set of
+    pairs and validates antisymmetry.
     """
 
-    def __init__(self, labels, leq, name="poset"):
+    def __init__(self, labels, upsets, name="poset"):
         self.labels = tuple(labels)
-        self.leq = tuple(tuple(bool(v) for v in row) for row in leq)
+        self.upsets = tuple(upsets)
         self.name = name
-        n = len(self.labels)
-        assert all(len(row) == n for row in self.leq)
+        assert len(self.upsets) == len(self.labels)
         self._index = {lab: i for i, lab in enumerate(self.labels)}
         # successor lists (including the element itself), used by the
         # chain enumerator; sorted so enumeration is lexicographic
-        self.up = tuple(
-            tuple(j for j in range(n) if self.leq[i][j]) for i in range(n)
-        )
+        self.up = tuple(_members(b) for b in self.upsets)
         self._chains = {}
         self._intervals = None
 
     @classmethod
     def from_relations(cls, labels, pairs, name="poset"):
         labels = list(labels)
-        seen = set()
-        for lab in labels:
-            if lab in seen:
+        index = {}
+        for i, lab in enumerate(labels):
+            if lab in index:
                 raise DuplicateElement("duplicate element label %r" % (lab,))
-            seen.add(lab)
+            index[lab] = i
         n = len(labels)
-        index = {lab: i for i, lab in enumerate(labels)}
-        leq = [[i == j for j in range(n)] for i in range(n)]
+        succ = [set() for _ in range(n)]
+        pred = [[] for _ in range(n)]
         for a, b in pairs:
             if a not in index:
                 raise UnknownElement("unknown element %r in relation" % (a,))
             if b not in index:
                 raise UnknownElement("unknown element %r in relation" % (b,))
-            leq[index[a]][index[b]] = True
-        # Warshall closure
-        for k in range(n):
-            rk = leq[k]
-            for i in range(n):
-                if leq[i][k]:
-                    ri = leq[i]
-                    for j in range(n):
-                        if rk[j]:
-                            ri[j] = True
-        for i in range(n):
-            for j in range(i + 1, n):
-                if leq[i][j] and leq[j][i]:
-                    raise CycleDetected(
-                        "%r and %r are comparable both ways" % (labels[i], labels[j])
-                    )
-        return cls(labels, leq, name=name)
+            i, j = index[a], index[b]
+            if i != j and j not in succ[i]:
+                succ[i].add(j)
+                pred[j].append(i)
+        # close in reverse topological order: an element's up-set is
+        # itself plus the up-sets of its successors, all closed before it
+        waiting = [len(s) for s in succ]
+        ready = [i for i in range(n) if not waiting[i]]
+        upsets = [0] * n
+        while ready:
+            j = ready.pop()
+            bits = 1 << j
+            for s in succ[j]:
+                bits |= upsets[s]
+            upsets[j] = bits
+            for i in pred[j]:
+                waiting[i] -= 1
+                if not waiting[i]:
+                    ready.append(i)
+        if any(waiting):
+            raise _cycle(labels, succ)
+        return cls(labels, upsets, name=name)
 
     @property
     def n(self):
@@ -101,7 +105,7 @@ class Poset:
             raise UnknownElement("unknown element %r" % (label,)) from None
 
     def le(self, i, j):
-        return self.leq[i][j]
+        return bool(self.upsets[i] >> j & 1)
 
     def chains(self, n, strict=False):
         """All weak (default) or strict n-chains, lexicographic.
@@ -142,9 +146,7 @@ class Poset:
     def intervals(self):
         """All pairs (i, j) with i <= j, lexicographic."""
         if self._intervals is None:
-            self._intervals = tuple(
-                (i, j) for i in range(self.n) for j in range(self.n) if self.leq[i][j]
-            )
+            self._intervals = tuple((i, j) for i, js in enumerate(self.up) for j in js)
         return self._intervals
 
     def chain_labels(self, chain):
@@ -159,19 +161,62 @@ class Poset:
     def to_dict(self):
         rels = [
             [self.labels[i], self.labels[j]]
-            for i in range(self.n)
-            for j in range(self.n)
-            if i != j and self.leq[i][j]
+            for i, js in enumerate(self.up)
+            for j in js
+            if i != j
         ]
         return {"name": self.name, "elements": list(self.labels), "relations": rels}
 
     @classmethod
     def from_dict(cls, d):
+        """Inverse of to_dict.  Raises PosetError unless ``elements`` is a
+        list of string labels and ``relations`` a list of two-label lists."""
         if not isinstance(d, dict) or "elements" not in d:
             raise PosetError("poset document needs an 'elements' list")
-        return cls.from_relations(
-            d["elements"], d.get("relations", ()), name=d.get("name", "poset")
-        )
+        elements, rels = d["elements"], d.get("relations", [])
+        if not _labels(elements):
+            raise PosetError("'elements' must be a list of string labels")
+        if not isinstance(rels, list):
+            raise PosetError("'relations' must be a list of pairs")
+        for rel in rels:
+            if not (_labels(rel) and len(rel) == 2):
+                raise PosetError("relation %r is not a list of two labels" % (rel,))
+        return cls.from_relations(elements, rels, name=d.get("name", "poset"))
+
+
+def _labels(x):
+    return isinstance(x, list) and all(isinstance(lab, str) for lab in x)
+
+
+def _members(bits):
+    """Indices of the set bits of an int, ascending."""
+    out = []
+    while bits:
+        low = bits & -bits
+        out.append(low.bit_length() - 1)
+        bits ^= low
+    return tuple(out)
+
+
+def _cycle(labels, succ):
+    """The CycleDetected error for the lexicographically first pair i < j
+    comparable both ways in the reflexive-transitive closure of succ."""
+    reach = []
+    for i in range(len(labels)):
+        seen, todo = 1 << i, [i]
+        while todo:
+            for j in succ[todo.pop()]:
+                if not seen >> j & 1:
+                    seen |= 1 << j
+                    todo.append(j)
+        reach.append(seen)
+    i, j = next(
+        (i, j)
+        for i, bits in enumerate(reach)
+        for j in _members(bits)
+        if i < j and reach[j] >> i & 1
+    )
+    return CycleDetected("%r and %r are comparable both ways" % (labels[i], labels[j]))
 
 
 def load_poset(path):

@@ -26,6 +26,7 @@ from .scalars import TruncSeries, format_rat
 
 F0 = Fraction(0)
 F1 = Fraction(1)
+_UNIT = {1: F1, -1: -F1}
 
 
 class SimpCochain:
@@ -244,13 +245,18 @@ def coboundary_matrix(poset, n, strict=False):
     dst = poset.chains(n + 1, strict=strict)
     col = {c: k for k, c in enumerate(src)}
     m = SparseMat(len(dst), len(src))
+    entries = m.entries
     for r, ch in enumerate(dst):
+        row = {}
         for i in range(n + 2):
-            face = ch[:i] + ch[i + 1 :]
-            k = col.get(face)
-            if k is None:
-                continue
-            m.add_to(r, k, F1 if i % 2 == 0 else -F1)
+            k = col.get(ch[:i] + ch[i + 1 :])
+            if k is not None:
+                row[k] = row.get(k, 0) + (-1 if i % 2 else 1)
+        # a chain repeats a vertex only in consecutive runs, and a run's
+        # alternating signs sum to 0 or +-1, so every sum here is 0 or +-1
+        for k, v in row.items():
+            if v:
+                entries[(r, k)] = _UNIT[v]
     return m
 
 

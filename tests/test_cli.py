@@ -365,6 +365,47 @@ def test_deeply_nested_json_is_an_input_error(capsys, tmp_path, verb):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("verb", ["validate", "mc-check"])
+def test_non_utf8_file_is_an_input_error(capsys, tmp_path, verb):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"name": "\xff", "elements": []}')
+    if verb == "validate":
+        argv = [verb, str(path)]
+    else:
+        argv = [verb, poset_path("diamond"), str(path)]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert "Traceback" not in err
+
+
+BAD_POSETS = {
+    # each of these was read without a word, and validate answered ok
+    # the string "ab" unpacked as the relation a <= b
+    "string-relation": {"elements": ["a", "b"], "relations": ["ab"]},
+    # a string of elements iterated as the labels a and b
+    "string-elements": {"elements": "ab", "relations": []},
+    "int-label": {"elements": ["a", 1], "relations": []},
+    # true == 1, reported as a "duplicate label 1"
+    "bool-label": {"elements": [True, 1], "relations": []},
+    # iterating an object gives its keys, so "ab" read as a <= b again
+    "object-relations": {"elements": ["a", "b"], "relations": {"ab": 1}},
+    "three-item-relation": {"elements": ["a", "b"], "relations": [["a", "b", "a"]]},
+}
+
+
+@pytest.mark.parametrize("bad", sorted(BAD_POSETS))
+def test_malformed_poset_is_an_input_error(capsys, tmp_path, bad):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(dict(BAD_POSETS[bad], name="bad")))
+    code, out, err = run(capsys, "validate", str(path))
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert "Traceback" not in err and "duplicate" not in err
+
+
 @pytest.mark.parametrize("case", sorted(GOLDEN_CASES))
 def test_no_meta_output_matches_golden(capsys, case):
     """--format json --no-meta stdout and the exit code, byte for byte,

@@ -1,0 +1,220 @@
+"""Poset closure and exact elimination against their dense references.
+
+Poset.from_relations closes the relations as up-set bitsets in one
+topological pass, and linalg._eliminate reduces over the integers.  The
+references below are the dense Warshall closure and Gaussian elimination
+over Fraction they replaced; on every input the fast code must give the
+same relation, the same error, the same pivots and row supports, and the
+same exact solutions."""
+
+from fractions import Fraction
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from posetdeform.linalg import SparseMat, _eliminate, rank_kernel, solve_in_image
+from posetdeform.posets import CycleDetected, Poset
+
+SETTINGS = settings(max_examples=300, deadline=None, derandomize=True)
+F0 = Fraction(0)
+F1 = Fraction(1)
+
+
+def warshall_reference(labels, pairs):
+    """The full relation as an n x n bool matrix, or CycleDetected."""
+    n = len(labels)
+    index = {lab: i for i, lab in enumerate(labels)}
+    leq = [[i == j for j in range(n)] for i in range(n)]
+    for a, b in pairs:
+        leq[index[a]][index[b]] = True
+    for k in range(n):
+        rk = leq[k]
+        for i in range(n):
+            if leq[i][k]:
+                ri = leq[i]
+                for j in range(n):
+                    if rk[j]:
+                        ri[j] = True
+    for i in range(n):
+        for j in range(i + 1, n):
+            if leq[i][j] and leq[j][i]:
+                raise CycleDetected(
+                    "%r and %r are comparable both ways" % (labels[i], labels[j])
+                )
+    return leq
+
+
+def eliminate_reference(mat, rhs=None):
+    BCOL = mat.cols
+    rowmap = {}
+    colrows = {}
+    for (r, c), v in mat.entries.items():
+        rowmap.setdefault(r, {})[c] = v
+        colrows.setdefault(c, set()).add(r)
+    if rhs is not None:
+        for r, v in enumerate(rhs):
+            if v:
+                rowmap.setdefault(r, {})[BCOL] = v
+    pivots = []
+    pivoted = set()
+    for c in range(mat.cols):
+        live = colrows.get(c)
+        if not live:
+            continue
+        cand = [r for r in live if r not in pivoted]
+        if not cand:
+            continue
+        pr = min(cand)
+        pivots.append((c, pr))
+        pivoted.add(pr)
+        prow = rowmap[pr]
+        pval = prow[c]
+        for r in sorted(live):
+            if r == pr or r in pivoted:
+                continue
+            row = rowmap[r]
+            factor = row[c] / pval
+            for cc, vv in prow.items():
+                nv = row.get(cc, F0) - factor * vv
+                if nv == 0:
+                    row.pop(cc, None)
+                    if cc != BCOL:
+                        colrows[cc].discard(r)
+                else:
+                    if cc not in row and cc != BCOL:
+                        colrows.setdefault(cc, set()).add(r)
+                    row[cc] = nv
+    return pivots, rowmap
+
+
+def back_substitute_reference(pivots, rowmap, x):
+    cols = len(x)
+    for c, r in reversed(pivots):
+        row = rowmap[r]
+        s = row.get(cols, F0)
+        for cc, vv in row.items():
+            if cc != c and cc < cols:
+                s -= vv * x[cc]
+        x[c] = s / row[c]
+    return x
+
+
+def rank_kernel_reference(mat):
+    pivots, rowmap = eliminate_reference(mat)
+    pivot_cols = {c for c, _ in pivots}
+    kernel = []
+    for fc in range(mat.cols):
+        if fc not in pivot_cols:
+            x = [F0] * mat.cols
+            x[fc] = F1
+            kernel.append(back_substitute_reference(pivots, rowmap, x))
+    return len(pivots), kernel
+
+
+def solve_reference(mat, b):
+    pivots, rowmap = eliminate_reference(mat, rhs=b)
+    pivoted = {r for _, r in pivots}
+    if any(row.get(mat.cols) for r, row in rowmap.items() if r not in pivoted):
+        return None
+    return back_substitute_reference(pivots, rowmap, [F0] * mat.cols)
+
+
+@st.composite
+def relations(draw):
+    """Labels in a drawn order and pairs among them: either pairs going
+    up a hidden total order (always a poset) or arbitrary pairs (often
+    cyclic), self-pairs and repeats included."""
+    n = draw(st.integers(0, 9))
+    labels = ["e%d" % k for k in draw(st.permutations(range(n)))]
+    if n == 0:
+        return labels, []
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    idx = draw(st.lists(pair, max_size=3 * n))
+    if draw(st.booleans()):
+        idx = [(min(i, j), max(i, j)) for i, j in idx]
+    return labels, [("e%d" % i, "e%d" % j) for i, j in idx]
+
+
+@SETTINGS
+@given(relations())
+def test_closure_matches_warshall(rel):
+    labels, pairs = rel
+    try:
+        leq = warshall_reference(labels, pairs)
+    except CycleDetected as e:
+        with pytest.raises(CycleDetected) as got:
+            Poset.from_relations(labels, pairs)
+        assert str(got.value) == str(e)
+        return
+    p = Poset.from_relations(labels, pairs)
+    n = len(labels)
+    for i in range(n):
+        for j in range(n):
+            assert p.le(i, j) is leq[i][j]
+    assert p.up == tuple(tuple(j for j in range(n) if leq[i][j]) for i in range(n))
+    assert p.intervals() == tuple(
+        (i, j) for i in range(n) for j in range(n) if leq[i][j]
+    )
+    assert p.to_dict()["relations"] == [
+        [labels[i], labels[j]]
+        for i in range(n)
+        for j in range(n)
+        if i != j and leq[i][j]
+    ]
+
+
+RATIONAL = st.builds(
+    Fraction,
+    st.integers(-6, 6),
+    st.sampled_from([1, 1, 2, 3, 4, 6]),
+)
+
+
+@st.composite
+def systems(draw):
+    """A sparse rational matrix with non-integer entries, and a right-hand
+    side that is either in its image or arbitrary."""
+    rows, cols = draw(st.integers(0, 7)), draw(st.integers(0, 7))
+    cells = [(r, c) for r in range(rows) for c in range(cols)]
+    support = draw(st.lists(st.sampled_from(cells), unique=True)) if cells else []
+    mat = SparseMat(rows, cols, {rc: draw(RATIONAL) for rc in support})
+    if draw(st.booleans()):
+        x = [draw(RATIONAL) for _ in range(cols)]
+        b = [F0] * rows
+        for (r, c), v in mat.entries.items():
+            b[r] += v * x[c]
+    else:
+        b = [draw(RATIONAL) for _ in range(rows)]
+    return mat, b
+
+
+def _same_rows(got, ref):
+    """Same rows with the same supports, each a multiple of the other."""
+    assert got.keys() == ref.keys()
+    for r, row in ref.items():
+        assert row.keys() == got[r].keys()
+        if row:
+            c = next(iter(row))
+            ratio = row[c] / got[r][c]
+            assert all(row[cc] == ratio * v for cc, v in got[r].items())
+
+
+@SETTINGS
+@given(systems())
+def test_elimination_matches_fraction_reference(system):
+    mat, b = system
+    for rhs in (None, b):
+        pivots, rowmap = _eliminate(mat, rhs)
+        ref_pivots, ref_rowmap = eliminate_reference(mat, rhs)
+        assert pivots == ref_pivots
+        _same_rows(rowmap, ref_rowmap)
+
+    rk, kernel = rank_kernel(mat)
+    assert (rk, kernel) == rank_kernel_reference(mat)
+    x = solve_in_image(mat, b)
+    assert x == solve_reference(mat, b)
+    for vec in kernel + ([x] if x is not None else []):
+        assert all(type(v) is Fraction for v in vec)

@@ -107,6 +107,3 @@ def test_setting_zero_removes_entry():
     m.set(0, 0, Fraction(3))
     m.set(0, 0, Fraction(0))
     assert (0, 0) not in m.entries
-    m.add_to(1, 1, Fraction(2))
-    m.add_to(1, 1, Fraction(-2))
-    assert (1, 1) not in m.entries

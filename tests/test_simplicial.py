@@ -2,11 +2,12 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations, permutations
 
 import pytest
 
 from posetdeform.linalg import rank
-from posetdeform.posets import UnknownElement, chain_poset
+from posetdeform.posets import Poset, UnknownElement, chain_poset
 from posetdeform.simplicial import (
     SimpCochain,
     SimplicialCarrier,
@@ -100,6 +101,72 @@ def test_sphere(sphere):
     d1 = coboundary_matrix(sphere, 1, strict=True)
     assert (d0.rows, d0.cols) == (36, 14) and rank(d0) == 13
     assert (d1.rows, d1.cols) == (24, 36) and rank(d1) == 23
+
+
+# Csaszar's 7-vertex torus: triangles {i, i+1, i+3} and {i, i+2, i+3} mod 7
+TORUS7 = [(i, (i + 1) % 7, (i + 3) % 7) for i in range(7)] + [
+    (i, (i + 2) % 7, (i + 3) % 7) for i in range(7)
+]
+# the boundary of the 4-simplex, a 3-sphere
+S3_5 = list(combinations(range(5), 4))
+
+
+def _faces(facets):
+    """All nonempty faces of a simplicial complex, as sorted tuples."""
+    return sorted(
+        {
+            c
+            for f in facets
+            for k in range(1, len(f) + 1)
+            for c in combinations(sorted(f), k)
+        }
+    )
+
+
+def _subdivide(facets):
+    """Facets of the barycentric subdivision, whose vertices are the
+    faces: one flag of faces per ordering of a facet's vertices."""
+    return [
+        tuple(tuple(sorted(perm[:k])) for k in range(1, len(perm) + 1))
+        for f in facets
+        for perm in permutations(f)
+    ]
+
+
+def _face_poset(facets, opposite=False):
+    """Faces under inclusion (or reverse inclusion), given by covers."""
+    fs = _faces(facets)
+    pairs = [
+        (str(s[:i] + s[i + 1 :]), str(s))
+        for s in fs
+        if len(s) > 1
+        for i in range(len(s))
+    ]
+    if opposite:
+        pairs = [(b, a) for a, b in pairs]
+    return Poset.from_relations([str(s) for s in fs], pairs)
+
+
+@pytest.mark.parametrize("opposite", [False, True])
+@pytest.mark.parametrize(
+    "facets,n,betti",
+    [
+        (_subdivide(_subdivide(TORUS7)), 1512, [1, 2, 1]),
+        (_subdivide(S3_5), 540, [1, 0, 0, 1]),
+    ],
+    ids=["sd2-torus7", "sd-s3_5"],
+)
+def test_betti_numbers_of_triangulated_spaces(facets, n, betti, opposite):
+    """The nerve of a face poset, or of its opposite, is the barycentric
+    subdivision of the complex, so its Betti numbers are the space's;
+    chi from the strict chain counts is their alternating sum."""
+    p = _face_poset(facets, opposite)
+    top = len(betti) - 1
+    assert p.n == n
+    assert cohomology_dims(p, top) == betti
+    assert p.chains(top + 1, strict=True) == ()
+    chi = sum((-1) ** k * len(p.chains(k, strict=True)) for k in range(top + 1))
+    assert chi == sum((-1) ** k * b for k, b in enumerate(betti))
 
 
 def test_weak_and_strict_dims_agree(chain2, chain3, diamond, cr4):
