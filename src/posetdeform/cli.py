@@ -21,7 +21,7 @@ import sys
 import time
 
 from . import __version__
-from .deform import MCElement, NotMC, gauge_equivalent, mc_check, moduli
+from .deform import MAX_ORDER, MCElement, NotMC, gauge_equivalent, mc_check, moduli
 from .hochschild import TooLarge, hh_dims
 from .posets import Poset, PosetError
 from .simplicial import SimplicialCarrier, cohomology_dims
@@ -238,8 +238,8 @@ def _run_verify(args):
 
 def _run_deform(args):
     p = _load_poset(args.poset)
-    if args.order < 1:
-        raise _InputError("--order must be >= 1")
+    if not 1 <= args.order <= MAX_ORDER:
+        raise _InputError("--order must lie in 1..%d" % MAX_ORDER)
     dim, basis = moduli(p, args.order)
     report = {
         "verb": "deform",

@@ -15,15 +15,27 @@ implement gauge equivalence, and log/exp turn every question into N
 independent linear problems over the rationals.  That is how
 gauge_equivalent and moduli are computed; mc_check stays on the DGLA
 side precisely so the equivalence of the two roads is testable.
+
+Layers are SimpCochains of int numerators over one denominator, so
+mc_check runs on ints; Fractions enter only at the Witt boundary (to_witt,
+from_witt, witt_exp, witt_log_layers, gauge_equivalent).  The deformed
+product (deformation_product) is the one series-valued SimpCochain.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 from .hochschild import IncElem, rel_eval
 from .linalg import SparseMat, rank, rank_kernel, solve_in_image
 from .opcore import circle, differential
 from .scalars import F0, F1, TruncSeries, WittElem
 from .simplicial import SimpCochain, SimplicialCarrier, coboundary_matrix
+
+
+# Largest order of an element and of moduli: Witt series hold order + 1
+# coefficients per chain and multiply in order**2 steps; the CLI exits 2.
+MAX_ORDER = 100
 
 
 class NotMC(ValueError):
@@ -41,8 +53,8 @@ class MCElement:
     __slots__ = ("order", "terms")
 
     def __init__(self, order, terms=()):
-        if order < 1:
-            raise ValueError("order must be >= 1")
+        if not 1 <= order <= MAX_ORDER:
+            raise ValueError("order %d outside 1..%d" % (order, MAX_ORDER))
         self.order = order
         tv = {}
         items = terms.items() if isinstance(terms, dict) else terms
@@ -118,11 +130,13 @@ def mc_check(p, e, carrier=None):
     """
     car = carrier if carrier is not None else SimplicialCarrier(p)
     terms = e.terms
-    for n in range(1, e.order + 1):
-        # absent layers are zero, and so are their differentials and products
+    layers = sorted(terms)
+    # absent layers are zero, and so are their differentials and products:
+    # only a layer of terms or a sum of two of them can carry a defect
+    for n in sorted({a + b for a in [0] + layers for b in layers if a + b <= e.order}):
         defect = differential(car, terms[n]) if n in terms else car.zero(3)
-        for a in range(1, n):
-            if a in terms and n - a in terms:
+        for a in layers:
+            if a < n and n - a in terms:
                 defect = car.add(defect, circle(car, terms[a], terms[n - a]))
         if not defect.is_zero():
             for ch in p.chains(3):
@@ -227,7 +241,7 @@ def to_witt(e):
     coeffs = {}
     for k, c in e.terms.items():
         for ch, v in c.values.items():
-            coeffs.setdefault(ch, [F1] + [F0] * n)[k] = v
+            coeffs.setdefault(ch, [F1] + [F0] * n)[k] = Fraction(v, c.den)
     vals = {ch: WittElem(TruncSeries(n, cs)) for ch, cs in coeffs.items()}
     return WittCochain(2, n, vals)
 
@@ -236,13 +250,10 @@ def from_witt(w):
     """Inverse of to_witt: read the lam-coefficients back off."""
     if w.degree != 2:
         raise UnsupportedDegree("only degree-2 Witt cochains encode deformations")
-    terms = {n: {} for n in range(1, w.order + 1)}
-    for ch, elem in w.values.items():
-        for n in range(1, w.order + 1):
-            v = elem.value.coeffs[n]
-            if v != 0:
-                terms[n][ch] = v
-    return MCElement(w.order, {n: SimpCochain(2, tv) for n, tv in terms.items() if tv})
+    return MCElement(w.order, {  # the constructors drop zeros
+        n: SimpCochain(2, {ch: x.value.coeffs[n] for ch, x in w.values.items()})
+        for n in range(1, w.order + 1)
+    })
 
 
 def _face(chain, i):
@@ -293,14 +304,11 @@ def witt_exp(p, degree, order, layers):
 
 def witt_log_layers(c):
     """Pointwise log, split into additive layer cochains (1-indexed)."""
-    layers = {n: {} for n in range(1, c.order + 1)}
-    for ch, w in c.values.items():
-        series = w.log()
-        for n in range(1, c.order + 1):
-            v = series.coeffs[n]
-            if v != 0:
-                layers[n][ch] = v
-    return {n: SimpCochain(c.degree, tv) for n, tv in layers.items()}
+    logs = {ch: w.log().coeffs for ch, w in c.values.items()}
+    return {
+        n: SimpCochain(c.degree, {ch: cs[n] for ch, cs in logs.items()})
+        for n in range(1, c.order + 1)
+    }
 
 
 def gauge_equivalent(p, e1, e2):
@@ -331,13 +339,13 @@ def gauge_equivalent(p, e1, e2):
     for n in range(1, order + 1):
         b = [F0] * len(rows)
         for ch, v in target[n].values.items():
-            b[rowof[ch]] = v
+            b[rowof[ch]] = Fraction(v, target[n].den)
         sol = solve_in_image(mat, b)
         if sol is None:
             return None
-        layer = {ch: sol[k] for k, ch in enumerate(cols) if sol[k] != 0}
-        if layer:
-            psi[n] = SimpCochain(1, layer)
+        layer = SimpCochain(1, zip(cols, sol))
+        if not layer.is_zero():
+            psi[n] = layer
 
     phi = witt_exp(p, 1, order, psi)
     if witt_coboundary(p, phi) * to_witt(e2) != to_witt(e1):
@@ -394,8 +402,8 @@ def moduli(p, order):
     element with the same leading layer, which is a cocycle by
     construction.
     """
-    if order < 1:
-        raise ValueError("order must be >= 1")
+    if not 1 <= order <= MAX_ORDER:
+        raise ValueError("order %d outside 1..%d" % (order, MAX_ORDER))
     reps = _strict_h2_reps(p)
     basis = []
     for z in reps:
@@ -417,7 +425,7 @@ def moduli(p, order):
 def deformation_product(p, e):
     """The deformed product as a relative 2-cochain over truncated
     series: coefficient 1 + sum omega_n(chain) lam^n on each weak
-    2-chain."""
+    2-chain.  Its den is 1 and it is never reduced."""
     w = to_witt(e)
     return SimpCochain(2, {ch: w.value(ch).value for ch in p.chains(2)})
 

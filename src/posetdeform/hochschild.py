@@ -31,10 +31,11 @@ g that meet in slot j (grouped by the interval there), never all chains
 or all tuples of the output degree: it costs one pass over each support
 plus one step per pair, and needs no cap.
 
-Scalars are Fractions.  IncElem and rel_eval use nothing of them but
-+, * and the zero test, so they also evaluate cochains over truncated
-series (scalars.TruncSeries), which is what formal deformations of the
-product need (deform.associativity_witness).
+IncElem and rel_eval use nothing of their scalars but +, * and the zero
+test, so they work over ints, Fractions and truncated series alike (the
+last for deform.associativity_witness).  rel_eval reads a cochain's int
+numerators and divides by its den once at the end; relative composition
+evaluates den-1 views on int basis elements, so it runs on ints.
 """
 
 from __future__ import annotations
@@ -130,11 +131,15 @@ def inc_unit(poset):
     return IncElem({(i, i): F1 for i in range(poset.n)})
 
 
+def _over(elem, den):  # elem / den
+    return elem if den == 1 else elem.scale(Fraction(1, den))
+
+
 def as_element(f):
     """A degree-0 relative cochain as the diagonal algebra element it is."""
     if f.degree != 0:
         raise ArityMismatch("only degree-0 cochains are algebra elements")
-    return IncElem({(c[0], c[0]): v for c, v in f.values.items()})
+    return _over(IncElem._of({(x, x): v for (x,), v in f.values.items()}), f.den)
 
 
 def rel_eval(f, args):
@@ -167,7 +172,7 @@ def rel_eval(f, args):
         coeff = f.values.get(chain)
         if coeff is not None:
             _accumulate(acc, (chain[0], chain[-1]), coeff * s)
-    return IncElem._of(acc)
+    return _over(IncElem._of(acc), f.den)
 
 
 class RelHochschildCarrier(SimplicialCarrier):
@@ -183,10 +188,11 @@ class RelHochschildCarrier(SimplicialCarrier):
         self._bargs = {}
 
     def _basis_args(self, chain):
-        # shared immutable IncElems; cached since compose_at revisits chains
+        # shared immutable IncElems with the int 1 as coefficient; cached
+        # since compose_at revisits chains
         got = self._bargs.get(chain)
         if got is None:
-            got = [IncElem.basis(chain[t], chain[t + 1]) for t in range(len(chain) - 1)]
+            got = [IncElem._of({(chain[t], chain[t + 1]): 1}) for t in range(len(chain) - 1)]
             self._bargs[chain] = got
         return got
 
@@ -205,10 +211,14 @@ class RelHochschildCarrier(SimplicialCarrier):
         at (a[0], a[-1]) is the value on a[:j-1] + b + a[j+1:].  Grouping
         only skips tuples whose value is zero; every value still comes
         from rel_eval, so the comparison with the simplicial carrier's
-        face restriction stays a comparison of two rules."""
+        face restriction stays a comparison of two rules.  f and g enter as
+        their numerators (den-1 views), and by bilinearity the result is
+        put over f.den * g.den."""
         p, q = f.degree, g.degree
         if p < 1 or not 1 <= j <= p:
             raise SlotOutOfRange("slot %d invalid for arity %d" % (j, p))
+        den = f.den * g.den
+        f, g = SimpCochain._of(p, f.values), SimpCochain._of(q, g.values)
         by_slot = {}
         for a in f.values:
             by_slot.setdefault(a[j - 1 : j + 1], []).append(a)
@@ -230,7 +240,7 @@ class RelHochschildCarrier(SimplicialCarrier):
                 coeff = rel_eval(f, args).terms.get((a[0], a[-1]))
                 if coeff is not None:
                     out[a[: j - 1] + b + a[j + 1 :]] = coeff
-        return SimpCochain._of(p + q - 1, out)
+        return SimpCochain._reduced(p + q - 1, out, den)
 
 
 class FullCochain:
@@ -410,9 +420,9 @@ def include_relative(f):
     if f.degree == 0:
         return FullCochain(0, {(): as_element(f)})
     table = {}
-    for c, v in f.values.items():
+    for c in f.values:
         tup = tuple((c[t], c[t + 1]) for t in range(len(c) - 1))
-        table[tup] = IncElem({(c[0], c[-1]): v})
+        table[tup] = IncElem({(c[0], c[-1]): f.value(c)})
     return FullCochain(f.degree, table)
 
 
@@ -447,7 +457,7 @@ def hh_dims(poset, max_n, which="relative"):
             for k, key in enumerate(src):
                 df = differential(car, elem(n, key))
                 for ch, v in df.values.items():
-                    m.set(rowof[ch], k, v)
+                    m.set(rowof[ch], k, Fraction(v, df.den))
             return m
 
     elif which == "full":

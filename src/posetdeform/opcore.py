@@ -39,10 +39,7 @@ mc_check) takes it in place of car to show that it reports failures.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations
-
-FNEG = Fraction(-1)
 
 
 class ArityMismatch(ValueError):
@@ -55,7 +52,7 @@ class SlotOutOfRange(ValueError):
 
 def signed(car, e, x):
     """(-1)**e x: every sign rule of this module and of the suites."""
-    return car.scale(FNEG, x) if e % 2 else x
+    return car.scale(-1, x) if e % 2 else x
 
 
 def gamma(car, f, args):
@@ -130,7 +127,7 @@ def differential(car, x):
 def differential_unshifted(car, x):
     """The classical-complex differential, recovered from the shifted one
     by d(sx) = -s(dx); equals (-1)**|x| times the alternating face sum."""
-    return car.scale(FNEG, differential(car, x))
+    return car.scale(-1, differential(car, x))
 
 
 def bracket(car, f, g):
@@ -155,7 +152,7 @@ class SignFlip:
     def compose_at(self, f, j, g):
         out = self.base.compose_at(f, j, g)
         if j == 2:
-            out = self.base.scale(FNEG, out)
+            out = self.base.scale(-1, out)
         return out
 
     def __getattr__(self, attr):

@@ -170,7 +170,8 @@ class Poset:
     @classmethod
     def from_dict(cls, d):
         """Inverse of to_dict.  Raises PosetError unless ``elements`` is a
-        list of string labels and ``relations`` a list of two-label lists."""
+        list of string labels, ``relations`` a list of two-label lists and
+        ``name``, if given, a string."""
         if not isinstance(d, dict) or "elements" not in d:
             raise PosetError("poset document needs an 'elements' list")
         elements, rels = d["elements"], d.get("relations", [])
@@ -181,7 +182,10 @@ class Poset:
         for rel in rels:
             if not (_labels(rel) and len(rel) == 2):
                 raise PosetError("relation %r is not a list of two labels" % (rel,))
-        return cls.from_relations(elements, rels, name=d.get("name", "poset"))
+        name = d.get("name", "poset")
+        if not isinstance(name, str):
+            raise PosetError("'name' must be a string")
+        return cls.from_relations(elements, rels, name=name)
 
 
 def _labels(x):

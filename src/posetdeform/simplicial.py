@@ -1,7 +1,8 @@
 """Simplicial cochains on the nerve of a finite poset.
 
 A degree-n cochain is a rational-valued function on weak n-chains,
-stored sparsely.  The partial composition
+stored sparsely as int numerators over one reduced denominator
+(SimpCochain).  The partial composition
 
     (f o_j g)(c_0, ..., c_{p+q-1})
         = f(c_0, ..., c_{j-1}, c_{j+q-1}, ..., c_{p+q-1})
@@ -19,14 +20,18 @@ face-sum coboundary on either the weak or the strict chain basis.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from .linalg import SparseMat, dims_from_ranks, rank
 from .opcore import SlotOutOfRange
 from .scalars import TruncSeries, format_rat
 
-F0 = Fraction(0)
-F1 = Fraction(1)
-_UNIT = {1: F1, -1: -F1}
+_UNIT = {1: Fraction(1), -1: Fraction(-1)}
+
+
+def _times(values, s):
+    """A new dict of values, each times s."""
+    return dict(values) if s == 1 else {ch: v * s for ch, v in values.items()}
 
 
 class SimpCochain:
@@ -36,12 +41,17 @@ class SimpCochain:
     Hochschild cochain alike (see hochschild); the carriers differ only in
     how they compose it.
 
-    Scalars are Fractions, or TruncSeries where a deformed product is
-    evaluated (deform.deformation_product).  Each kind brings its own zero
-    test and refuses to mix with the other (TypeError), and series of
-    different orders refuse to mix (scalars.OrderMismatch)."""
+    Rational values are int numerators over one denominator: the value on
+    a chain is values[chain] / den, with den > 0 and gcd(den, *values) == 1.
+    That form is unique, so equality compares den and values directly, and
+    add, scale and compose_at run on ints and reduce by one gcd at the end.
+    Fractions appear only in the constructor, value(), to_dict, from_dict.
+    Series values (scalars.TruncSeries, only from deform.deformation_product)
+    have den 1, are never reduced and take int scalars only.  The two kinds
+    refuse to mix (TypeError), as do series of different orders
+    (scalars.OrderMismatch)."""
 
-    __slots__ = ("degree", "values")
+    __slots__ = ("degree", "values", "den")
 
     def __init__(self, degree, values=()):
         if degree < 0:
@@ -54,23 +64,40 @@ class SimpCochain:
                 raise ValueError(
                     "chain %r has %d entries, expected %d" % (ch, len(ch), degree + 1)
                 )
-            if not isinstance(v, (Fraction, TruncSeries)):
+            if not isinstance(v, (int, Fraction, TruncSeries)):
                 v = Fraction(v)
             if v:
                 vals[tuple(ch)] = v
-        self.values = vals
+        # numerators over the lcm of reduced denominators need no gcd
+        dens = [v.denominator for v in vals.values() if not isinstance(v, (int, TruncSeries))]
+        self.den = den = lcm(*dens)
+        self.values = vals if not dens else {
+            ch: v if isinstance(v, TruncSeries) else v.numerator * (den // v.denominator)
+            for ch, v in vals.items()
+        }
 
     @classmethod
-    def _of(cls, degree, values):
-        """Wrap a dict that already has tuple keys of the right length and
-        nonzero values, without copying or checking it."""
+    def _of(cls, degree, values, den=1):
+        """Wrap canonical numerators over den without copying or checking."""
         c = cls.__new__(cls)
         c.degree = degree
         c.values = values
+        c.den = den
         return c
 
+    @classmethod
+    def _reduced(cls, degree, values, den):
+        """Wrap nonzero int numerators over den > 0, divided by their gcd."""
+        if den != 1:
+            g = gcd(den, *values.values())
+            if g != 1:
+                den //= g
+                values = {ch: v // g for ch, v in values.items()}
+        return cls._of(degree, values, den)
+
     def value(self, chain):
-        return self.values.get(chain, F0)
+        v = self.values.get(chain, 0)
+        return v if isinstance(v, TruncSeries) else Fraction(v, self.den)
 
     def is_zero(self):
         return not self.values
@@ -78,8 +105,9 @@ class SimpCochain:
     def add(self, other):
         if self.degree != other.degree:
             raise ValueError("degree mismatch in cochain sum")
-        out = dict(self.values)
-        for ch, v in other.values.items():
+        den = lcm(self.den, other.den)
+        out = _times(self.values, den // self.den)
+        for ch, v in _times(other.values, den // other.den).items():
             cur = out.get(ch)
             if cur is None:
                 out[ch] = v
@@ -89,15 +117,17 @@ class SimpCochain:
                 out[ch] = nv
             else:
                 del out[ch]
-        return SimpCochain._of(self.degree, out)
+        return SimpCochain._reduced(self.degree, out, den)
 
-    def scale(self, f):
-        if not f:
+    def scale(self, c):
+        """c * self for an int or Fraction c: the numerators times
+        c.numerator over den times c.denominator."""
+        if not c:
             return SimpCochain(self.degree)
-        # series have zero divisors, so a product of nonzero values can vanish
-        return SimpCochain._of(
-            self.degree, {ch: nv for ch, v in self.values.items() if (nv := f * v)}
-        )
+        out = _times(self.values, c.numerator)
+        if c.denominator == 1 and c.numerator in (1, -1):
+            return SimpCochain._of(self.degree, out, self.den)
+        return SimpCochain._reduced(self.degree, out, self.den * c.denominator)
 
     __add__ = add
 
@@ -114,6 +144,7 @@ class SimpCochain:
         return (
             isinstance(other, SimpCochain)
             and self.degree == other.degree
+            and self.den == other.den
             and self.values == other.values
         )
 
@@ -124,8 +155,8 @@ class SimpCochain:
 
     def to_dict(self, poset):
         entries = [
-            {"chain": list(poset.chain_labels(ch)), "value": format_rat(v)}
-            for ch, v in sorted(self.values.items())
+            {"chain": list(poset.chain_labels(ch)), "value": format_rat(self.value(ch))}
+            for ch in sorted(self.values)
         ]
         return {"degree": self.degree, "entries": entries}
 
@@ -133,13 +164,21 @@ class SimpCochain:
     def from_dict(cls, poset, d):
         """Inverse of to_dict.  Raises ValueError (or TypeError, KeyError)
         on anything that is not a cochain on this poset: a document that is
-        not an object, a chain that is not a list of labels, an entry on a
-        tuple that is not a weak chain or on a chain listed before, or a
-        value that is not an exact rational written as a string or an int."""
+        not an object, a bad degree or entries list, a chain that is not a
+        list of labels, an entry on a tuple that is not a weak chain or on
+        a chain listed before, or a value that is not an exact rational
+        written as a string or an int."""
         if not isinstance(d, dict):
             raise ValueError("a cochain must be a JSON object")
+        degree, entries = d.get("degree"), d.get("entries", [])
+        if isinstance(degree, bool) or not isinstance(degree, int) or degree < 0:
+            raise ValueError("degree %r is not an integer >= 0" % (degree,))
+        if not isinstance(entries, list) or not all(
+            isinstance(e, dict) and "chain" in e and "value" in e for e in entries
+        ):
+            raise ValueError("entries must be a list of objects with a chain and a value")
         vals = {}
-        for e in d.get("entries", ()):
+        for e in entries:
             if not isinstance(e["chain"], list):
                 raise ValueError("chain %r is not a list" % (e["chain"],))
             ch = poset.chain_indices(e["chain"])
@@ -154,7 +193,7 @@ class SimpCochain:
                 vals[ch] = Fraction(v)
             except ZeroDivisionError:
                 raise ValueError("value %r divides by zero" % (v,)) from None
-        return cls(d["degree"], vals)
+        return cls(degree, vals)
 
 
 class SimplicialCarrier:
@@ -211,9 +250,10 @@ class SimplicialCarrier:
             head, tail = a[: j - 1], a[j + 1 :]
             for b, y in group:
                 out[head + b + tail] = x * y
-        return SimpCochain._of(p + g.degree - 1, out)
+        # (f/D) o_j (g/E) = (f o_j g)/(DE): numerators multiply as ints
+        return SimpCochain._reduced(p + g.degree - 1, out, f.den * g.den)
 
-    def constant(self, n, value=F1):
+    def constant(self, n, value=1):
         return SimpCochain(n, {c: value for c in self.chains(n)})
 
     def identity(self):

@@ -9,7 +9,7 @@ import pytest
 jsonschema = pytest.importorskip("jsonschema")
 
 from posetdeform import cli
-from posetdeform.deform import MCElement, moduli
+from posetdeform.deform import MAX_ORDER, MCElement, moduli
 from posetdeform.posets import save_poset, sphere_poset
 from posetdeform.simplicial import SimpCochain
 
@@ -272,6 +272,10 @@ def _element(entry):
     return {"order": 1, "terms": {"1": {"degree": 2, "entries": [entry]}}}
 
 
+def _layer(cochain):
+    return {"order": 1, "terms": {"1": cochain}}
+
+
 BAD_ELEMENTS = {
     "non-chain": _element({"chain": ["top", "bot", "a"], "value": "1"}),
     "zero-denominator": _element({"chain": ["bot", "a", "top"], "value": "1/0"}),
@@ -314,6 +318,29 @@ BAD_ELEMENTS = {
         '{"order": 1, "terms": {"1": {"degree": 2, "entries": '
         '[{"chain": ["bot", "bot", "a"], "value": "1", "value": "0"}]}}}'
     ),
+    # died with a TypeError traceback in opcore
+    "float-degree": _layer(
+        {"degree": 2.0, "entries": [{"chain": ["bot", "a", "top"], "value": "1"}]}
+    ),
+    # true == 1, read as degree 1
+    "bool-degree": _layer(
+        {"degree": True, "entries": [{"chain": ["bot", "a"], "value": "1"}]}
+    ),
+    # these three exited 2 with a Python message for the text
+    "string-entries": _layer({"degree": 2, "entries": "ab"}),
+    "int-entry": _layer({"degree": 2, "entries": [5]}),
+    "entry-without-value": _layer(
+        {"degree": 2, "entries": [{"chain": ["bot", "a", "top"]}]}
+    ),
+}
+
+# the error line names what is wrong
+BAD_ELEMENT_WORDS = {
+    "float-degree": "degree",
+    "bool-degree": "degree",
+    "string-entries": "entries",
+    "int-entry": "entries",
+    "entry-without-value": "value",
 }
 
 
@@ -330,6 +357,11 @@ BAD_ELEMENTS = {
         ("mc-check", "string-chain"),
         ("mc-check", "repeated-layer-key"),
         ("mc-check", "repeated-value-key"),
+        ("mc-check", "float-degree"),
+        ("mc-check", "bool-degree"),
+        ("mc-check", "string-entries"),
+        ("mc-check", "int-entry"),
+        ("mc-check", "entry-without-value"),
     ],
 )
 def test_malformed_element_is_an_input_error(capsys, tmp_path, verb, bad):
@@ -346,6 +378,33 @@ def test_malformed_element_is_an_input_error(capsys, tmp_path, verb, bad):
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
     assert "Traceback" not in err
+    assert BAD_ELEMENT_WORDS.get(bad, "") in lines[0]
+
+
+@pytest.mark.parametrize("order", [MAX_ORDER + 1, 10**8])
+def test_order_over_the_cap_is_an_input_error(capsys, tmp_path, order):
+    """An element of order 10**8 with no terms kept mc-check busy for
+    many seconds; over MAX_ORDER the CLI refuses it before building any
+    series, and refuses deform --order alike."""
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"order": order, "terms": {}}))
+    for argv in (
+        ["mc-check", poset_path("diamond"), str(path)],
+        ["gauge-equiv", poset_path("diamond"), str(path), str(path)],
+        ["deform", poset_path("diamond"), "--order", str(order)],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert str(MAX_ORDER) in lines[0]
+
+
+def test_order_at_the_cap_is_accepted(capsys, tmp_path):
+    path = tmp_path / "cap.json"
+    path.write_text(json.dumps({"order": MAX_ORDER, "terms": {}}))
+    code, doc, _ = run_json(capsys, "mc-check", poset_path("diamond"), str(path))
+    assert code == 0 and doc["ok"] is True and doc["order"] == MAX_ORDER
 
 
 @pytest.mark.parametrize("verb", ["validate", "mc-check"])
@@ -404,6 +463,17 @@ def test_malformed_poset_is_an_input_error(capsys, tmp_path, bad):
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
     assert "Traceback" not in err and "duplicate" not in err
+
+
+def test_non_string_poset_name_is_an_input_error(capsys, tmp_path):
+    """validate answered ok on this, and its JSON report failed the
+    schema (the name is reported as the poset)."""
+    path = tmp_path / "named.json"
+    path.write_text(json.dumps({"name": ["x", 1], "elements": ["a"]}))
+    code, out, err = run(capsys, "validate", str(path))
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and "name" in lines[0]
 
 
 @pytest.mark.parametrize("case", sorted(GOLDEN_CASES))

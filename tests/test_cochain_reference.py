@@ -1,0 +1,184 @@
+"""SimpCochain's int numerators over one denominator against plain
+dicts of Fractions.
+
+A cochain stores values[chain] / den with gcd(den, *values) == 1.  The
+references below keep one Fraction per chain and do the arithmetic the
+obvious way; on every input the stored cochain must read the same values,
+and after every operation it must be in that canonical form, since
+equality compares den and values directly."""
+
+import json
+from fractions import Fraction
+from math import gcd
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from posetdeform.hochschild import RelHochschildCarrier
+from posetdeform.posets import diamond_poset
+from posetdeform.simplicial import SimpCochain, SimplicialCarrier
+
+SETTINGS = settings(max_examples=300, deadline=None, derandomize=True)
+DIAMOND = diamond_poset()
+CARRIERS = {
+    "simplicial": SimplicialCarrier(DIAMOND),
+    "relative": RelHochschildCarrier(DIAMOND),
+}
+RATS = st.one_of(
+    st.integers(-6, 6),
+    st.fractions(min_value=-6, max_value=6, max_denominator=12),
+)
+
+
+def ref_of(vals):
+    """The reference: nonzero values as Fractions."""
+    return {ch: Fraction(v) for ch, v in vals.items() if v}
+
+
+def ref_add(a, b):
+    out = dict(a)
+    for ch, v in b.items():
+        out[ch] = out.get(ch, 0) + v
+    return {ch: v for ch, v in out.items() if v}
+
+
+def ref_compose(f, p, j, g, q):
+    """(f o_j g)(c) = f(c[:j] + c[j+q-1:]) * g(c[j-1:j+q]) on every chain c
+    of the output degree: face restriction, which the relative carrier
+    must match too (Gerstenhaber-Schack)."""
+    out = {}
+    for c in DIAMOND.chains(p + q - 1):
+        v = f.get(c[:j] + c[j + q - 1 :], 0) * g.get(c[j - 1 : j + q], 0)
+        if v:
+            out[c] = v
+    return out
+
+
+def assert_matches(x, degree, ref):
+    """x is canonical and reads ref, straight from its storage and
+    through value()."""
+    assert x.degree == degree
+    assert type(x.den) is int and x.den > 0
+    assert all(type(v) is int and v for v in x.values.values())
+    assert gcd(x.den, *x.values.values()) == 1
+    assert set(x.values) == set(ref)
+    for ch, v in ref.items():
+        assert Fraction(x.values[ch], x.den) == v
+    for ch in DIAMOND.chains(degree):
+        got = x.value(ch)
+        assert type(got) is Fraction and got == ref.get(ch, 0)
+
+
+@st.composite
+def cochain_data(draw, degree=None):
+    n = draw(st.integers(0, 2)) if degree is None else degree
+    picked = draw(st.lists(st.sampled_from(DIAMOND.chains(n)), unique=True, max_size=10))
+    return n, {ch: draw(RATS) for ch in picked}
+
+
+@st.composite
+def addends(draw):
+    """Two same-degree cochains: independent, or the second one cancelling
+    the first to zero or to an integer on part of its support."""
+    n, a = draw(cochain_data())
+    mode = draw(st.sampled_from(["independent", "cancel", "integral"]))
+    if mode == "independent":
+        _, b = draw(cochain_data(n))
+    else:
+        b = {}
+        for ch, v in a.items():
+            k = draw(st.integers(-2, 2)) if mode == "integral" else 0
+            b[ch] = k - Fraction(v)
+    return n, a, b
+
+
+@SETTINGS
+@given(cochain_data())
+def test_construction_reads_the_values(data):
+    n, vals = data
+    assert_matches(SimpCochain(n, vals), n, ref_of(vals))
+    # strings parse to the same cochain
+    strs = {ch: str(Fraction(v)) for ch, v in vals.items()}
+    assert SimpCochain(n, strs) == SimpCochain(n, vals)
+
+
+@SETTINGS
+@given(addends())
+def test_add_matches_reference(data):
+    n, a, b = data
+    x, y = SimpCochain(n, a), SimpCochain(n, b)
+    want = ref_add(ref_of(a), ref_of(b))
+    assert_matches(x.add(y), n, want)
+    assert_matches(y + x, n, want)
+    assert_matches(x - x, n, {})
+
+
+@SETTINGS
+@given(
+    cochain_data(),
+    st.one_of(
+        st.sampled_from([0, 1, -1, Fraction(-1)]),
+        st.integers(-9, 9),
+        st.fractions(min_value=-5, max_value=5, max_denominator=9),
+    ),
+)
+def test_scale_matches_reference(data, c):
+    n, vals = data
+    x = SimpCochain(n, vals)
+    want = {ch: c * v for ch, v in ref_of(vals).items() if c * v}
+    assert_matches(x.scale(c), n, want)
+    assert_matches(-x, n, {ch: -v for ch, v in ref_of(vals).items()})
+
+
+@SETTINGS
+@given(cochain_data(), st.data())
+def test_equal_cochains_built_differently_are_equal(data, draw):
+    """Sums of parts, scaling there and back, and ints against Fractions
+    all land on one stored form."""
+    n, vals = data
+    x = SimpCochain(n, vals)
+    parts = {ch: draw.draw(RATS) for ch in vals}
+    rest = {ch: Fraction(v) - Fraction(parts[ch]) for ch, v in vals.items()}
+    y = SimpCochain(n, parts) + SimpCochain(n, rest)
+    assert y == x and y.den == x.den and y.values == x.values
+    c = draw.draw(st.fractions(min_value=-5, max_value=5, max_denominator=9).filter(bool))
+    assert x.scale(c).scale(1 / c) == x
+    as_fractions = SimpCochain(n, {ch: Fraction(v) for ch, v in vals.items()})
+    assert as_fractions == x
+
+
+def test_halves_sum_to_one():
+    ch = DIAMOND.chains(1)[0]
+    half = SimpCochain(1, {ch: Fraction(1, 2)})
+    one = half + half
+    assert one == SimpCochain(1, {ch: 1}) and one.den == 1 and one.values == {ch: 1}
+    assert_matches(one, 1, {ch: Fraction(1)})
+
+
+@SETTINGS
+@given(cochain_data())
+def test_to_dict_from_dict_round_trip(data):
+    n, vals = data
+    x = SimpCochain(n, vals)
+    doc = json.loads(json.dumps(x.to_dict(DIAMOND)))
+    y = SimpCochain.from_dict(DIAMOND, doc)
+    assert y == x
+    assert_matches(y, n, ref_of(vals))
+
+
+@SETTINGS
+@given(
+    st.sampled_from(sorted(CARRIERS)),
+    st.integers(1, 3),
+    st.integers(0, 2),
+    st.data(),
+)
+def test_compose_at_matches_reference(kind, p, q, draw):
+    j = draw.draw(st.integers(1, p))
+    _, f = draw.draw(cochain_data(p))
+    _, g = draw.draw(cochain_data(q))
+    got = CARRIERS[kind].compose_at(SimpCochain(p, f), j, SimpCochain(q, g))
+    assert_matches(got, p + q - 1, ref_compose(ref_of(f), p, j, ref_of(g), q))

@@ -30,11 +30,11 @@ def simplicial_reference(car, f, j, g):
     p, q = f.degree, g.degree
     out = {}
     for c in car.chains(p + q - 1):
-        a = f.values.get(c[:j] + c[j + q - 1 :])
-        if a is None:
+        a = f.value(c[:j] + c[j + q - 1 :])
+        if not a:
             continue
-        b = g.values.get(c[j - 1 : j + q])
-        if b is None:
+        b = g.value(c[j - 1 : j + q])
+        if not b:
             continue
         out[c] = a * b
     return SimpCochain(p + q - 1, out)

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from posetdeform.deform import (
+    MAX_ORDER,
     MCElement,
     NotMC,
     UnsupportedDegree,
@@ -22,7 +23,7 @@ from posetdeform.deform import (
     witt_exp,
     witt_log_layers,
 )
-from posetdeform.opcore import SignFlip, differential
+from posetdeform.opcore import SignFlip, circle, differential
 from posetdeform.scalars import WittElem
 from posetdeform.simplicial import SimpCochain, SimplicialCarrier
 
@@ -61,6 +62,66 @@ def test_mc_element_validation():
         MCElement(1, {1: SimpCochain(1, {})})
     e = MCElement(2, {1: SimpCochain(2, {})})
     assert e.is_zero() and e.term(1).is_zero()
+    assert MCElement(MAX_ORDER).order == MAX_ORDER
+    with pytest.raises(ValueError):
+        MCElement(MAX_ORDER + 1, {})
+
+
+def test_order_cap_applies_to_moduli(diamond):
+    with pytest.raises(ValueError):
+        moduli(diamond, MAX_ORDER + 1)
+
+
+class NoDifferential:
+    """A carrier whose mult() is zero, so d vanishes and only the products
+    decide a layer: a defect can then first show at a layer that is in
+    no element's terms, only a sum of two of them."""
+
+    def __init__(self, base):
+        self.base = base
+
+    def mult(self):
+        return self.base.zero(2)
+
+    def __getattr__(self, attr):
+        return getattr(self.base, attr)
+
+
+def mc_check_every_layer(p, e, car):
+    """mc_check as a loop over every layer and every pair (a, n - a)."""
+    for n in range(1, e.order + 1):
+        defect = differential(car, e.term(n))
+        for a in range(1, n):
+            defect = defect.add(circle(car, e.term(a), e.term(n - a)))
+        for ch in p.chains(3):
+            if defect.value(ch):
+                return False, (n, tuple(p.chain_labels(ch)))
+    return True, None
+
+
+def test_mc_check_skips_layers_that_cannot_carry_a_defect(diamond, sphere):
+    """Only layers in e.terms and sums of two of them are visited; the
+    verdict and the first failing layer stay those of the full loop."""
+    rng = random.Random("mc:sparse")
+    seen = {True: 0, False: 0, "outside": 0}
+    for p in (diamond, sphere):
+        simp = SimplicialCarrier(p)
+        for car in (simp, NoDifferential(simp)):
+            for _ in range(10):
+                order = rng.randint(1, 7)
+                layers = rng.sample(range(1, order + 1), rng.randint(0, min(3, order)))
+                terms = {}
+                for n in layers:
+                    if rng.random() < 0.5:
+                        terms[n] = face_sum(p, simp.random_elem(1, rng))
+                    else:
+                        terms[n] = simp.random_elem(2, rng)
+                e = MCElement(order, terms)
+                got = mc_check(p, e, car)
+                assert got == mc_check_every_layer(p, e, car)
+                seen[got[0]] += 1
+                seen["outside"] += not got[0] and got[1][0] not in terms
+    assert seen[True] >= 1 and seen[False] >= 1 and seen["outside"] >= 1
 
 
 def test_mc_element_round_trip(sphere):
