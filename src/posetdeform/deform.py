@@ -109,14 +109,20 @@ class MCElement:
         (see SimpCochain.from_dict for the checks on each term)."""
         if not isinstance(d, dict) or not isinstance(d.get("terms", {}), dict):
             raise ValueError("an element must be a JSON object with a 'terms' object")
+        if "order" not in d:
+            raise ValueError("order is missing")
         order = d["order"]
         if isinstance(order, bool) or not isinstance(order, int):
             raise ValueError("order %r is not an integer" % (order,))
         terms = {}
         for k, cd in d.get("terms", {}).items():
-            if int(k) in terms:
-                raise ValueError("layer %r repeats layer %d" % (k, int(k)))
-            terms[int(k)] = SimpCochain.from_dict(poset, cd)
+            try:
+                n = int(k)
+            except ValueError:
+                raise ValueError("layer key %r is not an integer" % (k,)) from None
+            if n in terms:
+                raise ValueError("layer %r repeats layer %d" % (k, n))
+            terms[n] = SimpCochain.from_dict(poset, cd)
         return cls(order, terms)
 
 
@@ -327,7 +333,8 @@ def gauge_equivalent(p, e1, e2):
         if not ok:
             raise NotMC("input fails the Maurer-Cartan equation at %r" % (wit,))
     order = e1.order
-    ratio = to_witt(e1) * to_witt(e2).inverse()
+    w1, w2 = to_witt(e1), to_witt(e2)
+    ratio = w1 * w2.inverse()
     target = witt_log_layers(ratio)
 
     rows = p.chains(2)
@@ -348,7 +355,7 @@ def gauge_equivalent(p, e1, e2):
             psi[n] = layer
 
     phi = witt_exp(p, 1, order, psi)
-    if witt_coboundary(p, phi) * to_witt(e2) != to_witt(e1):
+    if witt_coboundary(p, phi) * w2 != w1:
         raise AssertionError("gauge witness failed the exact re-check")
     return phi
 

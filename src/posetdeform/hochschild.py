@@ -29,13 +29,17 @@ and random_elem, which walk it; exceeding the cap raises TooLarge.
 Composition in either carrier enumerates the pairs of entries of f and
 g that meet in slot j (grouped by the interval there), never all chains
 or all tuples of the output degree: it costs one pass over each support
-plus one step per pair, and needs no cap.
+plus one step per pair, and needs no cap.  A relative step reads a
+structure table, delta_a o_j delta_b = k delta_c, that rel_eval fills the
+first time (j, a, b) meets and that lives as long as its carrier.  Its
+entries come from evaluation in kP while the simplicial carrier restricts
+faces, so iso still compares two independently derived rules.
 
 IncElem and rel_eval use nothing of their scalars but +, * and the zero
 test, so they work over ints, Fractions and truncated series alike (the
 last for deform.associativity_witness).  rel_eval reads a cochain's int
-numerators and divides by its den once at the end; relative composition
-evaluates den-1 views on int basis elements, so it runs on ints.
+numerators and divides by its den once at the end; the structure table
+is evaluated on int basis elements, so it holds ints.
 """
 
 from __future__ import annotations
@@ -186,6 +190,7 @@ class RelHochschildCarrier(SimplicialCarrier):
     def __init__(self, poset):
         super().__init__(poset)
         self._bargs = {}
+        self._tables = {}
 
     def _basis_args(self, chain):
         # shared immutable IncElems with the int 1 as coefficient; cached
@@ -196,51 +201,57 @@ class RelHochschildCarrier(SimplicialCarrier):
             self._bargs[chain] = got
         return got
 
-    def compose_at(self, f, j, g):
-        """f o_j g by evaluation in kP, over the basis tuples that can give
-        a nonzero value.
+    def _structure(self, j, a, b):
+        """k with delta_a o_j delta_b = k delta_c, c = a[:j-1] + b + a[j+1:],
+        by evaluation in kP: delta_b on b's basis tuple (for b = (x,), the
+        diagonal E[x, x]) fills slot j of a's basis tuple, delta_a is
+        evaluated there, and k is read at (a[0], a[-1])."""
+        delta_b = SimpCochain._of(len(b) - 1, {b: 1})
+        inner = as_element(delta_b) if len(b) == 1 else rel_eval(delta_b, self._basis_args(b))
+        args = self._basis_args(a[:j]) + [inner] + self._basis_args(a[j:])
+        got = rel_eval(SimpCochain._of(len(a) - 1, {a: 1}), args)
+        return got.terms.get((a[0], a[-1]), 0)
 
-        f's chains are grouped by their slot-j interval (a[j-1], a[j]).
-        For q >= 1, g is evaluated on the basis tuple of each chain b in
-        its support whose end points form such an interval: a relative
-        cochain is bilinear over the diagonal, so g(b) lies in
-        E[b0] kP E[bq] and can only fill a slot with that interval.  For
-        q = 0 the inner argument is g as a diagonal element, whose term
-        (x, x) fills the slots with interval (x, x).  f is then evaluated
-        on its chain a with the inner value in slot j, and the coefficient
-        at (a[0], a[-1]) is the value on a[:j-1] + b + a[j+1:].  Grouping
-        only skips tuples whose value is zero; every value still comes
-        from rel_eval, so the comparison with the simplicial carrier's
-        face restriction stays a comparison of two rules.  f and g enter as
-        their numerators (den-1 views), and by bilinearity the result is
-        put over f.den * g.den."""
-        p, q = f.degree, g.degree
+    def compose_at(self, f, j, g):
+        """f o_j g by evaluation in kP, through a structure table.
+
+        f o_j g sums f(a) g(b) (delta_a o_j delta_b) over chains a of f and
+        b of g, and each term is k delta_c with k = _structure(j, a, b) and
+        c = a[:j-1] + b + a[j+1:].  A relative cochain is bilinear over the
+        diagonal, so delta_b's value lies in E[b0] kP E[bq] and can fill
+        slot j only where a has the interval (b0, bq): g's chains are
+        grouped by end points (a degree-0 (x,) by (x, x)) and each chain of
+        f meets one group, as in the simplicial carrier.  The table
+        self._tables[j][a][b] is filled when a pair first meets and lives
+        as long as the carrier, so rel_eval runs once per pair per carrier.
+        Every k still comes from evaluation in kP while the simplicial
+        carrier restricts faces, so the iso suite still compares two
+        independently derived rules.  By bilinearity the numerators
+        multiply as they are, over f.den * g.den."""
+        p = f.degree
         if p < 1 or not 1 <= j <= p:
             raise SlotOutOfRange("slot %d invalid for arity %d" % (j, p))
-        den = f.den * g.den
-        f, g = SimpCochain._of(p, f.values), SimpCochain._of(q, g.values)
-        by_slot = {}
-        for a in f.values:
-            by_slot.setdefault(a[j - 1 : j + 1], []).append(a)
-        if q == 0:
-            elem = as_element(g)
-            inners = [((x,), elem) for x, _ in elem.terms]
-        else:
-            inners = [
-                (b, rel_eval(g, self._basis_args(b)))
-                for b in g.values
-                if (b[0], b[-1]) in by_slot
-            ]
+        by_ends = {}
+        for b, y in g.values.items():
+            by_ends.setdefault((b[0], b[-1]), []).append((b, y))
+        table = self._tables.setdefault(j, {})
         out = {}
-        for b, inner in inners:
-            for a in by_slot.get((b[0], b[-1]), ()):
-                args = (
-                    self._basis_args(a[:j]) + [inner] + self._basis_args(a[j:])
-                )
-                coeff = rel_eval(f, args).terms.get((a[0], a[-1]))
-                if coeff is not None:
-                    out[a[: j - 1] + b + a[j + 1 :]] = coeff
-        return SimpCochain._reduced(p + q - 1, out, den)
+        for a, x in f.values.items():
+            group = by_ends.get(a[j - 1 : j + 1])
+            if group is None:
+                continue
+            row = table.get(a)
+            if row is None:
+                row = table[a] = {}
+            head, tail = a[: j - 1], a[j + 1 :]
+            for b, y in group:
+                k = row.get(b)
+                if k is None:
+                    k = row[b] = self._structure(j, a, b)
+                v = k * x * y
+                if v:
+                    out[head + b + tail] = v
+        return SimpCochain._reduced(p + g.degree - 1, out, f.den * g.den)
 
 
 class FullCochain:

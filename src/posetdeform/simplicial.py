@@ -46,6 +46,8 @@ class SimpCochain:
     That form is unique, so equality compares den and values directly, and
     add, scale and compose_at run on ints and reduce by one gcd at the end.
     Fractions appear only in the constructor, value(), to_dict, from_dict.
+    No operation changes a cochain in place: each returns a new one, so
+    one cochain can be shared, as the carriers share identity() and mult().
     Series values (scalars.TruncSeries, only from deform.deformation_product)
     have den 1, are never reduced and take int scalars only.  The two kinds
     refuse to mix (TypeError), as do series of different orders
@@ -107,7 +109,8 @@ class SimpCochain:
             raise ValueError("degree mismatch in cochain sum")
         den = lcm(self.den, other.den)
         out = _times(self.values, den // self.den)
-        for ch, v in _times(other.values, den // other.den).items():
+        s = den // other.den
+        for ch, v in (other.values if s == 1 else _times(other.values, s)).items():
             cur = out.get(ch)
             if cur is None:
                 out[ch] = v
@@ -205,6 +208,7 @@ class SimplicialCarrier:
 
     def __init__(self, poset):
         self.poset = poset
+        self._constants = {}
 
     def chains(self, n):
         return self.poset.chains(n)
@@ -256,17 +260,25 @@ class SimplicialCarrier:
     def constant(self, n, value=1):
         return SimpCochain(n, {c: value for c in self.chains(n)})
 
+    # built once per carrier and shared: no operation changes a cochain in place
     def identity(self):
-        return self.constant(1)
+        if 1 not in self._constants:
+            self._constants[1] = self.constant(1)
+        return self._constants[1]
 
     def mult(self):
-        return self.constant(2)
+        if 2 not in self._constants:
+            self._constants[2] = self.constant(2)
+        return self._constants[2]
 
     def random_elem(self, n, rng):
+        # a/b with a in -3..3 and b in 1..3, drawn a then b, as a * (6 // b) over 6
         vals = {}
         for c in self.chains(n):
-            vals[c] = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
-        return SimpCochain(n, vals)
+            v = rng.randint(-3, 3) * (6 // rng.randint(1, 3))
+            if v:
+                vals[c] = v
+        return SimpCochain._reduced(n, vals, 6)
 
     def diff_witness(self, x, y):
         """First basis chain where two same-degree cochains differ."""

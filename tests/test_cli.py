@@ -332,6 +332,9 @@ BAD_ELEMENTS = {
     "entry-without-value": _layer(
         {"degree": 2, "entries": [{"chain": ["bot", "a", "top"]}]}
     ),
+    # these two exited 2 with "'order'" and "invalid literal for int()"
+    "missing-order": {"terms": {}},
+    "non-integer-layer-key": {"order": 1, "terms": {"x": {"degree": 2, "entries": []}}},
 }
 
 # the error line names what is wrong
@@ -341,6 +344,8 @@ BAD_ELEMENT_WORDS = {
     "string-entries": "entries",
     "int-entry": "entries",
     "entry-without-value": "value",
+    "missing-order": "order is missing",
+    "non-integer-layer-key": "layer key 'x' is not an integer",
 }
 
 
@@ -362,6 +367,8 @@ BAD_ELEMENT_WORDS = {
         ("mc-check", "string-entries"),
         ("mc-check", "int-entry"),
         ("mc-check", "entry-without-value"),
+        ("mc-check", "missing-order"),
+        ("mc-check", "non-integer-layer-key"),
     ],
 )
 def test_malformed_element_is_an_input_error(capsys, tmp_path, verb, bad):

@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import pytest
 
+from posetdeform import hochschild
 from posetdeform.hochschild import (
     FullCochain,
     FullHochschildCarrier,
@@ -19,6 +20,8 @@ from posetdeform.hochschild import (
     as_element,
     rel_eval,
 )
+from posetdeform.opcore import SlotOutOfRange
+from posetdeform.scalars import TruncSeries
 from posetdeform.simplicial import SimpCochain, SimplicialCarrier
 
 DEGREES = [
@@ -144,3 +147,113 @@ def test_compose_at_matches_reference(request, kind, poset_name):
     # all 24 (p, q, j), less the three with 9**5 output tuples for the
     # full carrier on diamond; 5 inputs of each degree
     assert compared >= 21 * 25
+
+
+# The relative carrier's structure table.  Each test keeps one carrier
+# for many compositions, so most pairs are found in the table, and counts
+# the rel_eval calls compose_at makes: two for each (j, a, b) that first
+# meets in that carrier (one for a degree-0 b), none for a pair met before.
+
+
+class Ledger:
+    """The rel_eval calls a carrier owes, from the pairs it has met."""
+
+    def __init__(self):
+        self.pairs = set()
+
+    def owed(self, f, j, g):
+        n = 0
+        for a in f.values:
+            for b in g.values:
+                if (b[0], b[-1]) == a[j - 1 : j + 1] and (j, a, b) not in self.pairs:
+                    self.pairs.add((j, a, b))
+                    n += 1 if len(b) == 1 else 2
+        return n
+
+
+@pytest.fixture
+def rel_eval_calls(monkeypatch):
+    """Counts the calls compose_at makes to hochschild.rel_eval; the
+    references call the unwrapped function."""
+    calls = [0]
+
+    def counted(f, args):
+        calls[0] += 1
+        return rel_eval(f, args)
+
+    monkeypatch.setattr(hochschild, "rel_eval", counted)
+    return calls
+
+
+def check_relative(car, ledger, calls, f, j, g):
+    before = calls[0]
+    got = car.compose_at(f, j, g)
+    assert calls[0] - before == ledger.owed(f, j, g), (f.degree, g.degree, j)
+    assert got == relative_reference(car, f, j, g), (f.degree, g.degree, j)
+
+
+@pytest.mark.parametrize("poset_name", ["diamond", "cr4"])
+def test_relative_table_over_one_carrier(request, rel_eval_calls, poset_name):
+    """Every (p, q, j), q = 0 and every slot among them, twice over with
+    new random cochains and then once more with the first round's, which
+    the table answers without evaluating anything."""
+    car = RelHochschildCarrier(request.getfixturevalue(poset_name))
+    ledger = Ledger()
+    rng = random.Random("rel-table:%s" % poset_name)
+    first = []
+    for rnd in range(2):
+        for p, q, j in DEGREES:
+            for f in simp_inputs(car, p, rng)[:2]:
+                for g in simp_inputs(car, q, rng)[:2]:
+                    check_relative(car, ledger, rel_eval_calls, f, j, g)
+                    if rnd == 0:
+                        first.append((f, j, g))
+    calls = rel_eval_calls[0]
+    for f, j, g in first:
+        check_relative(car, ledger, rel_eval_calls, f, j, g)
+    assert rel_eval_calls[0] == calls > 0
+
+
+def test_relative_tables_of_two_posets(diamond, cr4, rel_eval_calls):
+    """Two carriers alive at once, composing in turn: diamond and cr4
+    share element indices, so their chains are the same tuples, yet
+    each carrier derives its own table."""
+    cars = [RelHochschildCarrier(diamond), RelHochschildCarrier(cr4)]
+    ledgers = [Ledger(), Ledger()]
+    rng = random.Random("rel-table:two")
+    for p, q, j in DEGREES:
+        for car, ledger in zip(cars, ledgers):
+            f, g = car.random_elem(p, rng), car.random_elem(q, rng)
+            check_relative(car, ledger, rel_eval_calls, f, j, g)
+    assert ledgers[0].pairs & ledgers[1].pairs
+
+
+def test_relative_table_with_series_values(diamond, rel_eval_calls):
+    """Series values as deform builds them (den 1, never reduced), with
+    products of two multiples of lam that vanish at order 1 and must
+    leave no entry."""
+    car = RelHochschildCarrier(diamond)
+    ledger = Ledger()
+    rng = random.Random("rel-table:series")
+    values = [TruncSeries(1, cs) for cs in ((1,), (0, 1), (2, -1), (0, -3), (Fraction(1, 2), 1))]
+
+    def series_elem(n):
+        return SimpCochain(n, {c: rng.choice(values) for c in car.chains(n)})
+
+    for p, q, j in DEGREES:
+        if p + q > 4:
+            continue
+        check_relative(car, ledger, rel_eval_calls, series_elem(p), j, series_elem(q))
+    m = car.constant(2, TruncSeries.one(1))
+    for j in (1, 2):
+        check_relative(car, ledger, rel_eval_calls, m, j, m)
+
+
+def test_relative_slot_out_of_range(diamond):
+    car = RelHochschildCarrier(diamond)
+    rng = random.Random("rel-table:slots")
+    x = {n: car.random_elem(n, rng) for n in range(3)}
+    car.compose_at(x[2], 1, x[1])
+    for p, j in ((0, 0), (0, 1), (1, 0), (1, 2), (2, 3), (2, -1)):
+        with pytest.raises(SlotOutOfRange):
+            car.compose_at(x[p], j, x[1])

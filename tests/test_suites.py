@@ -41,6 +41,19 @@ def test_sign_sabotage_is_detected(diamond, name):
         assert rep.failed >= 1
 
 
+def test_shared_constants_survive_every_suite(diamond):
+    """identity() and mult() are built once per carrier and handed to
+    every caller; after all five suites on one carrier they are still
+    the constants 1."""
+    for car in carriers(diamond):
+        for name in SUITES:
+            assert SUITES[name](car, samples=3, seed=0).ok, name
+        assert car.mult() is car.mult()
+        assert car.identity() is car.identity()
+        assert car.mult() == car.constant(2)
+        assert car.identity() == car.constant(1)
+
+
 def test_report_shape(diamond):
     rep = operad_suite(SimplicialCarrier(diamond), samples=2, seed=7)
     d = rep.to_dict()
