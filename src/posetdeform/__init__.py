@@ -6,10 +6,11 @@ The package is organized bottom-up:
 * ``posets``     finite posets, chain and interval enumeration
 * ``linalg``     sparse exact Gaussian elimination (rank, kernel, solve)
 * ``opcore``     carrier-generic operad operations and all Koszul signs
-* ``simplicial`` the one weak-chain cochain type, the simplicial carrier,
-                 nerve cohomology
+* ``simplicial`` the one cochain type, the arithmetic every carrier
+                 shares, the simplicial carrier, nerve cohomology
 * ``hochschild`` incidence algebra; the relative Hochschild carrier (the
-                 same cochains, composed in kP) and the full one
+                 same cochains, composed in kP) and the full one (the
+                 same cochain type, keyed by argument and output intervals)
 * ``suites``     randomized exact verification suites, one registry
 * ``gsiso``      the isomorphism phi between the two operads, the "iso" suite
 * ``deform``     Maurer-Cartan elements, Witt cocycles, gauge, moduli
@@ -24,7 +25,6 @@ __version__ = "0.1.0"
 from .posets import Poset, chain_poset, crown_poset, diamond_poset, sphere_poset
 from .simplicial import SimpCochain, SimplicialCarrier, cohomology_dims
 from .hochschild import (
-    FullCochain,
     FullHochschildCarrier,
     IncElem,
     RelHochschildCarrier,
@@ -50,7 +50,6 @@ __all__ = [
     "cohomology_dims",
     "IncElem",
     "RelHochschildCarrier",
-    "FullCochain",
     "FullHochschildCarrier",
     "hh_dims",
     "gamma",

@@ -131,8 +131,10 @@ def mc_check(p, e, carrier=None):
 
     Returns (True, None) or (False, (n, chain-labels)) with the first
     layer and weak 3-chain where the defect is nonzero.  carrier
-    defaults to the simplicial one; passing a doctored carrier is how
-    the sensitivity tests poke this harness.
+    defaults to a new simplicial one; moduli and gauge_equivalent pass
+    one carrier to all their calls, so its mult() is built once, and
+    passing a doctored carrier is how the sensitivity tests poke this
+    harness.
     """
     car = carrier if carrier is not None else SimplicialCarrier(p)
     terms = e.terms
@@ -328,8 +330,9 @@ def gauge_equivalent(p, e1, e2):
     """
     if e1.order != e2.order:
         raise ValueError("orders differ: %d vs %d" % (e1.order, e2.order))
+    car = SimplicialCarrier(p)
     for e in (e1, e2):
-        ok, wit = mc_check(p, e)
+        ok, wit = mc_check(p, e, car)
         if not ok:
             raise NotMC("input fails the Maurer-Cartan equation at %r" % (wit,))
     order = e1.order
@@ -367,10 +370,11 @@ def _strict_h2_reps(p):
     d2 = coboundary_matrix(p, 2, strict=True)
     c2 = p.chains(2, strict=True)
     r1 = rank(d1)
-    _, kernel = rank_kernel(d2)
-    b2 = len(kernel) - r1
+    # dim ker d2 - rank d1, before paying for a kernel basis
+    b2 = len(c2) - rank(d2) - r1
     if b2 <= 0:
         return []
+    _, kernel = rank_kernel(d2)
 
     # grow the image of d1 by kernel vectors; the ones that enlarge the
     # span represent independent cohomology classes
@@ -412,15 +416,16 @@ def moduli(p, order):
     if not 1 <= order <= MAX_ORDER:
         raise ValueError("order %d outside 1..%d" % (order, MAX_ORDER))
     reps = _strict_h2_reps(p)
+    car = SimplicialCarrier(p)
     basis = []
     for z in reps:
         for j in range(1, order + 1):
             e = MCElement.single(order, j, z)
-            ok, _ = mc_check(p, e)
+            ok, _ = mc_check(p, e, car)
             if not ok:
                 w = witt_exp(p, 2, order, {j: z})
                 e = from_witt(w)
-                ok, wit = mc_check(p, e)
+                ok, wit = mc_check(p, e, car)
                 if not ok:
                     raise AssertionError(
                         "exp-corrected basis element fails MC at %r" % (wit,)

@@ -5,7 +5,9 @@ i <= j, with E[i, j] * E[j, k] = E[i, k] and all other basis products
 zero.  The diagonal spans the separable subalgebra generated by the
 idempotents E[i, i].
 
-Two cochain carriers live here.
+Two cochain carriers live here, both on simplicial.SimpCochain and
+simplicial.Carrier's arithmetic; they differ in their keys and in how
+they compose.
 
 *Relative* cochains (relative to the diagonal subalgebra) are determined
 by one scalar per weak n-chain, so they are stored as the same
@@ -19,12 +21,18 @@ by multilinear evaluation in the algebra and re-extraction of
 coefficients -- not by face restriction; the isomorphism between the two
 operads is then a checkable statement, not a tautology.
 
-*Full* cochains are arbitrary multilinear maps (kP)**n -> kP, tabulated
-on basis tuples.  The full carrier is the endomorphism operad of kP; its
-multiplication is the algebra product itself and d = [m, -] is the
-Hochschild differential.  Tables grow like (#intervals)**n, so the list
-of all basis tuples of a degree (tuples) is capped, and so are hh_dims
-and random_elem, which walk it; exceeding the cap raises TooLarge.
+*Full* cochains are arbitrary multilinear maps (kP)**n -> kP.  They are
+SimpCochains too, with one scalar per key (x_1, ..., x_n, y): the n
+argument intervals, then the output interval, so a degree-n key has
+n + 1 entries like a weak n-chain.  The value there is the coefficient of
+E[y] in the image of (E[x_1], ..., E[x_n]); a degree-0 key (y,) is an
+algebra element.  Such cochains are never serialized: to_dict and
+from_dict are for chain-keyed cochains only.  The full carrier is the
+endomorphism operad of kP; its multiplication is the algebra product
+itself and d = [m, -] is the Hochschild differential.  The basis grows
+like (#intervals)**(n+1), so the list of all basis tuples of a degree
+(tuples) is capped, and so are hh_dims and random_elem, which walk it;
+exceeding the cap raises TooLarge.
 
 Composition in either carrier enumerates the pairs of entries of f and
 g that meet in slot j (grouped by the interval there), never all chains
@@ -49,7 +57,7 @@ from itertools import product
 
 from .linalg import SparseMat, dims_from_ranks, rank
 from .opcore import ArityMismatch, SlotOutOfRange, differential
-from .simplicial import SimpCochain, SimplicialCarrier
+from .simplicial import Carrier, SimpCochain, SimplicialCarrier
 
 F1 = Fraction(1)
 
@@ -254,85 +262,20 @@ class RelHochschildCarrier(SimplicialCarrier):
         return SimpCochain._reduced(p + g.degree - 1, out, f.den * g.den)
 
 
-class FullCochain:
-    """Arbitrary multilinear map (kP)**n -> kP, tabulated on basis tuples.
-    table maps tuples of intervals to nonzero IncElem values; degree 0 is
-    keyed by the empty tuple."""
-
-    __slots__ = ("degree", "table")
-
-    def __init__(self, degree, table=()):
-        if degree < 0:
-            raise ValueError("degree must be >= 0")
-        self.degree = degree
-        out = {}
-        items = table.items() if isinstance(table, dict) else table
-        for tup, val in items:
-            if len(tup) != degree:
-                raise ValueError("tuple %r has %d entries, expected %d" % (tup, len(tup), degree))
-            if not val.is_zero():
-                out[tuple(tup)] = val
-        self.table = out
-
-    def value(self, tup):
-        got = self.table.get(tup)
-        if got is None:
-            return IncElem()
-        return got
-
-    def is_zero(self):
-        return not self.table
-
-    def add(self, other):
-        if self.degree != other.degree:
-            raise ValueError("degree mismatch in cochain sum")
-        out = dict(self.table)
-        for tup, val in other.table.items():
-            cur = out.get(tup)
-            nv = val if cur is None else cur.add(val)
-            if nv.is_zero():
-                out.pop(tup, None)
-            else:
-                out[tup] = nv
-        c = FullCochain.__new__(FullCochain)
-        c.degree = self.degree
-        c.table = out
-        return c
-
-    def scale(self, f):
-        out = {}
-        for tup, val in self.table.items():
-            nv = val.scale(f)
-            if not nv.is_zero():
-                out[tup] = nv
-        c = FullCochain.__new__(FullCochain)
-        c.degree = self.degree
-        c.table = out
-        return c
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FullCochain)
-            and self.degree == other.degree
-            and self.table == other.table
-        )
-
-    __hash__ = None
-
-    def __repr__(self):
-        return "FullCochain(deg=%d, %d entries)" % (self.degree, len(self.table))
-
-
-class FullHochschildCarrier:
-    """Endomorphism operad of the incidence algebra, on basis tables."""
+class FullHochschildCarrier(Carrier):
+    """Endomorphism operad of the incidence algebra.  A degree-n cochain is
+    a SimpCochain keyed by (x_1, ..., x_n, y): its value there is the
+    coefficient of E[y] in the image of (E[x_1], ..., E[x_n]).  Only what
+    reads those keys lives here; the arithmetic is Carrier's."""
 
     name = "full"
 
     def __init__(self, poset):
-        self.poset = poset
+        super().__init__(poset)
         self._tuples = {}
 
     def tuples(self, n):
+        """All basis tuples (x_1, ..., x_n) of intervals, capped."""
         got = self._tuples.get(n)
         if got is None:
             ivs = self.poset.intervals()
@@ -344,163 +287,107 @@ class FullHochschildCarrier:
             self._tuples[n] = got
         return got
 
-    def arity(self, x):
-        return x.degree
-
-    def zero(self, n):
-        return FullCochain(n)
-
-    def add(self, x, y):
-        return x.add(y)
-
-    def scale(self, c, x):
-        return x.scale(c)
-
-    def equal(self, x, y):
-        return x == y
-
-    def is_zero(self, x):
-        return x.is_zero()
-
     def compose_at(self, f, j, g):
-        """f o_j g of multilinear maps, enumerating pairs of table entries.
+        """f o_j g of multilinear maps, enumerating pairs of entries.
 
         (f o_j g)(t) = f(t[:j-1] + (g(u),) + t[j-1+q:]) with u the q
-        arguments in slots j..j+q-1.  So f's table is grouped by the
-        interval in slot j, and each term s * E[K] of each value g(u)
-        meets only the entries of f with K there: f(s') adds s * f(s') to
-        the output tuple s'[:j-1] + u + s'[j:].  K is not part of that
-        tuple, so the terms of one g(u) land on one output: outputs are
-        summed and zeros dropped.  No list of all tuples is built, so this
-        raises no TooLarge."""
+        arguments in slots j..j+q-1.  So f's keys are grouped by the
+        interval in slot j, and each entry u + (K,) of g, the coefficient
+        of E[K] in g(u), meets only the keys a of f with K there: it adds
+        the product of the two values to the output key a[:j-1] + u + a[j:].
+        K is not part of that key, so entries of g with the same u land on
+        one output: outputs are summed and zeros dropped.  No list of all
+        tuples is built, so this raises no TooLarge."""
         p = f.degree
         if p < 1 or not 1 <= j <= p:
             raise SlotOutOfRange("slot %d invalid for arity %d" % (j, p))
         by_slot = {}
-        for t, ft in f.table.items():
-            by_slot.setdefault(t[j - 1], []).append((t, ft))
-        acc = {}
-        for u, gu in g.table.items():
-            for K, s in gu.terms.items():
-                for t, ft in by_slot.get(K, ()):
-                    terms = acc.setdefault(t[: j - 1] + u + t[j:], {})
-                    for iv, v in ft.terms.items():
-                        _accumulate(terms, iv, s * v)
-        res = FullCochain.__new__(FullCochain)
-        res.degree = p + g.degree - 1
-        res.table = {t: IncElem._of(terms) for t, terms in acc.items() if terms}
-        return res
+        for a, x in f.values.items():
+            by_slot.setdefault(a[j - 1], []).append((a, x))
+        out = {}
+        for b, s in g.values.items():
+            u = b[:-1]
+            for a, x in by_slot.get(b[-1], ()):
+                key = a[: j - 1] + u + a[j:]
+                out[key] = out.get(key, 0) + x * s
+        out = {key: v for key, v in out.items() if v}
+        return SimpCochain._reduced(p + g.degree - 1, out, f.den * g.den)
 
-    def identity(self):
-        return FullCochain(
-            1, {(iv,): IncElem.basis(iv[0], iv[1]) for iv in self.poset.intervals()}
+    def _build(self, n):
+        """The identity map of kP (n = 1) or its product (n = 2)."""
+        ivs = self.poset.intervals()
+        if n == 1:
+            return SimpCochain._of(1, {(x, x): 1 for x in ivs})
+        return SimpCochain._of(
+            2, {(x, y, (x[0], y[1])): 1 for x in ivs for y in ivs if x[1] == y[0]}
         )
 
-    def mult(self):
-        """The algebra multiplication as an arity-2 endomorphism."""
-        table = {}
-        for a in self.poset.intervals():
-            for b in self.poset.intervals():
-                if a[1] == b[0]:
-                    table[(a, b)] = IncElem.basis(a[0], b[1])
-        return FullCochain(2, table)
-
     def random_elem(self, n, rng):
+        # each basis tuple, with probability 1/2, goes to c E[y] for a random
+        # interval y and c = a/b, a in -3..3 and b in 1..3, as a * (6 // b) over 6
         ivs = self.poset.intervals()
-        table = {}
+        vals = {}
         for t in self.tuples(n):
             if rng.random() < 0.5:
                 continue
-            tgt = ivs[rng.randrange(len(ivs))]
-            c = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
-            val = IncElem.basis(tgt[0], tgt[1]).scale(c)
-            if not val.is_zero():
-                table[t] = val
-        return FullCochain(n, table)
+            y = ivs[rng.randrange(len(ivs))]
+            v = rng.randint(-3, 3) * (6 // rng.randint(1, 3))
+            if v:
+                vals[t + (y,)] = v
+        return SimpCochain._reduced(n, vals, 6)
 
     def diff_witness(self, x, y):
-        keys = sorted(set(x.table) | set(y.table))
-        for t in keys:
-            if x.value(t) != y.value(t):
-                return str(t)
+        """First basis tuple where two same-degree cochains differ."""
+        for key in sorted(set(x.values) | set(y.values)):
+            if x.value(key) != y.value(key):
+                return str(key[:-1])
         return ""
 
 
 def include_relative(f):
-    """The inclusion of relative cochains into the full complex."""
-    if f.degree == 0:
-        return FullCochain(0, {(): as_element(f)})
-    table = {}
-    for c in f.values:
-        tup = tuple((c[t], c[t + 1]) for t in range(len(c) - 1))
-        table[tup] = IncElem({(c[0], c[-1]): f.value(c)})
-    return FullCochain(f.degree, table)
-
-
-def _full_basis(poset, car, n):
-    ivs = poset.intervals()
-    return [(t, iv) for t in car.tuples(n) for iv in ivs]
+    """The inclusion of relative cochains into the full complex: the
+    value on a weak chain c goes to the key of c's intervals followed by
+    (c[0], c[-1]); a degree-0 (x,) goes to ((x, x),), as in as_element."""
+    return SimpCochain._of(
+        f.degree,
+        {tuple(zip(c, c[1:])) + ((c[0], c[-1]),): v for c, v in f.values.items()},
+        f.den,
+    )
 
 
 def hh_dims(poset, max_n, which="relative"):
     """Hochschild cohomology dimensions [dim HH^0, ..., dim HH^max_n].
 
-    which='relative' uses the diagonal-relative complex (max_n <= 3);
-    which='full' uses the full endomorphism complex (max_n <= 2, table
-    growth).  Both use the same differential d = [m, -].
+    which='relative' uses the diagonal-relative complex (max_n <= 3),
+    keyed by weak chains; which='full' uses the full endomorphism complex
+    (max_n <= 2, table growth), keyed by basis tuples and an output
+    interval.  Both build each matrix the same way: d = [m, -] of one unit
+    cochain per key, its entries looked up by key.
     """
     if which == "relative":
         if max_n > 3:
             raise TooLarge("relative complex capped at degree 3")
         car = RelHochschildCarrier(poset)
-
-        def basis(n):
-            return poset.chains(n)
-
-        def elem(n, key):
-            return SimpCochain(n, {key: F1})
-
-        def matrix(n):
-            src = basis(n)
-            dst = basis(n + 1)
-            rowof = {c: k for k, c in enumerate(dst)}
-            m = SparseMat(len(dst), len(src))
-            for k, key in enumerate(src):
-                df = differential(car, elem(n, key))
-                for ch, v in df.values.items():
-                    m.set(rowof[ch], k, Fraction(v, df.den))
-            return m
-
+        keys = [poset.chains(n) for n in range(max_n + 2)]
     elif which == "full":
         if max_n > 2:
             raise TooLarge("full complex capped at degree 2")
         car = FullHochschildCarrier(poset)
         ivs = poset.intervals()
-        iv_index = {iv: k for k, iv in enumerate(ivs)}
-
-        def basis(n):
-            return _full_basis(poset, car, n)
-
-        def elem(n, key):
-            t, iv = key
-            return FullCochain(n, {t: IncElem.basis(iv[0], iv[1])})
-
-        def matrix(n):
-            src = basis(n)
-            tupidx = {t: k for k, t in enumerate(car.tuples(n + 1))}
-            ni = len(ivs)
-            m = SparseMat(len(tupidx) * ni, len(src))
-            for k, key in enumerate(src):
-                df = differential(car, elem(n, key))
-                for t, val in df.table.items():
-                    base = tupidx[t] * ni
-                    for iv, s in val.terms.items():
-                        m.set(base + iv_index[iv], k, s)
-            return m
-
+        keys = [[t + (y,) for t in car.tuples(n) for y in ivs] for n in range(max_n + 2)]
     else:
         raise ValueError("which must be 'relative' or 'full'")
 
-    sizes = [len(basis(n)) for n in range(max_n + 1)]
+    def matrix(n):
+        src, dst = keys[n], keys[n + 1]
+        rowof = {key: r for r, key in enumerate(dst)}
+        m = SparseMat(len(dst), len(src))
+        for k, key in enumerate(src):
+            df = differential(car, SimpCochain._of(n, {key: 1}))
+            for out, v in df.values.items():
+                m.set(rowof[out], k, Fraction(v, df.den))
+        return m
+
+    sizes = [len(keys[n]) for n in range(max_n + 1)]
     ranks = [rank(matrix(n)) for n in range(max_n + 1)]
     return dims_from_ranks(sizes, ranks)

@@ -5,10 +5,13 @@ below: ``arity(x)``, ``zero(n)``, ``add(x, y)``, ``scale(c, x)``,
 ``equal(x, y)``, ``is_zero(x)``, ``compose_at(f, j, g)``, ``identity()``
 and ``mult()`` (a fixed associative arity-2 element with m o m = 0); the
 suites also use ``poset``, ``random_elem(n, rng)`` and
-``diff_witness(x, y)``.  simplicial.SimplicialCarrier implements it on
-the one weak-chain cochain type, and the relative Hochschild carrier
-inherits all of it but ``compose_at``; the full Hochschild carrier
-implements it on its own tables.  Everything in this module is written
+``diff_witness(x, y)``.  Every carrier stores simplicial.SimpCochain and
+takes its arithmetic, zero and built-once identity and mult from
+simplicial.Carrier.  SimplicialCarrier keys cochains by weak chains and
+composes by face restriction; the relative Hochschild carrier inherits
+all of it but ``compose_at``; the full Hochschild carrier keys them by
+argument intervals and an output interval (x_1, ..., x_n, y) and
+composes them as multilinear maps.  Everything in this module is written
 once against that interface, so all carriers share one set of sign
 conventions by construction.
 

@@ -53,7 +53,6 @@ class Poset:
         # chain enumerator; sorted so enumeration is lexicographic
         self.up = tuple(_members(b) for b in self.upsets)
         self._chains = {}
-        self._intervals = None
 
     @classmethod
     def from_relations(cls, labels, pairs, name="poset"):
@@ -110,44 +109,29 @@ class Poset:
     def chains(self, n, strict=False):
         """All weak (default) or strict n-chains, lexicographic.
 
-        An n-chain has n+1 entries; chains(0) lists the singletons."""
+        An n-chain has n+1 entries; chains(0) lists the singletons.  Level
+        n extends each cached (n-1)-chain by the up-set of its last entry,
+        less that entry itself for strict chains."""
         if n < 0:
             raise ValueError("chain degree must be >= 0")
         key = (n, strict)
         got = self._chains.get(key)
-        if got is not None:
-            return got
-        out = []
-        if strict:
-            def extend(ch, last):
-                if len(ch) == n + 1:
-                    out.append(tuple(ch))
-                    return
-                for j in self.up[last]:
-                    if j != last:
-                        ch.append(j)
-                        extend(ch, j)
-                        ch.pop()
-        else:
-            def extend(ch, last):
-                if len(ch) == n + 1:
-                    out.append(tuple(ch))
-                    return
-                for j in self.up[last]:
-                    ch.append(j)
-                    extend(ch, j)
-                    ch.pop()
-        for i in range(self.n):
-            extend([i], i)
-        got = tuple(out)
-        self._chains[key] = got
+        if got is None:
+            if n == 0:
+                got = tuple((i,) for i in range(self.n))
+            else:
+                got = tuple(
+                    ch + (j,)
+                    for ch in self.chains(n - 1, strict)
+                    for j in self.up[ch[-1]]
+                    if not (strict and j == ch[-1])
+                )
+            self._chains[key] = got
         return got
 
     def intervals(self):
-        """All pairs (i, j) with i <= j, lexicographic."""
-        if self._intervals is None:
-            self._intervals = tuple((i, j) for i, js in enumerate(self.up) for j in js)
-        return self._intervals
+        """All pairs (i, j) with i <= j, lexicographic: the weak 1-chains."""
+        return self.chains(1)
 
     def chain_labels(self, chain):
         return tuple(self.labels[i] for i in chain)

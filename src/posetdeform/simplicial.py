@@ -13,8 +13,11 @@ repeats the vertex c_{j-1}.  The constant cochains 1 in degrees 1 and 2
 are the operadic identity and the multiplication, and through them the
 whole opcore structure (braces, dot, differential, bracket) applies.
 
-Nerve cohomology dimensions are computed from the classical alternating
-face-sum coboundary on either the weak or the strict chain basis.
+SimpCochain is the cochain type of every carrier (the full Hochschild
+carrier keys it by intervals, see its docstring), and Carrier holds what
+all carriers share.  Nerve cohomology dimensions are computed from the
+classical alternating face-sum coboundary on either the weak or the
+strict chain basis.
 """
 
 from __future__ import annotations
@@ -35,14 +38,17 @@ def _times(values, s):
 
 
 class SimpCochain:
-    """One scalar per weak chain, stored sparsely: values maps weak chains
-    (tuples of element indices) to nonzero scalars; anything absent reads
-    as zero.  This is the data of a simplicial cochain and of a relative
-    Hochschild cochain alike (see hochschild); the carriers differ only in
-    how they compose it.
+    """One scalar per key, stored sparsely: values maps keys of degree + 1
+    entries to nonzero scalars; anything absent reads as zero.  For a
+    simplicial or relative Hochschild cochain the key is a weak chain (a
+    tuple of element indices); for a full Hochschild cochain of degree n it
+    is (x_1, ..., x_n, y), the n argument intervals and then the output
+    interval (see hochschild).  The carriers differ only in what the keys
+    mean and how they compose.  to_dict and from_dict are for chain-keyed
+    cochains only; full cochains are never serialized.
 
     Rational values are int numerators over one denominator: the value on
-    a chain is values[chain] / den, with den > 0 and gcd(den, *values) == 1.
+    a key is values[key] / den, with den > 0 and gcd(den, *values) == 1.
     That form is unique, so equality compares den and values directly, and
     add, scale and compose_at run on ints and reduce by one gcd at the end.
     Fractions appear only in the constructor, value(), to_dict, from_dict.
@@ -199,19 +205,15 @@ class SimpCochain:
         return cls(degree, vals)
 
 
-class SimplicialCarrier:
-    """Operad carrier of simplicial cochains on one poset, composing by
-    face restriction.  hochschild.RelHochschildCarrier inherits everything
-    here except compose_at."""
-
-    name = "simplicial"
+class Carrier:
+    """What every carrier shares, whatever the keys of its SimpCochains
+    mean: arithmetic, zero, and identity() and mult(), each built once by
+    the subclass's _build(n) (n = 1, 2) and then shared, since no
+    operation changes a cochain in place."""
 
     def __init__(self, poset):
         self.poset = poset
         self._constants = {}
-
-    def chains(self, n):
-        return self.poset.chains(n)
 
     def arity(self, x):
         return x.degree
@@ -230,6 +232,26 @@ class SimplicialCarrier:
 
     def is_zero(self, x):
         return x.is_zero()
+
+    def identity(self):
+        return self._shared(1)
+
+    def mult(self):
+        return self._shared(2)
+
+    def _shared(self, n):
+        got = self._constants.get(n)
+        if got is None:
+            got = self._constants[n] = self._build(n)
+        return got
+
+
+class SimplicialCarrier(Carrier):
+    """Operad carrier of simplicial cochains on one poset, composing by
+    face restriction.  hochschild.RelHochschildCarrier inherits everything
+    here except compose_at."""
+
+    name = "simplicial"
 
     def compose_at(self, f, j, g):
         """f o_j g by face restriction, enumerating pairs of supports.
@@ -258,23 +280,15 @@ class SimplicialCarrier:
         return SimpCochain._reduced(p + g.degree - 1, out, f.den * g.den)
 
     def constant(self, n, value=1):
-        return SimpCochain(n, {c: value for c in self.chains(n)})
+        return SimpCochain(n, {c: value for c in self.poset.chains(n)})
 
-    # built once per carrier and shared: no operation changes a cochain in place
-    def identity(self):
-        if 1 not in self._constants:
-            self._constants[1] = self.constant(1)
-        return self._constants[1]
-
-    def mult(self):
-        if 2 not in self._constants:
-            self._constants[2] = self.constant(2)
-        return self._constants[2]
+    def _build(self, n):
+        return self.constant(n)
 
     def random_elem(self, n, rng):
         # a/b with a in -3..3 and b in 1..3, drawn a then b, as a * (6 // b) over 6
         vals = {}
-        for c in self.chains(n):
+        for c in self.poset.chains(n):
             v = rng.randint(-3, 3) * (6 // rng.randint(1, 3))
             if v:
                 vals[c] = v

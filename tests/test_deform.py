@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from posetdeform import deform
 from posetdeform.deform import (
     MAX_ORDER,
     MCElement,
@@ -316,6 +317,30 @@ def test_moduli_dimensions(cr4, diamond, sphere):
         for e in basis:
             assert e.order == order
             assert mc_check(sphere, e)[0]
+
+
+def test_moduli_skips_the_kernel_when_b2_is_zero(cr4, monkeypatch):
+    def refuse(mat):
+        raise AssertionError("kernel basis computed although b2 = 0")
+
+    monkeypatch.setattr(deform, "rank_kernel", refuse)
+    assert moduli(cr4, 3) == (0, [])
+
+
+def test_moduli_and_gauge_build_one_carrier(sphere, monkeypatch):
+    built = []
+
+    class Counted(SimplicialCarrier):
+        def __init__(self, poset):
+            super().__init__(poset)
+            built.append(self)
+
+    monkeypatch.setattr(deform, "SimplicialCarrier", Counted)
+    dim, basis = moduli(sphere, 3)
+    assert dim == 3 and len(built) == 1
+    built.clear()
+    assert gauge_equivalent(sphere, basis[0], basis[0]) is not None
+    assert len(built) == 1
 
 
 def test_moduli_basis_combinations_are_inequivalent(sphere):

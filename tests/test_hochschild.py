@@ -202,6 +202,40 @@ def test_full_identity_acts_as_unit(chain2):
     assert car.equal(car.compose_at(f, 2, e), f)
 
 
+# The full carrier's constants as the FullCochain tables of earlier
+# versions held them, written in the key format (x_1, ..., x_n, y):
+# identity sends E[x] to E[x], mult sends (E[i, j], E[j, k]) to E[i, k].
+FULL_IDENTITY = {
+    "chain2": [(0, 0), (0, 1), (1, 1)],
+    "diamond": [(0, 0), (0, 1), (0, 2), (0, 3), (1, 1), (1, 3), (2, 2), (2, 3), (3, 3)],
+}
+FULL_MULT = {
+    "chain2": [
+        ((0, 0), (0, 0), (0, 0)), ((0, 0), (0, 1), (0, 1)),
+        ((0, 1), (1, 1), (0, 1)), ((1, 1), (1, 1), (1, 1)),
+    ],
+    "diamond": [
+        ((0, 0), (0, 0), (0, 0)), ((0, 0), (0, 1), (0, 1)),
+        ((0, 0), (0, 2), (0, 2)), ((0, 0), (0, 3), (0, 3)),
+        ((0, 1), (1, 1), (0, 1)), ((0, 1), (1, 3), (0, 3)),
+        ((1, 1), (1, 1), (1, 1)), ((1, 1), (1, 3), (1, 3)),
+        ((0, 2), (2, 2), (0, 2)), ((0, 2), (2, 3), (0, 3)),
+        ((2, 2), (2, 2), (2, 2)), ((2, 2), (2, 3), (2, 3)),
+        ((0, 3), (3, 3), (0, 3)), ((1, 3), (3, 3), (1, 3)),
+        ((2, 3), (3, 3), (2, 3)), ((3, 3), (3, 3), (3, 3)),
+    ],
+}
+
+
+@pytest.mark.parametrize("poset_name", ["chain2", "diamond"])
+def test_full_constants_built_once(request, poset_name):
+    car = FullHochschildCarrier(request.getfixturevalue(poset_name))
+    assert car.identity() is car.identity()
+    assert car.mult() is car.mult()
+    assert car.identity() == SimpCochain(1, {(x, x): 1 for x in FULL_IDENTITY[poset_name]})
+    assert car.mult() == SimpCochain(2, {key: 1 for key in FULL_MULT[poset_name]})
+
+
 def test_size_caps(sphere):
     car = FullHochschildCarrier(sphere)
     with pytest.raises(TooLarge):

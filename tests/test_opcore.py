@@ -53,7 +53,7 @@ def test_degree_zero_insertion_repeats_vertex(car):
     f = rnd(car, 2, "q0")
     h = car.compose_at(f, 2, g)
     assert h.degree == 1
-    for ch in car.chains(1):
+    for ch in car.poset.chains(1):
         assert h.value(ch) == c * f.value((ch[0], ch[1], ch[1]))
 
 
@@ -112,7 +112,7 @@ def test_circle_is_signed_sum_of_insertions(car):
 def cup(car, x, y):
     p, q = x.degree, y.degree
     out = {}
-    for c in car.chains(p + q):
+    for c in car.poset.chains(p + q):
         v = x.value(c[: p + 1]) * y.value(c[p:])
         if v != 0:
             out[c] = v
@@ -132,7 +132,7 @@ def face_sum(car, x):
     """Classical simplicial coboundary: alternating sum over face maps."""
     p = x.degree
     out = {}
-    for c in car.chains(p + 1):
+    for c in car.poset.chains(p + 1):
         acc = Fraction(0)
         for i in range(p + 2):
             acc += (-1) ** i * x.value(c[:i] + c[i + 1 :])
@@ -142,8 +142,8 @@ def face_sum(car, x):
 
 
 def operator_matrix(car, op, n):
-    src = car.chains(n)
-    dst = car.chains(n + 1)
+    src = car.poset.chains(n)
+    dst = car.poset.chains(n + 1)
     row = {c: k for k, c in enumerate(dst)}
     m = SparseMat(len(dst), len(src))
     for k, c in enumerate(src):
