@@ -16,20 +16,24 @@ independent linear problems over the rationals.  That is how
 gauge_equivalent and moduli are computed; mc_check stays on the DGLA
 side precisely so the equivalence of the two roads is testable.
 
-Layers are SimpCochains of int numerators over one denominator, so
-mc_check runs on ints; Fractions enter only at the Witt boundary (to_witt,
-from_witt, witt_exp, witt_log_layers, gauge_equivalent).  The deformed
-product (deformation_product) is the one series-valued SimpCochain.
+Layers are SimpCochains of int numerators over one denominator, and a
+Witt value is a TruncSeries of int numerators over one denominator, so
+mc_check and the whole Witt road run on ints: to_witt, from_witt, witt_exp
+and witt_log_layers move numerators between the two forms directly.
+Fractions enter only at the linear solves of gauge_equivalent (their
+right-hand sides and solutions) and in JSON output.  The deformed product
+(deformation_product) is the one series-valued SimpCochain.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .hochschild import IncElem, rel_eval
-from .linalg import SparseMat, rank, rank_kernel, solve_in_image
+from .linalg import SparseMat, _eliminate, rank, rank_kernel, solve_in_image
 from .opcore import circle, differential
-from .scalars import F0, F1, TruncSeries, WittElem
+from .scalars import TruncSeries, WittElem
 from .simplicial import SimpCochain, SimplicialCarrier, coboundary_matrix
 
 
@@ -243,29 +247,49 @@ class WittCochain:
         return {"degree": self.degree, "order": self.order, "entries": entries}
 
 
+def _series(layers, order, const):
+    """Per chain, the series const + sum_n layers[n](chain) lam^n, read off
+    the layers' int numerators: over the lcm of the dens of the layers
+    present at that chain, reduced once.  Chains no layer is nonzero on
+    are left out."""
+    rows = {}
+    for n, c in layers.items():
+        for ch, v in c.values.items():
+            rows.setdefault(ch, []).append((n, v, c.den))
+    out = {}
+    for ch, row in rows.items():
+        den = lcm(*[d for _, _, d in row])
+        num = [const * den] + [0] * order
+        for n, v, d in row:
+            num[n] = v * (den // d)
+        out[ch] = TruncSeries._reduced(order, num, den)
+    return out
+
+
+def _layers(degree, order, series):
+    """Inverse of _series: {n: the lam^n coefficients of series (a dict
+    chain -> TruncSeries) as a SimpCochain} for 1 <= n <= order."""
+    out = {}
+    for n in range(1, order + 1):
+        col = [(ch, s.num[n], s.den) for ch, s in series.items() if s.num[n]]
+        den = lcm(*[d for _, _, d in col])
+        vals = {ch: v * (den // d) for ch, v, d in col}
+        out[n] = SimpCochain._reduced(degree, vals, den)
+    return out
+
+
 def to_witt(e):
     """MCElement -> degree-2 Witt cochain, pointwise 1 + sum omega_n lam^n."""
-    n = e.order
-    coeffs = {}
-    for k, c in e.terms.items():
-        for ch, v in c.values.items():
-            coeffs.setdefault(ch, [F1] + [F0] * n)[k] = Fraction(v, c.den)
-    vals = {ch: WittElem(TruncSeries(n, cs)) for ch, cs in coeffs.items()}
-    return WittCochain(2, n, vals)
+    vals = {ch: WittElem(s) for ch, s in _series(e.terms, e.order, 1).items()}
+    return WittCochain(2, e.order, vals)
 
 
 def from_witt(w):
     """Inverse of to_witt: read the lam-coefficients back off."""
     if w.degree != 2:
         raise UnsupportedDegree("only degree-2 Witt cochains encode deformations")
-    return MCElement(w.order, {  # the constructors drop zeros
-        n: SimpCochain(2, {ch: x.value.coeffs[n] for ch, x in w.values.items()})
-        for n in range(1, w.order + 1)
-    })
-
-
-def _face(chain, i):
-    return chain[:i] + chain[i + 1 :]
+    series = {ch: x.value for ch, x in w.values.items()}
+    return MCElement(w.order, _layers(2, w.order, series))  # drops zero layers
 
 
 def witt_coboundary(p, c):
@@ -274,20 +298,31 @@ def witt_coboundary(p, c):
     Degree 1 -> 2: (d0 c)(d1 c)^-1 (d2 c).
     Degree 2 -> 3: (d0 c)(d1 c)^-1 (d2 c)(d3 c)^-1.
     A degree-2 cochain is a cocycle exactly when its coboundary is the
-    constant 1.
+    constant 1.  A face absent from c.values is 1 and is skipped, so only
+    present faces are multiplied, and each one is inverted at most once.
     """
     if c.degree not in (1, 2):
         raise UnsupportedDegree("witt coboundary defined in degrees 1 and 2")
     n = c.degree
+    vals = {ch: w.value for ch, w in c.values.items()}
+    inverses = {}
+    one = TruncSeries.one(c.order)
     out = {}
-    one = WittElem.one(c.order)
     for ch in p.chains(n + 1):
-        acc = one
+        acc = None
         for i in range(n + 2):
-            f = c.value(_face(ch, i))
-            acc = acc * (f if i % 2 == 0 else f.inverse())
-        if acc != one:
-            out[ch] = acc
+            face = ch[:i] + ch[i + 1 :]
+            f = vals.get(face)
+            if f is None:
+                continue
+            if i % 2:
+                inv = inverses.get(face)
+                if inv is None:
+                    inv = inverses[face] = f.inverse()
+                f = inv
+            acc = f if acc is None else acc * f
+        if acc is not None and acc != one:
+            out[ch] = WittElem(acc)
     return WittCochain(n + 1, c.order, out)
 
 
@@ -298,25 +333,13 @@ def is_witt_cocycle(p, c):
 def witt_exp(p, degree, order, layers):
     """Pointwise exponential of additive layers: layers[n] (1-indexed)
     are cochains of the given degree; missing layers are zero."""
-    support = set()
-    for c in layers.values():
-        support.update(c.values)
-    vals = {}
-    for ch in support:
-        cs = [F0] * (order + 1)
-        for n, c in layers.items():
-            cs[n] = c.value(ch)
-        vals[ch] = WittElem.from_log(TruncSeries(order, cs))
+    vals = {ch: WittElem.from_log(s) for ch, s in _series(layers, order, 0).items()}
     return WittCochain(degree, order, vals)
 
 
 def witt_log_layers(c):
     """Pointwise log, split into additive layer cochains (1-indexed)."""
-    logs = {ch: w.log().coeffs for ch, w in c.values.items()}
-    return {
-        n: SimpCochain(c.degree, {ch: cs[n] for ch, cs in logs.items()})
-        for n in range(1, c.order + 1)
-    }
+    return _layers(c.degree, c.order, {ch: w.log() for ch, w in c.values.items()})
 
 
 def gauge_equivalent(p, e1, e2):
@@ -347,7 +370,7 @@ def gauge_equivalent(p, e1, e2):
 
     psi = {}
     for n in range(1, order + 1):
-        b = [F0] * len(rows)
+        b = [Fraction(0)] * len(rows)
         for ch, v in target[n].values.items():
             b[rowof[ch]] = Fraction(v, target[n].den)
         sol = solve_in_image(mat, b)
@@ -370,11 +393,13 @@ def _strict_h2_reps(p):
     d2 = coboundary_matrix(p, 2, strict=True)
     c2 = p.chains(2, strict=True)
     r1 = rank(d1)
-    # dim ker d2 - rank d1, before paying for a kernel basis
-    b2 = len(c2) - rank(d2) - r1
+    # dim ker d2 - rank d1, before paying for a kernel basis; d2 is
+    # eliminated once, for both
+    elim = _eliminate(d2)
+    b2 = len(c2) - len(elim[0]) - r1
     if b2 <= 0:
         return []
-    _, kernel = rank_kernel(d2)
+    _, kernel = rank_kernel(d2, elim)
 
     # grow the image of d1 by kernel vectors; the ones that enlarge the
     # span represent independent cohomology classes
@@ -398,7 +423,7 @@ def _strict_h2_reps(p):
         else:
             for i, v in enumerate(vec):
                 if v != 0:
-                    base.set(i, col, F0)
+                    base.set(i, col, 0)
     return reps
 
 

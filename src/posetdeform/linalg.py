@@ -126,11 +126,12 @@ def _back_substitute(pivots, rowmap, x):
     return x
 
 
-def rank_kernel(mat):
+def rank_kernel(mat, elim=None):
     """Rank and an exact kernel basis.  Kernel vectors are built one per
     free column by back substitution; they are linearly independent by
-    construction (each has a 1 in its own free coordinate)."""
-    pivots, rowmap = _eliminate(mat)
+    construction (each has a 1 in its own free coordinate).  elim is
+    _eliminate(mat) when the caller already has it."""
+    pivots, rowmap = elim if elim is not None else _eliminate(mat)
     pivot_cols = {c for c, _ in pivots}
     kernel = []
     for fc in range(mat.cols):

@@ -276,6 +276,9 @@ class SimplicialCarrier(Carrier):
             head, tail = a[: j - 1], a[j + 1 :]
             for b, y in group:
                 out[head + b + tail] = x * y
+        if out and not isinstance(next(iter(out.values())), int):
+            # two nonzero ints never multiply to 0, but two series can
+            out = {c: v for c, v in out.items() if v}
         # (f/D) o_j (g/E) = (f o_j g)/(DE): numerators multiply as ints
         return SimpCochain._reduced(p + g.degree - 1, out, f.den * g.den)
 

@@ -294,6 +294,25 @@ def test_gauge_symmetric_and_transitive(sphere):
     assert gauge_equivalent(sphere, e1, e3) is not None
 
 
+def test_gauge_at_order_20(sphere):
+    """exp(z lam) at order 20 and its twist by layers at lam, lam^5 and
+    lam^20: both MC, equivalent with a witness that passes the exact
+    re-check, and inequivalent to exp(2z lam)."""
+    z = closed_2_rep(sphere)
+    car = SimplicialCarrier(sphere)
+    rng = random.Random("gauge:20")
+    e1 = from_witt(witt_exp(sphere, 2, 20, {1: z}))
+    e2 = twist(sphere, e1, {n: car.random_elem(1, rng) for n in (1, 5, 20)})
+    assert e1.order == e2.order == 20 and e2 != e1
+    assert mc_check(sphere, e1)[0] and mc_check(sphere, e2)[0]
+    w = gauge_equivalent(sphere, e2, e1)
+    assert w is not None and w.order == 20
+    assert witt_coboundary(sphere, w) * to_witt(e1) == to_witt(e2)
+    e3 = from_witt(witt_exp(sphere, 2, 20, {1: z.scale(2)}))
+    assert mc_check(sphere, e3)[0]
+    assert gauge_equivalent(sphere, e1, e3) is None
+
+
 def test_gauge_preconditions(sphere, cr4):
     z = closed_2_rep(sphere)
     e1 = MCElement.single(1, 1, z)

@@ -6,8 +6,10 @@ from itertools import combinations, permutations
 
 import pytest
 
+from posetdeform.hochschild import RelHochschildCarrier
 from posetdeform.linalg import rank
 from posetdeform.posets import Poset, UnknownElement, chain_poset
+from posetdeform.scalars import TruncSeries
 from posetdeform.simplicial import (
     SimpCochain,
     SimplicialCarrier,
@@ -24,6 +26,15 @@ def test_compose_on_two_element_chain(chain2):
     h = car.compose_at(f, 1, g)
     i0, i1 = chain2.index("0"), chain2.index("1")
     assert h.value((i0, i1)) == f.value((i0, i1)) * g.value((i0, i1))
+
+
+def test_vanishing_series_products_leave_no_entry(chain2):
+    """lam * lam is 0 at order 1: composing the constant lam with itself
+    gives the zero cochain on both carriers, with no zero-series entries."""
+    for car in (SimplicialCarrier(chain2), RelHochschildCarrier(chain2)):
+        lam = car.constant(1, TruncSeries.lam(1))
+        got = car.compose_at(lam, 1, lam)
+        assert got == SimpCochain(1) and got.is_zero()
 
 
 def test_constants(diamond):
