@@ -45,7 +45,7 @@ print("f{g, g} degree:", b.degree)
 # 2-cochains the shifted degrees are odd and the signs symmetrize
 f2 = car.random_elem(2, rng)
 lhs = bracket(car, f, f2)
-rhs = car.add(circle(car, f, f2), circle(car, f2, f))
+rhs = circle(car, f, f2) + circle(car, f2, f)
 print("[f, f2] == f o f2 + f2 o f:", lhs == rhs)
 
 # dot is the associative cup-like product

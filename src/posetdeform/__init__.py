@@ -2,12 +2,14 @@
 
 The package is organized bottom-up:
 
-* ``scalars``    exact rationals, truncated power series, Witt units
+* ``scalars``    exact rationals and truncated power series (Witt units
+                 are the series with constant term 1)
 * ``posets``     finite posets, chain and interval enumeration
 * ``linalg``     sparse exact Gaussian elimination (rank, kernel, solve)
-* ``opcore``     carrier-generic operad operations and all Koszul signs
-* ``simplicial`` the one cochain type, the arithmetic every carrier
-                 shares, the simplicial carrier, nerve cohomology
+* ``opcore``     operad operations over any carrier (compose_at, identity,
+                 mult) and all Koszul signs
+* ``simplicial`` the one cochain type and its arithmetic, the simplicial
+                 carrier, nerve cohomology
 * ``hochschild`` incidence algebra; the relative Hochschild carrier (the
                  same cochains, composed in kP) and the full one (the
                  same cochain type, keyed by argument and output intervals)
@@ -37,7 +39,7 @@ from .opcore import brace, bracket, circle, differential, dot, gamma
 from .suites import SUITES
 from .gsiso import phi, verify_morphism
 from .deform import MCElement, WittCochain, gauge_equivalent, mc_check, moduli, to_witt
-from .scalars import TruncSeries, WittElem
+from .scalars import TruncSeries
 
 __all__ = [
     "Poset",
@@ -68,6 +70,5 @@ __all__ = [
     "gauge_equivalent",
     "moduli",
     "TruncSeries",
-    "WittElem",
     "__version__",
 ]

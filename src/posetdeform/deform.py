@@ -33,7 +33,7 @@ from math import lcm
 from .hochschild import IncElem, rel_eval
 from .linalg import SparseMat, _eliminate, rank, rank_kernel, solve_in_image
 from .opcore import circle, differential
-from .scalars import TruncSeries, WittElem
+from .scalars import DomainError, TruncSeries
 from .simplicial import SimpCochain, SimplicialCarrier, coboundary_matrix
 
 
@@ -146,10 +146,10 @@ def mc_check(p, e, carrier=None):
     # absent layers are zero, and so are their differentials and products:
     # only a layer of terms or a sum of two of them can carry a defect
     for n in sorted({a + b for a in [0] + layers for b in layers if a + b <= e.order}):
-        defect = differential(car, terms[n]) if n in terms else car.zero(3)
+        defect = differential(car, terms[n]) if n in terms else SimpCochain(3)
         for a in layers:
             if a < n and n - a in terms:
-                defect = car.add(defect, circle(car, terms[a], terms[n - a]))
+                defect += circle(car, terms[a], terms[n - a])
         if not defect.is_zero():
             for ch in p.chains(3):
                 v = defect.value(ch)
@@ -162,14 +162,15 @@ def mc_check(p, e, carrier=None):
 
 class WittCochain:
     """Cochain valued in the truncated Witt group: one multiplicative
-    series per weak chain, defaulting to 1."""
+    series per weak chain, defaulting to 1.  Each value is a TruncSeries
+    with constant term 1 (a Witt unit); any other raises DomainError."""
 
     __slots__ = ("degree", "order", "values")
 
     def __init__(self, degree, order, values=()):
         self.degree = degree
         self.order = order
-        one = WittElem.one(order)
+        one = TruncSeries.one(order)
         out = {}
         items = values.items() if isinstance(values, dict) else values
         for ch, w in items:
@@ -179,15 +180,15 @@ class WittCochain:
                 )
             if w.order != order:
                 raise ValueError("order mismatch in Witt values")
+            if w.num[0] != w.den:
+                raise DomainError("Witt unit needs constant term 1")
             if w != one:
                 out[tuple(ch)] = w
         self.values = out
 
     def value(self, chain):
         got = self.values.get(chain)
-        if got is None:
-            return WittElem.one(self.order)
-        return got
+        return TruncSeries.one(self.order) if got is None else got
 
     def is_one(self):
         return not self.values
@@ -196,7 +197,7 @@ class WittCochain:
         if self.degree != other.degree or self.order != other.order:
             raise ValueError("degree/order mismatch in Witt product")
         out = dict(self.values)
-        one = WittElem.one(self.order)
+        one = TruncSeries.one(self.order)
         for ch, w in other.values.items():
             nw = out.get(ch, one) * w
             if nw == one:
@@ -241,7 +242,7 @@ class WittCochain:
             entries.append(
                 {
                     "chain": list(poset.chain_labels(ch)),
-                    "series": w.value.to_strings(),
+                    "series": w.to_strings(),
                 }
             )
         return {"degree": self.degree, "order": self.order, "entries": entries}
@@ -280,16 +281,14 @@ def _layers(degree, order, series):
 
 def to_witt(e):
     """MCElement -> degree-2 Witt cochain, pointwise 1 + sum omega_n lam^n."""
-    vals = {ch: WittElem(s) for ch, s in _series(e.terms, e.order, 1).items()}
-    return WittCochain(2, e.order, vals)
+    return WittCochain(2, e.order, _series(e.terms, e.order, 1))
 
 
 def from_witt(w):
     """Inverse of to_witt: read the lam-coefficients back off."""
     if w.degree != 2:
         raise UnsupportedDegree("only degree-2 Witt cochains encode deformations")
-    series = {ch: x.value for ch, x in w.values.items()}
-    return MCElement(w.order, _layers(2, w.order, series))  # drops zero layers
+    return MCElement(w.order, _layers(2, w.order, w.values))  # drops zero layers
 
 
 def witt_coboundary(p, c):
@@ -304,7 +303,6 @@ def witt_coboundary(p, c):
     if c.degree not in (1, 2):
         raise UnsupportedDegree("witt coboundary defined in degrees 1 and 2")
     n = c.degree
-    vals = {ch: w.value for ch, w in c.values.items()}
     inverses = {}
     one = TruncSeries.one(c.order)
     out = {}
@@ -312,7 +310,7 @@ def witt_coboundary(p, c):
         acc = None
         for i in range(n + 2):
             face = ch[:i] + ch[i + 1 :]
-            f = vals.get(face)
+            f = c.values.get(face)
             if f is None:
                 continue
             if i % 2:
@@ -322,7 +320,7 @@ def witt_coboundary(p, c):
                 f = inv
             acc = f if acc is None else acc * f
         if acc is not None and acc != one:
-            out[ch] = WittElem(acc)
+            out[ch] = acc
     return WittCochain(n + 1, c.order, out)
 
 
@@ -333,7 +331,7 @@ def is_witt_cocycle(p, c):
 def witt_exp(p, degree, order, layers):
     """Pointwise exponential of additive layers: layers[n] (1-indexed)
     are cochains of the given degree; missing layers are zero."""
-    vals = {ch: WittElem.from_log(s) for ch, s in _series(layers, order, 0).items()}
+    vals = {ch: s.exp() for ch, s in _series(layers, order, 0).items()}
     return WittCochain(degree, order, vals)
 
 
@@ -464,7 +462,7 @@ def deformation_product(p, e):
     series: coefficient 1 + sum omega_n(chain) lam^n on each weak
     2-chain.  Its den is 1 and it is never reduced."""
     w = to_witt(e)
-    return SimpCochain(2, {ch: w.value(ch).value for ch in p.chains(2)})
+    return SimpCochain(2, {ch: w.value(ch) for ch in p.chains(2)})
 
 
 def associativity_witness(p, e):

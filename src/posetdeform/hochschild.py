@@ -5,9 +5,8 @@ i <= j, with E[i, j] * E[j, k] = E[i, k] and all other basis products
 zero.  The diagonal spans the separable subalgebra generated by the
 idempotents E[i, i].
 
-Two cochain carriers live here, both on simplicial.SimpCochain and
-simplicial.Carrier's arithmetic; they differ in their keys and in how
-they compose.
+Two cochain carriers live here, both on simplicial.SimpCochain and its
+arithmetic; they differ in their keys and in how they compose.
 
 *Relative* cochains (relative to the diagonal subalgebra) are determined
 by one scalar per weak n-chain, so they are stored as the same
@@ -56,8 +55,8 @@ from fractions import Fraction
 from itertools import product
 
 from .linalg import SparseMat, dims_from_ranks, rank
-from .opcore import ArityMismatch, SlotOutOfRange, differential
-from .simplicial import Carrier, SimpCochain, SimplicialCarrier
+from .opcore import ArityMismatch, differential
+from .simplicial import Carrier, SimpCochain, SimplicialCarrier, check_slot, group_by_ends
 
 F1 = Fraction(1)
 
@@ -228,20 +227,15 @@ class RelHochschildCarrier(SimplicialCarrier):
         c = a[:j-1] + b + a[j+1:].  A relative cochain is bilinear over the
         diagonal, so delta_b's value lies in E[b0] kP E[bq] and can fill
         slot j only where a has the interval (b0, bq): g's chains are
-        grouped by end points (a degree-0 (x,) by (x, x)) and each chain of
-        f meets one group, as in the simplicial carrier.  The table
+        grouped by end points (group_by_ends) and each chain of f meets
+        one group, as in the simplicial carrier.  The table
         self._tables[j][a][b] is filled when a pair first meets and lives
         as long as the carrier, so rel_eval runs once per pair per carrier.
         Every k still comes from evaluation in kP while the simplicial
         carrier restricts faces, so the iso suite still compares two
         independently derived rules.  By bilinearity the numerators
         multiply as they are, over f.den * g.den."""
-        p = f.degree
-        if p < 1 or not 1 <= j <= p:
-            raise SlotOutOfRange("slot %d invalid for arity %d" % (j, p))
-        by_ends = {}
-        for b, y in g.values.items():
-            by_ends.setdefault((b[0], b[-1]), []).append((b, y))
+        by_ends = group_by_ends(f, j, g)
         table = self._tables.setdefault(j, {})
         out = {}
         for a, x in f.values.items():
@@ -259,14 +253,14 @@ class RelHochschildCarrier(SimplicialCarrier):
                 v = k * x * y
                 if v:
                     out[head + b + tail] = v
-        return SimpCochain._reduced(p + g.degree - 1, out, f.den * g.den)
+        return SimpCochain._reduced(f.degree + g.degree - 1, out, f.den * g.den)
 
 
 class FullHochschildCarrier(Carrier):
     """Endomorphism operad of the incidence algebra.  A degree-n cochain is
     a SimpCochain keyed by (x_1, ..., x_n, y): its value there is the
     coefficient of E[y] in the image of (E[x_1], ..., E[x_n]).  Only what
-    reads those keys lives here; the arithmetic is Carrier's."""
+    reads those keys lives here; the arithmetic is SimpCochain's."""
 
     name = "full"
 
@@ -298,9 +292,7 @@ class FullHochschildCarrier(Carrier):
         K is not part of that key, so entries of g with the same u land on
         one output: outputs are summed and zeros dropped.  No list of all
         tuples is built, so this raises no TooLarge."""
-        p = f.degree
-        if p < 1 or not 1 <= j <= p:
-            raise SlotOutOfRange("slot %d invalid for arity %d" % (j, p))
+        check_slot(f, j)
         by_slot = {}
         for a, x in f.values.items():
             by_slot.setdefault(a[j - 1], []).append((a, x))
@@ -311,7 +303,7 @@ class FullHochschildCarrier(Carrier):
                 key = a[: j - 1] + u + a[j:]
                 out[key] = out.get(key, 0) + x * s
         out = {key: v for key, v in out.items() if v}
-        return SimpCochain._reduced(p + g.degree - 1, out, f.den * g.den)
+        return SimpCochain._reduced(f.degree + g.degree - 1, out, f.den * g.den)
 
     def _build(self, n):
         """The identity map of kP (n = 1) or its product (n = 2)."""

@@ -1,19 +1,18 @@
 """Carrier-generic operad operations.
 
-A *carrier* is any object exposing the small duck-typed interface used
-below: ``arity(x)``, ``zero(n)``, ``add(x, y)``, ``scale(c, x)``,
-``equal(x, y)``, ``is_zero(x)``, ``compose_at(f, j, g)``, ``identity()``
-and ``mult()`` (a fixed associative arity-2 element with m o m = 0); the
-suites also use ``poset``, ``random_elem(n, rng)`` and
-``diff_witness(x, y)``.  Every carrier stores simplicial.SimpCochain and
-takes its arithmetic, zero and built-once identity and mult from
-simplicial.Carrier.  SimplicialCarrier keys cochains by weak chains and
-composes by face restriction; the relative Hochschild carrier inherits
-all of it but ``compose_at``; the full Hochschild carrier keys them by
-argument intervals and an output interval (x_1, ..., x_n, y) and
-composes them as multilinear maps.  Everything in this module is written
-once against that interface, so all carriers share one set of sign
-conventions by construction.
+A *carrier* is an operad with multiplication on simplicial.SimpCochain:
+``compose_at(f, j, g)``, ``identity()`` and ``mult()`` (a fixed
+associative arity-2 element with m o m = 0) are all this module reads of
+it; the arithmetic (degree, SimpCochain(n) as zero, +, unary -, scale,
+== and is_zero()) is SimpCochain's own.  The suites also read
+``poset``, ``random_elem(n, rng)`` and ``diff_witness(x, y)``.
+SimplicialCarrier keys cochains by weak chains and composes by face
+restriction; the relative Hochschild carrier inherits all of it but
+``compose_at``; the full Hochschild carrier keys them by argument
+intervals and an output interval (x_1, ..., x_n, y) and composes them as
+multilinear maps.  Everything in this module is written once against
+that interface, so all carriers share one set of sign conventions by
+construction.
 
 Degree bookkeeping.  For an element x of arity n we write |x| = n for its
 unshifted degree and <x> = n - 1 for its shifted degree.  All signs below
@@ -44,25 +43,20 @@ from __future__ import annotations
 
 from itertools import combinations
 
-
-class ArityMismatch(ValueError):
-    """Argument list length does not match the arity being saturated."""
-
-
-class SlotOutOfRange(ValueError):
-    """compose_at with j outside 1..arity(f)."""
+# the exceptions live with the carriers that raise them and stay importable here
+from .simplicial import ArityMismatch, SimpCochain, SlotOutOfRange  # noqa: F401
 
 
-def signed(car, e, x):
+def signed(e, x):
     """(-1)**e x: every sign rule of this module and of the suites."""
-    return car.scale(-1, x) if e % 2 else x
+    return -x if e % 2 else x
 
 
 def gamma(car, f, args):
     """Total composition: gamma(f; f_1, ..., f_k) with k = arity(f),
     realized as (..((f o_k f_k) o_{k-1} f_{k-1}) ..) o_1 f_1.
     gamma(x;) is x for arity-0 x."""
-    k = car.arity(f)
+    k = f.degree
     if len(args) != k:
         raise ArityMismatch("gamma needs exactly %d arguments, got %d" % (k, len(args)))
     out = f
@@ -81,18 +75,17 @@ def brace(car, x, args):
     args = list(args)
     if not args:
         return x
-    m = car.arity(x)
+    m = x.degree
     if len(args) > m:
-        return car.zero(max(m + sum(car.arity(a) - 1 for a in args), 0))
+        return SimpCochain(max(m + sum(a.degree - 1 for a in args), 0))
     return _brace_sum(car, x, m, args)
 
 
 def _brace_sum(car, x, m, args):
     k = len(args)
-    arities = [car.arity(a) for a in args]
+    arities = [a.degree for a in args]
     shifted = [a - 1 for a in arities]
-    result_arity = m + sum(arities) - k
-    total = car.zero(result_arity)
+    total = SimpCochain(m + sum(arities) - k)
     for slots in combinations(range(1, m + 1), k):
         eps = 0
         consumed = 0  # arity consumed by earlier blocks
@@ -105,7 +98,7 @@ def _brace_sum(car, x, m, args):
         term = x
         for p in range(k - 1, -1, -1):
             term = car.compose_at(term, slots[p], args[p])
-        total = car.add(total, signed(car, eps, term))
+        total += signed(eps, term)
     return total
 
 
@@ -116,21 +109,21 @@ def circle(car, f, g):
 
 def dot(car, x, y):
     """The associative product x . y = (-1)**|x| m{x, y}."""
-    return signed(car, car.arity(x), brace(car, car.mult(), [x, y]))
+    return signed(x.degree, brace(car, car.mult(), [x, y]))
 
 
 def differential(car, x):
     """Differential of the shifted complex: d x = m o x - (-1)**<x> x o m.
     Raises arity by one and squares to zero."""
     left = circle(car, car.mult(), x)
-    right = signed(car, car.arity(x), circle(car, x, car.mult()))
-    return car.add(left, right)
+    right = signed(x.degree, circle(car, x, car.mult()))
+    return left + right
 
 
 def differential_unshifted(car, x):
     """The classical-complex differential, recovered from the shifted one
     by d(sx) = -s(dx); equals (-1)**|x| times the alternating face sum."""
-    return car.scale(-1, differential(car, x))
+    return -differential(car, x)
 
 
 def bracket(car, f, g):
@@ -138,8 +131,8 @@ def bracket(car, f, g):
     complex.  Both products have arity max(|f| + |g| - 1, 0), zeros
     included, so they add directly."""
     fg = circle(car, f, g)
-    e = (car.arity(f) - 1) * (car.arity(g) - 1) + 1
-    return car.add(fg, signed(car, e, circle(car, g, f)))
+    e = (f.degree - 1) * (g.degree - 1) + 1
+    return fg + signed(e, circle(car, g, f))
 
 
 class SignFlip:
@@ -154,9 +147,7 @@ class SignFlip:
 
     def compose_at(self, f, j, g):
         out = self.base.compose_at(f, j, g)
-        if j == 2:
-            out = self.base.scale(-1, out)
-        return out
+        return -out if j == 2 else out
 
     def __getattr__(self, attr):
         return getattr(self.base, attr)

@@ -13,8 +13,6 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-import json
-
 
 class PosetError(ValueError):
     pass
@@ -205,17 +203,6 @@ def _cycle(labels, succ):
         if i < j and reach[j] >> i & 1
     )
     return CycleDetected("%r and %r are comparable both ways" % (labels[i], labels[j]))
-
-
-def load_poset(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return Poset.from_dict(json.load(fh))
-
-
-def save_poset(poset, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(poset.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def chain_poset(k):

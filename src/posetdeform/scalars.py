@@ -1,10 +1,11 @@
 """Exact scalar arithmetic.
 
-Three layers: arbitrary-precision rationals (``fractions.Fraction``, kept
-canonical by the stdlib), truncated power series in a formal parameter
-``lam`` with rational coefficients, and the multiplicative group of series
-with constant term 1 ("Witt units"), which carries an exact log/exp pair
-onto series with constant term 0.
+Two layers: arbitrary-precision rationals (``fractions.Fraction``, kept
+canonical by the stdlib) and truncated power series in a formal parameter
+``lam`` with rational coefficients.  The series with constant term 1 are
+the "Witt units", a multiplicative group that log and exp carry exactly
+onto the series with constant term 0; they are plain TruncSeries, and
+deform.WittCochain checks the constant term of each value it holds.
 
 A series is stored as int numerators over one reduced positive
 denominator, the form simplicial.SimpCochain uses, so its arithmetic runs
@@ -12,7 +13,7 @@ on ints.  Fractions remain only at the boundary: the constructor takes
 them (or ints, or strings), and coeffs, to_strings and from_strings give
 and read them, for output and for the right-hand sides of linear systems.
 
-No floats anywhere; every operation is exact.
+No floats anywhere: every operation is exact, and a float input is refused.
 """
 
 from __future__ import annotations
@@ -39,6 +40,16 @@ def format_rat(q):
     if q.denominator == 1:
         return str(q.numerator)
     return "%d/%d" % (q.numerator, q.denominator)
+
+
+def rational(c):
+    """c as an int or Fraction (a string such as "1/3" through Fraction).
+    A float raises TypeError: its binary value is not the number written."""
+    if isinstance(c, (int, Fraction)):
+        return c
+    if isinstance(c, float):
+        raise TypeError("%r is a float; pass an int, a Fraction or a string" % (c,))
+    return Fraction(c)
 
 
 def _push(out, den, s, t):
@@ -86,7 +97,7 @@ class TruncSeries:
     def __init__(self, order, coeffs=()):
         if order < 0:
             raise ValueError("truncation order must be >= 0")
-        cs = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in coeffs]
+        cs = [rational(c) for c in coeffs]
         if len(cs) > order + 1:
             raise ValueError("got %d coefficients for order %d" % (len(cs), order))
         # numerators over the lcm of reduced denominators need no gcd
@@ -253,51 +264,5 @@ class TruncSeries:
 
     @classmethod
     def from_strings(cls, strings):
-        return cls(len(strings) - 1, [Fraction(s) for s in strings])
+        return cls(len(strings) - 1, strings)
 
-
-class WittElem:
-    """A truncated series with constant term 1, as an element of the
-    multiplicative group 1 + lam*Q[lam] mod lam**(order+1)."""
-
-    __slots__ = ("value",)
-
-    def __init__(self, value):
-        if not isinstance(value, TruncSeries):
-            raise TypeError("WittElem wraps a TruncSeries")
-        if value.num[0] != value.den:
-            raise DomainError("Witt unit needs constant term 1")
-        self.value = value
-
-    @property
-    def order(self):
-        return self.value.order
-
-    @classmethod
-    def one(cls, order):
-        return cls(TruncSeries.one(order))
-
-    @classmethod
-    def from_log(cls, series):
-        """exp: series with constant term 0 -> Witt unit."""
-        return cls(series.exp())
-
-    def log(self):
-        return self.value.log()
-
-    def __mul__(self, other):
-        if not isinstance(other, WittElem):
-            raise TypeError("can only multiply Witt units together")
-        return WittElem(self.value * other.value)
-
-    def inverse(self):
-        return WittElem(self.value.inverse())
-
-    def __eq__(self, other):
-        return isinstance(other, WittElem) and self.value == other.value
-
-    def __hash__(self):
-        return hash(("witt", self.value))
-
-    def __repr__(self):
-        return "WittElem(%s)" % (self.value.to_strings(),)

@@ -14,8 +14,9 @@ are the operadic identity and the multiplication, and through them the
 whole opcore structure (braces, dot, differential, bracket) applies.
 
 SimpCochain is the cochain type of every carrier (the full Hochschild
-carrier keys it by intervals, see its docstring), and Carrier holds what
-all carriers share.  Nerve cohomology dimensions are computed from the
+carrier keys it by intervals, see its docstring) and carries all the
+arithmetic; Carrier holds what all carriers share, the built-once
+identity() and mult().  Nerve cohomology dimensions are computed from the
 classical alternating face-sum coboundary on either the weak or the
 strict chain basis.
 """
@@ -26,10 +27,17 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .linalg import SparseMat, dims_from_ranks, rank
-from .opcore import SlotOutOfRange
-from .scalars import TruncSeries, format_rat
+from .scalars import TruncSeries, format_rat, rational
 
 _UNIT = {1: Fraction(1), -1: Fraction(-1)}
+
+
+class ArityMismatch(ValueError):
+    """Argument list length does not match the arity being saturated."""
+
+
+class SlotOutOfRange(ValueError):
+    """compose_at with j outside 1..degree of f."""
 
 
 def _times(values, s):
@@ -73,7 +81,7 @@ class SimpCochain:
                     "chain %r has %d entries, expected %d" % (ch, len(ch), degree + 1)
                 )
             if not isinstance(v, (int, Fraction, TruncSeries)):
-                v = Fraction(v)
+                v = rational(v)
             if v:
                 vals[tuple(ch)] = v
         # numerators over the lcm of reduced denominators need no gcd
@@ -207,29 +215,17 @@ class SimpCochain:
 
 class Carrier:
     """What every carrier shares, whatever the keys of its SimpCochains
-    mean: arithmetic, zero, and identity() and mult(), each built once by
-    the subclass's _build(n) (n = 1, 2) and then shared, since no
-    operation changes a cochain in place."""
+    mean.  A carrier is an operad with multiplication: compose_at(f, j, g)
+    from the subclass, and identity() and mult(), each built once by the
+    subclass's _build(n) (n = 1, 2) and then shared, since no operation
+    changes a cochain in place.  The arithmetic is SimpCochain's own.  The
+    suites also read poset, random_elem(n, rng) and diff_witness(x, y)."""
 
     def __init__(self, poset):
         self.poset = poset
         self._constants = {}
 
-    def arity(self, x):
-        return x.degree
-
-    def zero(self, n):
-        return SimpCochain(n)
-
-    def add(self, x, y):
-        return x.add(y)
-
-    def scale(self, c, x):
-        return x.scale(c)
-
-    def equal(self, x, y):
-        return x == y
-
+    # perfbench/spans.py's _agree_counts calls car.is_zero on agree's car
     def is_zero(self, x):
         return x.is_zero()
 
@@ -246,6 +242,23 @@ class Carrier:
         return got
 
 
+def check_slot(f, j):
+    """Raise SlotOutOfRange unless 1 <= j <= f.degree."""
+    if not 1 <= j <= f.degree:
+        raise SlotOutOfRange("slot %d invalid for arity %d" % (j, f.degree))
+
+
+def group_by_ends(f, j, g):
+    """Check slot j of f, then group g's entries (b, y) by the end points
+    (b[0], b[-1]) of their chains (a degree-0 (x,) by (x, x)): the
+    interval of f's chain in slot j that each can fill."""
+    check_slot(f, j)
+    by_ends = {}
+    for b, y in g.values.items():
+        by_ends.setdefault((b[0], b[-1]), []).append((b, y))
+    return by_ends
+
+
 class SimplicialCarrier(Carrier):
     """Operad carrier of simplicial cochains on one poset, composing by
     face restriction.  hochschild.RelHochschildCarrier inherits everything
@@ -259,15 +272,10 @@ class SimplicialCarrier(Carrier):
         An output chain c is the pair (a, b) glued in slot j: a = f's
         chain with its interval (a[j-1], a[j]) filled in by b = g's chain
         from a[j-1] to a[j], c = a[:j-1] + b + a[j+1:].  So g's chains
-        are grouped by their end points (a degree-0 chain (x,) by (x, x))
-        and each chain of f meets only its own group; every output comes
-        from exactly one pair and costs one product."""
-        p = f.degree
-        if p < 1 or not 1 <= j <= p:
-            raise SlotOutOfRange("slot %d invalid for arity %d" % (j, p))
-        by_ends = {}
-        for b, y in g.values.items():
-            by_ends.setdefault((b[0], b[-1]), []).append((b, y))
+        are grouped by their end points (group_by_ends) and each chain of
+        f meets only its own group; every output comes from exactly one
+        pair and costs one product."""
+        by_ends = group_by_ends(f, j, g)
         out = {}
         for a, x in f.values.items():
             group = by_ends.get(a[j - 1 : j + 1])
@@ -280,7 +288,7 @@ class SimplicialCarrier(Carrier):
             # two nonzero ints never multiply to 0, but two series can
             out = {c: v for c, v in out.items() if v}
         # (f/D) o_j (g/E) = (f o_j g)/(DE): numerators multiply as ints
-        return SimpCochain._reduced(p + g.degree - 1, out, f.den * g.den)
+        return SimpCochain._reduced(f.degree + g.degree - 1, out, f.den * g.den)
 
     def constant(self, n, value=1):
         return SimpCochain(n, {c: value for c in self.poset.chains(n)})

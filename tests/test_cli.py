@@ -10,7 +10,7 @@ jsonschema = pytest.importorskip("jsonschema")
 
 from posetdeform import cli
 from posetdeform.deform import MAX_ORDER, MCElement, moduli
-from posetdeform.posets import save_poset, sphere_poset
+from posetdeform.posets import sphere_poset
 from posetdeform.simplicial import SimpCochain
 
 ROOT = Path(__file__).resolve().parents[1]

@@ -25,7 +25,7 @@ from posetdeform.deform import (
     witt_log_layers,
 )
 from posetdeform.opcore import SignFlip, circle, differential
-from posetdeform.scalars import WittElem
+from posetdeform.scalars import DomainError, TruncSeries
 from posetdeform.simplicial import SimpCochain, SimplicialCarrier
 
 
@@ -82,7 +82,7 @@ class NoDifferential:
         self.base = base
 
     def mult(self):
-        return self.base.zero(2)
+        return SimpCochain(2)
 
     def __getattr__(self, attr):
         return getattr(self.base, attr)
@@ -179,6 +179,17 @@ def test_witt_cochain_group_ops(diamond):
     a, b = to_witt(e1), to_witt(e2)
     assert (a * b) * b.inverse() == a
     assert (a * a.inverse()).is_one()
+
+
+def test_witt_cochain_requires_unit_values():
+    """A Witt value is a series with constant term 1; any other is refused."""
+    c = (0, 0, 0)
+    with pytest.raises(DomainError):
+        WittCochain(2, 1, {c: TruncSeries(1, [2, 1])})
+    with pytest.raises(DomainError):
+        WittCochain(2, 1, {c: TruncSeries(1, [0, 1])})
+    w = WittCochain(2, 1, {c: TruncSeries(1, [1, 1])})
+    assert w.value(c) == TruncSeries(1, [1, 1])
 
 
 def test_from_witt_needs_degree_two():

@@ -176,11 +176,10 @@ def test_inclusion_commutes_with_structure(chain2, diamond):
             g = rel.random_elem(qf, rng)
             lhs = include_relative(rel.compose_at(f, j, g))
             rhs = full.compose_at(include_relative(f), j, include_relative(g))
-            assert full.equal(lhs, rhs)
+            assert lhs == rhs
         x = rel.random_elem(1, rng)
-        assert full.equal(
-            include_relative(differential(rel, x)),
-            differential(full, include_relative(x)),
+        assert include_relative(differential(rel, x)) == differential(
+            full, include_relative(x)
         )
 
 
@@ -189,17 +188,17 @@ def test_full_cochain_arithmetic(chain2):
     rng = random.Random("hoch:full")
     x = car.random_elem(1, rng)
     y = car.random_elem(1, rng)
-    assert car.equal(car.add(x, y), car.add(y, x))
-    z = car.add(x, car.scale(Fraction(-1), x))
-    assert car.is_zero(z)
+    assert x + y == y + x
+    z = x + x.scale(Fraction(-1))
+    assert z.is_zero()
 
 
 def test_full_identity_acts_as_unit(chain2):
     car = FullHochschildCarrier(chain2)
     e = car.identity()
     f = car.random_elem(2, random.Random("hoch:fe"))
-    assert car.equal(car.compose_at(f, 1, e), f)
-    assert car.equal(car.compose_at(f, 2, e), f)
+    assert car.compose_at(f, 1, e) == f
+    assert car.compose_at(f, 2, e) == f
 
 
 # The full carrier's constants as the FullCochain tables of earlier
@@ -294,7 +293,7 @@ def test_series_ring_cochains(chain2):
     a = IncElem({(i0, i1): one})
     b = IncElem({(i1, i1): one})
     assert rel_eval(m, [a, b]) == a
-    assert rel_eval(car.scale(2, m), [a, b]) == a.scale(2)
+    assert rel_eval(m.scale(2), [a, b]) == a.scale(2)
     lam = TruncSeries.lam(1)
     assert rel_eval(m, [a.scale(lam), b.scale(lam)]).is_zero()
     assert not TruncSeries.zero(1) and TruncSeries.one(1) and lam

@@ -1,6 +1,7 @@
 """Poset construction, chain enumeration, and serialization."""
 
 import gc
+import json
 from math import comb
 
 import pytest
@@ -13,8 +14,6 @@ from posetdeform.posets import (
     chain_poset,
     crown_poset,
     diamond_poset,
-    load_poset,
-    save_poset,
     sphere_poset,
 )
 
@@ -116,8 +115,8 @@ def test_chain_label_round_trip(diamond):
 
 def test_json_round_trip(tmp_path, diamond):
     path = tmp_path / "d.json"
-    save_poset(diamond, path)
-    q = load_poset(path)
+    path.write_text(json.dumps(diamond.to_dict(), indent=2, sort_keys=True))
+    q = Poset.from_dict(json.loads(path.read_text()))
     assert q.name == diamond.name
     assert list(q.labels) == list(diamond.labels)
     for n in range(4):

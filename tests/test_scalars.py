@@ -10,7 +10,6 @@ from posetdeform.scalars import (
     NotInvertible,
     OrderMismatch,
     TruncSeries,
-    WittElem,
     format_rat,
 )
 
@@ -88,22 +87,32 @@ def test_ring_axioms_randomized():
 
 
 def test_witt_group_randomized():
-    """Multiplicative group laws and the log homomorphism at orders <= 6."""
+    """Multiplicative group laws and the log homomorphism on Witt units,
+    the series with constant term 1, at orders <= 6."""
     rng = random.Random("scalars:witt")
     for _ in range(60):
         order = rng.randint(1, 6)
-        a = WittElem(rand_series(rng, order, first=1))
-        b = WittElem(rand_series(rng, order, first=1))
-        one = WittElem.one(order)
+        a = rand_series(rng, order, first=1)
+        b = rand_series(rng, order, first=1)
+        one = TruncSeries.one(order)
         assert a * a.inverse() == one
         assert a * b == b * a
         assert (a * b).log() == a.log() + b.log()
-        assert WittElem.from_log(a.log()) == a
+        assert a.log().exp() == a
 
 
-def test_witt_requires_unit_constant_term():
-    with pytest.raises(DomainError):
-        WittElem(series(1, 0, 1))
+def test_series_refuses_floats():
+    """A float coefficient is refused, not read as its binary value;
+    ints, Fractions and strings build the same exact series."""
+    with pytest.raises(TypeError):
+        TruncSeries(1, [1, 0.1])
+    with pytest.raises(TypeError):
+        TruncSeries(0, [1.0])
+    with pytest.raises(TypeError):
+        TruncSeries.from_strings(["1", 0.5])
+    s = TruncSeries(2, [1, "1/10", Fraction(-2, 3)])
+    assert s == TruncSeries(2, [Fraction(1), Fraction(1, 10), "-2/3"])
+    assert (s.num, s.den) == ((30, 3, -20), 30)
 
 
 def test_rational_strings():

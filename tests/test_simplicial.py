@@ -187,9 +187,21 @@ def test_weak_and_strict_dims_agree(chain2, chain3, diamond, cr4):
         )
 
 
+def test_cochain_refuses_floats():
+    """A float value is refused, not read as its binary value; ints,
+    Fractions and strings build the same exact cochain."""
+    with pytest.raises(TypeError):
+        SimpCochain(1, {(0, 0): 0.1})
+    with pytest.raises(TypeError):
+        SimpCochain(0, [((0,), 2.0)])
+    x = SimpCochain(1, {(0, 0): "1/3", (0, 1): 2})
+    assert x == SimpCochain(1, {(0, 0): Fraction(1, 3), (0, 1): Fraction(2)})
+    assert (x.den, x.values) == (3, {(0, 0): 1, (0, 1): 6})
+
+
 def test_diff_witness_names_a_chain(diamond):
     car = SimplicialCarrier(diamond)
-    x = car.zero(1)
+    x = SimpCochain(1)
     y = car.constant(1)
     w = car.diff_witness(x, y)
     assert w != "" and "(" in w
