@@ -1,9 +1,9 @@
 """Formal deformations of the incidence product and their moduli.
 
-A deformation mod lam^(N+1) is a family of 2-cochains; it deforms the
-product associatively exactly when the layers satisfy the Maurer-Cartan
-equation, equivalently when the pointwise series form a multiplicative
-cocycle in the truncated Witt group.  Gauge classes are then counted by
+A deformation mod lam^(N+1) is one 2-cochain W valued in series
+lam*k[lam]/(lam^(N+1)); it deforms the product associatively exactly when
+it satisfies the Maurer-Cartan equation dW + W o W = 0, equivalently when
+1 + W is a multiplicative cocycle in the truncated Witt group.  Gauge classes are then counted by
 N copies of the degree-2 cohomology.
 """
 

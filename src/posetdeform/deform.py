@@ -1,28 +1,26 @@
 """Formal deformations of the incidence product, truncated at a fixed
 order N.
 
-An MCElement packages the higher terms omega_1, ..., omega_N (each a
-simplicial 2-cochain) of a candidate deformed product
-m + omega_1*lam + ... + omega_N*lam^N.  mc_check tests the layerwise
-Maurer-Cartan equation  d omega_n + sum_{p+q=n} omega_p o omega_q = 0
-with the shifted differential and circle product from opcore.
+A candidate deformed product m + omega_1*lam + ... + omega_N*lam^N is an
+MCElement: its higher terms as one series-valued simplicial 2-cochain W,
+W(chain) = sum_n omega_n(chain) lam^n, an element of the DGLA tensored
+with lam*k[lam]/(lam^{N+1}).  mc_check tests the Maurer-Cartan equation
+dW + W o W = 0 there, with the shifted differential and circle product
+from opcore; the layers omega_n are read off W only for JSON and for the
+linear solves.
 
-The same data reads as a single cochain valued in the truncated Witt
-group W_N = 1 + lam*k[lam]/(lam^{N+1}): pointwise series
-1 + sum omega_n(chain) lam^n.  Under that reading the Maurer-Cartan
-equation becomes the multiplicative cocycle condition, coboundaries
-implement gauge equivalence, and log/exp turn every question into N
-independent linear problems over the rationals.  That is how
+The same data reads as a cochain valued in the truncated Witt group
+W_N = 1 + lam*k[lam]/(lam^{N+1}): pointwise 1 + W.  Under that reading
+the Maurer-Cartan equation becomes the multiplicative cocycle condition,
+coboundaries implement gauge equivalence, and log/exp turn every question
+into N independent linear problems over the rationals.  That is how
 gauge_equivalent and moduli are computed; mc_check stays on the DGLA
 side precisely so the equivalence of the two roads is testable.
 
-Layers are SimpCochains of int numerators over one denominator, and a
-Witt value is a TruncSeries of int numerators over one denominator, so
-mc_check and the whole Witt road run on ints: to_witt, from_witt, witt_exp
-and witt_log_layers move numerators between the two forms directly.
-Fractions enter only at the linear solves of gauge_equivalent (their
-right-hand sides and solutions) and in JSON output.  The deformed product
-(deformation_product) is the one series-valued SimpCochain.
+Every series is a TruncSeries of int numerators over one denominator, so
+mc_check and the whole Witt road run on ints.  Fractions enter only at
+the linear solves of gauge_equivalent (their right-hand sides and
+solutions) and in JSON output.
 """
 
 from __future__ import annotations
@@ -51,26 +49,26 @@ class UnsupportedDegree(ValueError):
 
 
 class MCElement:
-    """Higher terms of a formal deformation: terms[n] is the lam^n
-    coefficient, a simplicial 2-cochain, for 1 <= n <= order."""
+    """Higher terms of a formal deformation, built from terms {n: the lam^n
+    coefficient, a simplicial 2-cochain} for 1 <= n <= order and stored as
+    one 2-cochain w of den 1 whose values are TruncSeries with constant
+    term 0: w(chain) = sum_n terms[n](chain) lam^n."""
 
-    __slots__ = ("order", "terms")
+    __slots__ = ("order", "w")
 
     def __init__(self, order, terms=()):
         if not 1 <= order <= MAX_ORDER:
             raise ValueError("order %d outside 1..%d" % (order, MAX_ORDER))
-        self.order = order
-        tv = {}
-        items = terms.items() if isinstance(terms, dict) else terms
-        for n, c in items:
+        layers = {}
+        for n, c in terms.items() if isinstance(terms, dict) else terms:
             n = int(n)
             if not 1 <= n <= order:
                 raise ValueError("term index %d outside 1..%d" % (n, order))
             if c.degree != 2:
                 raise ValueError("term %d has degree %d, expected 2" % (n, c.degree))
-            if not c.is_zero():
-                tv[n] = c
-        self.terms = tv
+            layers[n] = c
+        self.order = order
+        self.w = SimpCochain._of(2, _series(layers, order))
 
     @classmethod
     def zero(cls, order):
@@ -80,20 +78,23 @@ class MCElement:
     def single(cls, order, n, cochain):
         return cls(order, {n: cochain})
 
+    @property
+    def terms(self):
+        """The nonzero layers {n: the lam^n coefficient of w}, read off w."""
+        return {n: c for n in range(1, self.order + 1) if (c := self.term(n)).values}
+
     def term(self, n):
-        got = self.terms.get(n)
-        if got is None:
-            return SimpCochain(2)
-        return got
+        """The lam^n coefficient of w; zero outside 1..order."""
+        return _layer(2, self.w.values, n) if 1 <= n <= self.order else SimpCochain(2)
 
     def is_zero(self):
-        return not self.terms
+        return self.w.is_zero()
 
     def __eq__(self, other):
         return (
             isinstance(other, MCElement)
             and self.order == other.order
-            and self.terms == other.terms
+            and self.w == other.w
         )
 
     __hash__ = None
@@ -131,39 +132,31 @@ class MCElement:
 
 
 def mc_check(p, e, carrier=None):
-    """Layerwise Maurer-Cartan test.
+    """Maurer-Cartan test of the series-valued cochain: dW + W o W = 0.
 
-    Returns (True, None) or (False, (n, chain-labels)) with the first
-    layer and weak 3-chain where the defect is nonzero.  carrier
-    defaults to a new simplicial one; moduli and gauge_equivalent pass
-    one carrier to all their calls, so its mult() is built once, and
-    passing a doctored carrier is how the sensitivity tests poke this
-    harness.
+    Returns (True, None) or (False, (n, chain-labels)) with the lowest
+    lam-degree n where the defect has a nonzero coefficient, and the
+    first weak 3-chain where it does.  carrier defaults to a new
+    simplicial one; moduli and gauge_equivalent pass one carrier to all
+    their calls, so its mult() is built once, and passing a doctored
+    carrier is how the sensitivity tests poke this harness.
     """
     car = carrier if carrier is not None else SimplicialCarrier(p)
-    terms = e.terms
-    layers = sorted(terms)
-    # absent layers are zero, and so are their differentials and products:
-    # only a layer of terms or a sum of two of them can carry a defect
-    for n in sorted({a + b for a in [0] + layers for b in layers if a + b <= e.order}):
-        defect = differential(car, terms[n]) if n in terms else SimpCochain(3)
-        for a in layers:
-            if a < n and n - a in terms:
-                defect += circle(car, terms[a], terms[n - a])
-        if not defect.is_zero():
-            for ch in p.chains(3):
-                v = defect.value(ch)
-                if v != 0:
-                    return False, (n, tuple(p.chain_labels(ch)))
-            # a nonzero defect must show on some weak 3-chain
-            raise AssertionError("nonzero defect without witness chain")
-    return True, None
+    defect = (differential(car, e.w) + circle(car, e.w, e.w)).values
+    if not defect:
+        return True, None
+    # chains(3) is lexicographic: its first chain is the least tuple
+    n, ch = min(
+        (next(k for k, a in enumerate(s.num) if a), ch) for ch, s in defect.items()
+    )
+    return False, (n, tuple(p.chain_labels(ch)))
 
 
 class WittCochain:
     """Cochain valued in the truncated Witt group: one multiplicative
     series per weak chain, defaulting to 1.  Each value is a TruncSeries
-    with constant term 1 (a Witt unit); any other raises DomainError."""
+    with constant term 1 (a Witt unit); any other series raises
+    DomainError, and any other value TypeError."""
 
     __slots__ = ("degree", "order", "values")
 
@@ -174,6 +167,8 @@ class WittCochain:
         out = {}
         items = values.items() if isinstance(values, dict) else values
         for ch, w in items:
+            if not isinstance(w, TruncSeries):
+                raise TypeError("Witt value %r is not a TruncSeries" % (w,))
             if len(ch) != degree + 1:
                 raise ValueError(
                     "chain %r has %d entries, expected %d" % (ch, len(ch), degree + 1)
@@ -248,11 +243,11 @@ class WittCochain:
         return {"degree": self.degree, "order": self.order, "entries": entries}
 
 
-def _series(layers, order, const):
-    """Per chain, the series const + sum_n layers[n](chain) lam^n, read off
-    the layers' int numerators: over the lcm of the dens of the layers
-    present at that chain, reduced once.  Chains no layer is nonzero on
-    are left out."""
+def _series(layers, order):
+    """Per chain, the series sum_n layers[n](chain) lam^n, read off the
+    layers' int numerators: over the lcm of the dens of the layers present
+    at that chain, reduced once.  Chains no layer is nonzero on are left
+    out."""
     rows = {}
     for n, c in layers.items():
         for ch, v in c.values.items():
@@ -260,35 +255,35 @@ def _series(layers, order, const):
     out = {}
     for ch, row in rows.items():
         den = lcm(*[d for _, _, d in row])
-        num = [const * den] + [0] * order
+        num = [0] * (order + 1)
         for n, v, d in row:
             num[n] = v * (den // d)
         out[ch] = TruncSeries._reduced(order, num, den)
     return out
 
 
-def _layers(degree, order, series):
-    """Inverse of _series: {n: the lam^n coefficients of series (a dict
-    chain -> TruncSeries) as a SimpCochain} for 1 <= n <= order."""
-    out = {}
-    for n in range(1, order + 1):
-        col = [(ch, s.num[n], s.den) for ch, s in series.items() if s.num[n]]
-        den = lcm(*[d for _, _, d in col])
-        vals = {ch: v * (den // d) for ch, v, d in col}
-        out[n] = SimpCochain._reduced(degree, vals, den)
-    return out
+def _layer(degree, series, n):
+    """The lam^n coefficients of series (a dict chain -> TruncSeries) as a
+    SimpCochain: the inverse of _series, one layer at a time."""
+    col = [(ch, s.num[n], s.den) for ch, s in series.items() if s.num[n]]
+    den = lcm(*[d for _, _, d in col])
+    return SimpCochain._reduced(degree, {ch: v * (den // d) for ch, v, d in col}, den)
 
 
 def to_witt(e):
-    """MCElement -> degree-2 Witt cochain, pointwise 1 + sum omega_n lam^n."""
-    return WittCochain(2, e.order, _series(e.terms, e.order, 1))
+    """MCElement -> degree-2 Witt cochain, pointwise 1 + W."""
+    one = TruncSeries.one(e.order)
+    return WittCochain(2, e.order, {ch: one + s for ch, s in e.w.values.items()})
 
 
 def from_witt(w):
-    """Inverse of to_witt: read the lam-coefficients back off."""
+    """Inverse of to_witt: W = w - 1 pointwise."""
     if w.degree != 2:
         raise UnsupportedDegree("only degree-2 Witt cochains encode deformations")
-    return MCElement(w.order, _layers(2, w.order, w.values))  # drops zero layers
+    one = TruncSeries.one(w.order)
+    e = MCElement(w.order)
+    e.w = SimpCochain._of(2, {ch: s - one for ch, s in w.values.items()})
+    return e
 
 
 def witt_coboundary(p, c):
@@ -331,13 +326,14 @@ def is_witt_cocycle(p, c):
 def witt_exp(p, degree, order, layers):
     """Pointwise exponential of additive layers: layers[n] (1-indexed)
     are cochains of the given degree; missing layers are zero."""
-    vals = {ch: s.exp() for ch, s in _series(layers, order, 0).items()}
+    vals = {ch: s.exp() for ch, s in _series(layers, order).items()}
     return WittCochain(degree, order, vals)
 
 
 def witt_log_layers(c):
     """Pointwise log, split into additive layer cochains (1-indexed)."""
-    return _layers(c.degree, c.order, {ch: w.log() for ch, w in c.values.items()})
+    logs = {ch: w.log() for ch, w in c.values.items()}
+    return {n: _layer(c.degree, logs, n) for n in range(1, c.order + 1)}
 
 
 def gauge_equivalent(p, e1, e2):

@@ -5,13 +5,16 @@ rule of elimination over Q: columns are processed left to right and the
 pivot is the live row of smallest index with a nonzero entry in the
 current column.  Same matrix, same answer, always.  Rank, a kernel basis,
 and image membership with an explicit Fraction witness are all computed
-this way; nothing here ever touches a float.
+this way.  Nothing here ever touches a float: a float entry or right-hand
+side raises TypeError (scalars.rational).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+
+from .scalars import rational
 
 F0 = Fraction(0)
 F1 = Fraction(1)
@@ -31,7 +34,7 @@ class SparseMat:
     def set(self, r, c, v):
         if not (0 <= r < self.rows and 0 <= c < self.cols):
             raise IndexError("entry (%d, %d) out of shape" % (r, c))
-        v = v if isinstance(v, Fraction) else Fraction(v)
+        v = v if isinstance(v, Fraction) else Fraction(rational(v))
         if v == 0:
             self.entries.pop((r, c), None)
         else:
@@ -163,7 +166,7 @@ def solve_in_image(mat, b):
     if len(b) != mat.rows:
         raise ValueError("rhs length %d != %d rows" % (len(b), mat.rows))
     BCOL = mat.cols
-    b = [v if isinstance(v, Fraction) else Fraction(v) for v in b]
+    b = [v if isinstance(v, Fraction) else Fraction(rational(v)) for v in b]
     pivots, rowmap = _eliminate(mat, rhs=b)
     pivoted = {r for _, r in pivots}
     for r, row in rowmap.items():

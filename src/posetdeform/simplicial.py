@@ -62,10 +62,11 @@ class SimpCochain:
     Fractions appear only in the constructor, value(), to_dict, from_dict.
     No operation changes a cochain in place: each returns a new one, so
     one cochain can be shared, as the carriers share identity() and mult().
-    Series values (scalars.TruncSeries, only from deform.deformation_product)
-    have den 1, are never reduced and take int scalars only.  The two kinds
-    refuse to mix (TypeError), as do series of different orders
-    (scalars.OrderMismatch)."""
+    Series values (scalars.TruncSeries: deform.MCElement.w and
+    deform.deformation_product) have den 1, are never reduced and take int
+    scalars only; opcore runs on them unchanged, composing them with the
+    int-valued mult().  The two kinds refuse to be added (TypeError), as
+    do series of different orders (scalars.OrderMismatch)."""
 
     __slots__ = ("degree", "values", "den")
 

@@ -101,8 +101,8 @@ def mc_check_every_layer(p, e, car):
 
 
 def test_mc_check_skips_layers_that_cannot_carry_a_defect(diamond, sphere):
-    """Only layers in e.terms and sums of two of them are visited; the
-    verdict and the first failing layer stay those of the full loop."""
+    """On sparse elements, whose absent layers are zero, mc_check gives
+    the verdict and the first failing layer of the full layerwise loop."""
     rng = random.Random("mc:sparse")
     seen = {True: 0, False: 0, "outside": 0}
     for p in (diamond, sphere):
@@ -123,6 +123,38 @@ def test_mc_check_skips_layers_that_cannot_carry_a_defect(diamond, sphere):
                 seen[got[0]] += 1
                 seen["outside"] += not got[0] and got[1][0] not in terms
     assert seen[True] >= 1 and seen[False] >= 1 and seen["outside"] >= 1
+
+
+def test_mc_check_is_one_differential_and_one_circle(sphere, monkeypatch):
+    """dW + W o W on the series-valued cochain, not a loop over layers."""
+    z = closed_2_rep(sphere)
+    e = MCElement(3, {1: z, 2: z.scale(Fraction(2)), 3: z.scale(Fraction(-1, 3))})
+    assert set(e.terms) == {1, 2, 3}
+    calls = {"differential": 0, "circle": 0}
+    for name in calls:
+        def counted(*args, _f=getattr(deform, name), _name=name):
+            calls[_name] += 1
+            return _f(*args)
+        monkeypatch.setattr(deform, name, counted)
+    assert mc_check(sphere, e)[0]
+    assert calls == {"differential": 1, "circle": 1}
+
+
+def test_zero_layers_are_not_terms(sphere):
+    """Explicit zero layers change nothing; terms lists the nonzero ones, is
+    read off the element (changing it changes nothing), and term(n) of any
+    other layer is the zero 2-cochain."""
+    z = closed_2_rep(sphere)
+    e = MCElement(4, {1: SimpCochain(2), 2: z, 4: SimpCochain(2)})
+    assert e == MCElement(4, {2: z})
+    assert e.terms == {2: z}
+    e.terms[3] = z
+    with pytest.raises(AttributeError):
+        e.terms = {3: z}
+    assert e.terms == {2: z} and e == MCElement(4, {2: z})
+    for n in (1, 3, 4):
+        assert e.term(n) == SimpCochain(2)
+    assert e.term(2) == z
 
 
 def test_mc_element_round_trip(sphere):
@@ -190,6 +222,11 @@ def test_witt_cochain_requires_unit_values():
         WittCochain(2, 1, {c: TruncSeries(1, [0, 1])})
     w = WittCochain(2, 1, {c: TruncSeries(1, [1, 1])})
     assert w.value(c) == TruncSeries(1, [1, 1])
+
+
+def test_witt_cochain_names_a_value_that_is_not_a_series():
+    with pytest.raises(TypeError, match="Fraction"):
+        WittCochain(1, 1, {(0, 0): Fraction(1)})
 
 
 def test_from_witt_needs_degree_two():

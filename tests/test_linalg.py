@@ -3,6 +3,8 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from posetdeform.linalg import SparseMat, rank, rank_kernel, solve_in_image
 
 
@@ -107,3 +109,22 @@ def test_setting_zero_removes_entry():
     m.set(0, 0, Fraction(3))
     m.set(0, 0, Fraction(0))
     assert (0, 0) not in m.entries
+
+
+def test_set_refuses_floats():
+    """A float entry is refused, not stored as its binary value."""
+    m = SparseMat(1, 1)
+    with pytest.raises(TypeError):
+        m.set(0, 0, 0.1)
+    with pytest.raises(TypeError):
+        SparseMat(1, 1, {(0, 0): 0.5})
+    m.set(0, 0, "1/10")
+    assert m.entries == {(0, 0): Fraction(1, 10)}
+
+
+def test_solve_in_image_refuses_float_rhs():
+    """A float right-hand side is refused, not solved for its binary value."""
+    m = SparseMat(1, 1, {(0, 0): 1})
+    with pytest.raises(TypeError):
+        solve_in_image(m, [0.1])
+    assert solve_in_image(m, ["1/10"]) == [Fraction(1, 10)]
