@@ -33,14 +33,16 @@ like (#intervals)**(n+1), so the list of all basis tuples of a degree
 (tuples) is capped, and so are hh_dims and random_elem, which walk it;
 exceeding the cap raises TooLarge.
 
-Composition in either carrier enumerates the pairs of entries of f and
-g that meet in slot j (grouped by the interval there), never all chains
-or all tuples of the output degree: it costs one pass over each support
-plus one step per pair, and needs no cap.  A relative step reads a
-structure table, delta_a o_j delta_b = k delta_c, that rel_eval fills the
-first time (j, a, b) meets and that lives as long as its carrier.  Its
-entries come from evaluation in kP while the simplicial carrier restricts
-faces, so iso still compares two independently derived rules.
+Composition in either carrier enumerates the pairs of entries of f and g
+that meet in slot j (grouped by the interval there), never all chains or
+all tuples of the output degree, and needs no cap.  The groupings are
+cached on the cochains (SimpCochain.grouped), identity() and mult() have
+theirs from the start, so m o_j x and x o_j m for a unit x cost one probe
+plus a step per pair (the full x o_j m walks m).  A relative step reads
+a structure table, delta_a o_j delta_b = k delta_c, that rel_eval fills
+the first time (j, a, b) meets and that lives as long as its carrier.
+Its entries come from evaluation in kP while the simplicial carrier
+restricts faces, so iso still compares two independently derived rules.
 
 IncElem and rel_eval use nothing of their scalars but +, * and the zero
 test, so they work over ints, Fractions and truncated series alike (the
@@ -52,11 +54,12 @@ is evaluated on int basis elements, so it holds ints.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from itertools import product
 
 from .linalg import SparseMat, dims_from_ranks, rank
 from .opcore import ArityMismatch, differential
-from .simplicial import Carrier, SimpCochain, SimplicialCarrier, check_slot, group_by_ends
+from .simplicial import Carrier, SimpCochain, SimplicialCarrier, check_slot, slot_pairs
 
 F1 = Fraction(1)
 
@@ -227,21 +230,18 @@ class RelHochschildCarrier(SimplicialCarrier):
         c = a[:j-1] + b + a[j+1:].  A relative cochain is bilinear over the
         diagonal, so delta_b's value lies in E[b0] kP E[bq] and can fill
         slot j only where a has the interval (b0, bq): g's chains are
-        grouped by end points (group_by_ends) and each chain of f meets
-        one group, as in the simplicial carrier.  The table
+        grouped by end points and each chain of f meets one group
+        (slot_pairs), as in the simplicial carrier.  The table
         self._tables[j][a][b] is filled when a pair first meets and lives
         as long as the carrier, so rel_eval runs once per pair per carrier.
         Every k still comes from evaluation in kP while the simplicial
         carrier restricts faces, so the iso suite still compares two
         independently derived rules.  By bilinearity the numerators
         multiply as they are, over f.den * g.den."""
-        by_ends = group_by_ends(f, j, g)
+        pairs = slot_pairs(f, j, g)
         table = self._tables.setdefault(j, {})
         out = {}
-        for a, x in f.values.items():
-            group = by_ends.get(a[j - 1 : j + 1])
-            if group is None:
-                continue
+        for a, x, group in pairs:
             row = table.get(a)
             if row is None:
                 row = table[a] = {}
@@ -268,6 +268,8 @@ class FullHochschildCarrier(Carrier):
         super().__init__(poset)
         self._tuples = {}
 
+    slot = staticmethod(lambda j: (j - 1,))  # key position of slot j's interval x_j
+
     def tuples(self, n):
         """All basis tuples (x_1, ..., x_n) of intervals, capped."""
         got = self._tuples.get(n)
@@ -290,12 +292,10 @@ class FullHochschildCarrier(Carrier):
         of E[K] in g(u), meets only the keys a of f with K there: it adds
         the product of the two values to the output key a[:j-1] + u + a[j:].
         K is not part of that key, so entries of g with the same u land on
-        one output: outputs are summed and zeros dropped.  No list of all
-        tuples is built, so this raises no TooLarge."""
+        one output: outputs are summed and zeros dropped.  f's grouping is
+        cached on f.  No list of all tuples is built: no TooLarge here."""
         check_slot(f, j)
-        by_slot = {}
-        for a, x in f.values.items():
-            by_slot.setdefault(a[j - 1], []).append((a, x))
+        by_slot = f.grouped(self.slot(j))
         out = {}
         for b, s in g.values.items():
             u = b[:-1]
@@ -350,36 +350,46 @@ def include_relative(f):
 def hh_dims(poset, max_n, which="relative"):
     """Hochschild cohomology dimensions [dim HH^0, ..., dim HH^max_n].
 
-    which='relative' uses the diagonal-relative complex (max_n <= 3),
+    which='relative' uses the diagonal-relative complex (max_n <= 4),
     keyed by weak chains; which='full' uses the full endomorphism complex
     (max_n <= 2, table growth), keyed by basis tuples and an output
-    interval.  Both build each matrix the same way: d = [m, -] of one unit
-    cochain per key, its entries looked up by key.
+    interval, whose row is the mixed-radix index of the key over
+    poset.intervals(), so no list of keys is built.  Both build each
+    matrix the same way: d = [m, -] of one unit cochain per key.
     """
     if which == "relative":
-        if max_n > 3:
-            raise TooLarge("relative complex capped at degree 3")
+        if max_n > 4:
+            raise TooLarge("relative complex capped at degree 4")
         car = RelHochschildCarrier(poset)
         keys = [poset.chains(n) for n in range(max_n + 2)]
+        sizes, basis = [len(ks) for ks in keys], keys.__getitem__
+        row = {key: r for ks in keys for r, key in enumerate(ks)}.__getitem__
     elif which == "full":
         if max_n > 2:
             raise TooLarge("full complex capped at degree 2")
         car = FullHochschildCarrier(poset)
+        for n in range(max_n + 2):
+            car.tuples(n)  # raises TooLarge past the cap
         ivs = poset.intervals()
-        keys = [[t + (y,) for t in car.tuples(n) for y in ivs] for n in range(max_n + 2)]
+        pos = {iv: i for i, iv in enumerate(ivs)}
+        sizes = [len(ivs) ** (n + 1) for n in range(max_n + 2)]
+
+        def basis(n):
+            return product(ivs, repeat=n + 1)
+
+        def row(key):  # the mixed-radix index of key over ivs
+            return reduce(lambda r, iv: r * len(ivs) + pos[iv], key, 0)
+
     else:
         raise ValueError("which must be 'relative' or 'full'")
 
     def matrix(n):
-        src, dst = keys[n], keys[n + 1]
-        rowof = {key: r for r, key in enumerate(dst)}
-        m = SparseMat(len(dst), len(src))
-        for k, key in enumerate(src):
+        m = SparseMat(sizes[n + 1], sizes[n])
+        for k, key in enumerate(basis(n)):
             df = differential(car, SimpCochain._of(n, {key: 1}))
             for out, v in df.values.items():
-                m.set(rowof[out], k, Fraction(v, df.den))
+                m.set(row(out), k, Fraction(v, df.den))
         return m
 
-    sizes = [len(keys[n]) for n in range(max_n + 1)]
     ranks = [rank(matrix(n)) for n in range(max_n + 1)]
-    return dims_from_ranks(sizes, ranks)
+    return dims_from_ranks(sizes[: max_n + 1], ranks)

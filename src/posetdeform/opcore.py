@@ -85,7 +85,7 @@ def _brace_sum(car, x, m, args):
     k = len(args)
     arities = [a.degree for a in args]
     shifted = [a - 1 for a in arities]
-    total = SimpCochain(m + sum(arities) - k)
+    terms = []
     for slots in combinations(range(1, m + 1), k):
         eps = 0
         consumed = 0  # arity consumed by earlier blocks
@@ -98,8 +98,8 @@ def _brace_sum(car, x, m, args):
         term = x
         for p in range(k - 1, -1, -1):
             term = car.compose_at(term, slots[p], args[p])
-        total += signed(eps, term)
-    return total
+        terms.append((eps, term))
+    return SimpCochain.lincomb(m + sum(arities) - k, terms)
 
 
 def circle(car, f, g):
@@ -116,8 +116,7 @@ def differential(car, x):
     """Differential of the shifted complex: d x = m o x - (-1)**<x> x o m.
     Raises arity by one and squares to zero."""
     left = circle(car, car.mult(), x)
-    right = signed(x.degree, circle(car, x, car.mult()))
-    return left + right
+    return SimpCochain.lincomb(left.degree, [(0, left), (x.degree, circle(car, x, car.mult()))])
 
 
 def differential_unshifted(car, x):
@@ -132,7 +131,7 @@ def bracket(car, f, g):
     included, so they add directly."""
     fg = circle(car, f, g)
     e = (f.degree - 1) * (g.degree - 1) + 1
-    return fg + signed(e, circle(car, g, f))
+    return SimpCochain.lincomb(fg.degree, [(0, fg), (e, circle(car, g, f))])
 
 
 class SignFlip:

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import itemgetter
 
 from .linalg import SparseMat, dims_from_ranks, rank
 from .scalars import TruncSeries, format_rat, rational
@@ -61,19 +62,21 @@ class SimpCochain:
     add, scale and compose_at run on ints and reduce by one gcd at the end.
     Fractions appear only in the constructor, value(), to_dict, from_dict.
     No operation changes a cochain in place: each returns a new one, so
-    one cochain can be shared, as the carriers share identity() and mult().
+    one cochain can be shared, as the carriers share identity() and mult(),
+    and grouped can cache groupings of its values (not in ==, repr, JSON).
     Series values (scalars.TruncSeries: deform.MCElement.w and
     deform.deformation_product) have den 1, are never reduced and take int
     scalars only; opcore runs on them unchanged, composing them with the
     int-valued mult().  The two kinds refuse to be added (TypeError), as
     do series of different orders (scalars.OrderMismatch)."""
 
-    __slots__ = ("degree", "values", "den")
+    __slots__ = ("degree", "values", "den", "_ix")
 
     def __init__(self, degree, values=()):
         if degree < 0:
             raise ValueError("degree must be >= 0")
         self.degree = degree
+        self._ix = None
         vals = {}
         items = values.items() if isinstance(values, dict) else values
         for ch, v in items:
@@ -100,6 +103,7 @@ class SimpCochain:
         c.degree = degree
         c.values = values
         c.den = den
+        c._ix = None
         return c
 
     @classmethod
@@ -119,23 +123,43 @@ class SimpCochain:
     def is_zero(self):
         return not self.values
 
-    def add(self, other):
-        if self.degree != other.degree:
-            raise ValueError("degree mismatch in cochain sum")
-        den = lcm(self.den, other.den)
-        out = _times(self.values, den // self.den)
-        s = den // other.den
-        for ch, v in (other.values if s == 1 else _times(other.values, s)).items():
-            cur = out.get(ch)
-            if cur is None:
-                out[ch] = v
+    @classmethod
+    def lincomb(cls, degree, terms):
+        """The sum of (-1)**e x over a list of terms (e, x), x of this
+        degree, in one pass: each x's numerators, times lcm(dens) // x.den
+        and signed, are summed into one dict, reduced by one gcd at the end."""
+        den, out = lcm(*[x.den for _, x in terms]), {}
+        for e, x in terms:
+            if x.degree != degree:
+                raise ValueError("degree mismatch in cochain sum")
+            s = -(den // x.den) if e % 2 else den // x.den
+            if not out:
+                out = _times(x.values, s)
                 continue
-            nv = cur + v
-            if nv:
-                out[ch] = nv
-            else:
-                del out[ch]
-        return SimpCochain._reduced(self.degree, out, den)
+            for ch, v in x.values.items():
+                if s != 1:
+                    v = -v if s == -1 else v * s
+                cur = out.get(ch)
+                if cur is None:
+                    out[ch] = v
+                elif nv := cur + v:
+                    out[ch] = nv
+                else:
+                    del out[ch]
+        return cls._reduced(degree, out, den)
+
+    def add(self, other):
+        return SimpCochain.lincomb(self.degree, [(0, self), (0, other)])
+
+    def grouped(self, at):
+        """{key[at]: [(key, value), ...]} over values, for a tuple of key
+        positions at (one position gives bare entries), built once and cached."""
+        ix = self._ix = self._ix or {}
+        if at not in ix:
+            got, pick = ix.setdefault(at, {}), itemgetter(*at)
+            for key, v in self.values.items():
+                got.setdefault(pick(key), []).append((key, v))
+        return ix[at]
 
     def scale(self, c):
         """c * self for an int or Fraction c: the numerators times
@@ -150,7 +174,7 @@ class SimpCochain:
     __add__ = add
 
     def __sub__(self, other):
-        return self.add(other.scale(-1))
+        return SimpCochain.lincomb(self.degree, [(0, self), (1, other)])
 
     def __neg__(self):
         return self.scale(-1)
@@ -219,8 +243,10 @@ class Carrier:
     mean.  A carrier is an operad with multiplication: compose_at(f, j, g)
     from the subclass, and identity() and mult(), each built once by the
     subclass's _build(n) (n = 1, 2) and then shared, since no operation
-    changes a cochain in place.  The arithmetic is SimpCochain's own.  The
-    suites also read poset, random_elem(n, rng) and diff_witness(x, y)."""
+    changes a cochain in place, with its grouping by each slot, the f side
+    of compose_at (grouped(self.slot(j))).  The arithmetic is SimpCochain's
+    own.  The suites also read poset, random_elem(n, rng) and
+    diff_witness(x, y)."""
 
     def __init__(self, poset):
         self.poset = poset
@@ -240,6 +266,8 @@ class Carrier:
         got = self._constants.get(n)
         if got is None:
             got = self._constants[n] = self._build(n)
+            for j in range(1, n + 1):
+                got.grouped(self.slot(j))
         return got
 
 
@@ -249,15 +277,18 @@ def check_slot(f, j):
         raise SlotOutOfRange("slot %d invalid for arity %d" % (j, f.degree))
 
 
-def group_by_ends(f, j, g):
-    """Check slot j of f, then group g's entries (b, y) by the end points
-    (b[0], b[-1]) of their chains (a degree-0 (x,) by (x, x)): the
-    interval of f's chain in slot j that each can fill."""
+def slot_pairs(f, j, g):
+    """Check slot j of f, then yield (a, x, group): each entry of f with the
+    group of g's entries (b, y) whose ends (b[0], b[-1]) are a's slot-j
+    interval (a[j-1], a[j]) ((x,) has ends (x, x)).  The walk runs over g's
+    groups, probing f's slot index, when f has one (the constants do) and
+    g has fewer groups than f has entries; else over f's entries."""
     check_slot(f, j)
-    by_ends = {}
-    for b, y in g.values.items():
-        by_ends.setdefault((b[0], b[-1]), []).append((b, y))
-    return by_ends
+    by_ends = g.grouped((0, -1))
+    by_slot = f._ix and f._ix.get(SimplicialCarrier.slot(j))
+    if by_slot is not None and len(by_ends) < len(f.values):
+        return ((a, x, grp) for ends, grp in by_ends.items() for a, x in by_slot.get(ends, ()))
+    return ((a, x, grp) for a, x in f.values.items() if (grp := by_ends.get(a[j - 1 : j + 1])))
 
 
 class SimplicialCarrier(Carrier):
@@ -267,21 +298,19 @@ class SimplicialCarrier(Carrier):
 
     name = "simplicial"
 
+    slot = staticmethod(lambda j: (j - 1, j))  # key positions of slot j's interval
+
     def compose_at(self, f, j, g):
         """f o_j g by face restriction, enumerating pairs of supports.
 
         An output chain c is the pair (a, b) glued in slot j: a = f's
         chain with its interval (a[j-1], a[j]) filled in by b = g's chain
         from a[j-1] to a[j], c = a[:j-1] + b + a[j+1:].  So g's chains
-        are grouped by their end points (group_by_ends) and each chain of
-        f meets only its own group; every output comes from exactly one
-        pair and costs one product."""
-        by_ends = group_by_ends(f, j, g)
+        are grouped by their end points and each chain of f meets only its
+        own group (slot_pairs); every output comes from exactly one pair
+        and costs one product."""
         out = {}
-        for a, x in f.values.items():
-            group = by_ends.get(a[j - 1 : j + 1])
-            if group is None:
-                continue
+        for a, x, group in slot_pairs(f, j, g):
             head, tail = a[: j - 1], a[j + 1 :]
             for b, y in group:
                 out[head + b + tail] = x * y

@@ -8,6 +8,7 @@ and after every operation it must be in that canonical form, since
 equality compares den and values directly."""
 
 import json
+import random
 from fractions import Fraction
 from math import gcd
 
@@ -19,6 +20,7 @@ from hypothesis import strategies as st
 
 from posetdeform.hochschild import RelHochschildCarrier
 from posetdeform.posets import diamond_poset
+from posetdeform.scalars import TruncSeries
 from posetdeform.simplicial import SimpCochain, SimplicialCarrier
 
 SETTINGS = settings(max_examples=300, deadline=None, derandomize=True)
@@ -114,6 +116,63 @@ def test_add_matches_reference(data):
     assert_matches(x.add(y), n, want)
     assert_matches(y + x, n, want)
     assert_matches(x - x, n, {})
+
+
+@st.composite
+def signed_terms(draw):
+    """Up to four terms (e, values) of one degree, with mixed dens; half
+    the time one more term cancels the sum of the others to zero."""
+    n, _ = draw(cochain_data())
+    terms = [
+        (draw(st.integers(0, 3)), draw(cochain_data(n))[1])
+        for _ in range(draw(st.integers(0, 4)))
+    ]
+    if draw(st.booleans()):
+        total = {}
+        for e, vals in terms:
+            total = ref_add(total, {ch: (-1) ** e * v for ch, v in ref_of(vals).items()})
+        terms.append((1, total))
+    return n, terms
+
+
+@SETTINGS
+@given(signed_terms())
+def test_lincomb_matches_the_fold_of_add_and_scale(data):
+    n, terms = data
+    xs = [(e, SimpCochain(n, vals)) for e, vals in terms]
+    folded, want = SimpCochain(n), {}
+    for (e, x), (_, vals) in zip(xs, terms):
+        folded = folded.add(x.scale((-1) ** e))
+        want = ref_add(want, {ch: (-1) ** e * v for ch, v in ref_of(vals).items()})
+    got = SimpCochain.lincomb(n, xs)
+    assert got == folded
+    assert_matches(got, n, want)
+
+
+def test_lincomb_of_series_cochains():
+    """Series values (den 1, never reduced): the same sum as the fold, no
+    entry that is a zero series, and zero when the terms cancel."""
+    zero = TruncSeries.zero(2)
+    values = [
+        TruncSeries(2, cs)
+        for cs in ((1,), (0, 1), (2, -1, 3), (0, 0, -1), (Fraction(1, 2), 1), (-1,))
+    ]
+    chains = DIAMOND.chains(1)
+    rng = random.Random("lincomb-series")
+    xs = [
+        (e, SimpCochain(1, {c: rng.choice(values) for c in rng.sample(chains, 6)}))
+        for e in (0, 1, 2, 3, 1)
+    ]
+    folded = SimpCochain(1)
+    for e, x in xs:
+        folded = folded + x.scale((-1) ** e)
+    got = SimpCochain.lincomb(1, xs)
+    assert got == folded and got.den == 1
+    assert all(v for v in got.values.values())
+    for c in chains:
+        want = sum((x.values.get(c, zero) * (-1) ** e for e, x in xs), zero)
+        assert got.values.get(c, zero) == want
+    assert SimpCochain.lincomb(1, xs + [(1, got)]) == SimpCochain(1)
 
 
 @SETTINGS

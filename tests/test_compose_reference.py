@@ -157,6 +157,66 @@ def test_compose_at_matches_reference(request, kind, poset_name):
     assert compared >= 21 * 25
 
 
+# Cached indexes.  A cochain keeps its groupings by end points and by slot
+# interval (SimpCochain.grouped) for its whole life, and the carrier's
+# identity() and mult() carry their slot indexes from the start, so most
+# compositions run on warm indexes.  Each composition below is checked
+# against the reference evaluated on index-free copies of its arguments.
+
+
+def fresh(x):
+    """x as a new cochain with no index built."""
+    return SimpCochain._of(x.degree, x.values, x.den)
+
+
+def warm_sequence(car, f, g):
+    """(f, j, g) triples that reuse f, g and the constants in every role:
+    each slot of f twice over, then g as the f side and f as the g side,
+    then f with its own slot indexes built, then identity() and mult()
+    on either side."""
+    out = [(f, j, g) for _ in range(2) for j in range(1, f.degree + 1)]
+    out += [(g, j, f) for j in range(1, g.degree + 1)]
+    for j in range(1, f.degree + 1):
+        f.grouped(car.slot(j))
+    out += [(f, j, g) for j in range(1, f.degree + 1)]
+    for c in (car.identity(), car.mult()):
+        out += [(c, j, x) for j in range(1, c.degree + 1) for x in (f, g, c)]
+        out += [(x, j, c) for x in (f, g) for j in range(1, x.degree + 1)]
+    return out
+
+
+@pytest.mark.parametrize("kind,poset_name", CASES)
+def test_compose_at_on_warm_indexes(request, kind, poset_name):
+    poset = request.getfixturevalue(poset_name)
+    cls, reference, inputs = CARRIERS[kind]
+    car = cls(poset)
+    rng = random.Random("compose-warm:%s:%s" % (kind, poset_name))
+    compared = 0
+    for p, q in ((1, 0), (1, 1), (2, 1), (1, 2), (2, 2)):
+        for f in inputs(car, p, rng)[:2]:
+            g = inputs(car, q, rng)[rng.randrange(2)]
+            for a, j, b in warm_sequence(car, f, g):
+                # the full reference walks every key of the output degree
+                if kind == "full" and len(poset.intervals()) ** (a.degree + b.degree) > 10**4:
+                    continue
+                want = reference(car, fresh(a), j, fresh(b))
+                assert car.compose_at(a, j, b) == want, (a.degree, j, b.degree)
+                compared += 1
+    assert compared >= 150
+
+
+def test_an_index_is_not_part_of_the_cochain(diamond):
+    car = SimplicialCarrier(diamond)
+    x = car.random_elem(2, random.Random("index-eq"))
+    y = fresh(x)
+    assert x.grouped((0, -1)) is x.grouped((0, -1))
+    x.grouped(car.slot(2))
+    assert x == y and y == x
+    assert repr(x) == repr(y)
+    assert x.to_dict(diamond) == y.to_dict(diamond)
+    assert car.mult() == fresh(car.mult()) == car.constant(2)
+
+
 # The relative carrier's structure table.  Each test keeps one carrier
 # for many compositions, so most pairs are found in the table, and counts
 # the rel_eval calls compose_at makes: two for each (j, a, b) that first

@@ -18,7 +18,7 @@ from posetdeform.hochschild import (
     rel_eval,
 )
 from posetdeform.opcore import differential
-from posetdeform.posets import Poset
+from posetdeform.posets import Poset, chain_poset
 from posetdeform.scalars import OrderMismatch, TruncSeries
 from posetdeform.simplicial import SimpCochain, cohomology_dims
 
@@ -242,13 +242,19 @@ def test_size_caps(sphere):
     with pytest.raises(TooLarge):
         hh_dims(sphere, 3, "full")
     with pytest.raises(TooLarge):
-        hh_dims(sphere, 4, "relative")
+        hh_dims(sphere, 5, "relative")
 
 
 def test_dimension_tables(chain2, diamond):
     assert hh_dims(chain2, 2, "relative") == [1, 0, 0]
     assert hh_dims(chain2, 2, "full") == [1, 0, 0]
     assert hh_dims(diamond, 2, "relative") == [1, 0, 0]
+
+
+def test_full_hh_of_the_largest_chain_under_the_cap():
+    """21 intervals: 21**3 basis tuples in degree 3, just under the cap,
+    and 21**4 rows, each found by its mixed-radix index."""
+    assert hh_dims(chain_poset(6), 2, "full") == [1, 0, 0]
 
 
 def _s3_face_poset(opposite=False):
@@ -277,6 +283,14 @@ def test_relative_hh_of_the_three_sphere():
     s3 = _s3_face_poset()
     assert s3.n == 30
     assert hh_dims(s3, 3, "relative") == [1, 0, 0, 1] == cohomology_dims(s3, 3)
+
+
+def test_relative_hh_in_degree_4(sphere):
+    """Degree 4, the cap, lies above the top cohomology of both spheres:
+    there the relative complex must give 0 as the nerve does."""
+    assert hh_dims(sphere, 4, "relative") == [1, 0, 1, 0, 0] == cohomology_dims(sphere, 4)
+    s3 = _s3_face_poset()
+    assert hh_dims(s3, 4, "relative") == [1, 0, 0, 1, 0] == cohomology_dims(s3, 4)
 
 
 def test_relative_hh_of_the_opposite_three_sphere():
