@@ -22,8 +22,8 @@ import time
 
 from . import __version__
 from .deform import MAX_ORDER, MCElement, NotMC, gauge_equivalent, mc_check, moduli
-from .hochschild import TooLarge, hh_dims
-from .posets import Poset, PosetError
+from .hochschild import hh_dims
+from .posets import Poset, PosetError, TooLarge
 from .simplicial import SimplicialCarrier, cohomology_dims
 from .suites import SUITES
 
@@ -175,7 +175,10 @@ def _run_cohomology(args):
     if args.max_degree < 0:
         raise _InputError("--max-degree must be >= 0")
     strict = not args.unnormalized
-    betti = cohomology_dims(p, args.max_degree, strict=strict)
+    try:
+        betti = cohomology_dims(p, args.max_degree, strict=strict)
+    except TooLarge as e:
+        raise _InputError(str(e)) from e
     report = {
         "verb": "cohomology",
         "poset": p.name,

@@ -37,12 +37,13 @@ Composition in either carrier enumerates the pairs of entries of f and g
 that meet in slot j (grouped by the interval there), never all chains or
 all tuples of the output degree, and needs no cap.  The groupings are
 cached on the cochains (SimpCochain.grouped), identity() and mult() have
-theirs from the start, so m o_j x and x o_j m for a unit x cost one probe
-plus a step per pair (the full x o_j m walks m).  A relative step reads
-a structure table, delta_a o_j delta_b = k delta_c, that rel_eval fills
-the first time (j, a, b) meets and that lives as long as its carrier.
-Its entries come from evaluation in kP while the simplicial carrier
-restricts faces, so iso still compares two independently derived rules.
+theirs from the start (the full ones also by output interval), so
+m o_j x and x o_j m for a unit x cost one probe plus a step per pair.  A
+relative step reads a structure table, delta_a o_j delta_b = k delta_c,
+that rel_eval fills the first time (j, a, b) meets and that lives as long
+as its carrier.  Its entries come from evaluation in kP while the
+simplicial carrier restricts faces, so iso still compares two
+independently derived rules.
 
 IncElem and rel_eval use nothing of their scalars but +, * and the zero
 test, so they work over ints, Fractions and truncated series alike (the
@@ -57,17 +58,14 @@ from fractions import Fraction
 from functools import reduce
 from itertools import product
 
-from .linalg import SparseMat, dims_from_ranks, rank
+from .linalg import SparseMat, chain_ranks, dims_from_ranks
 from .opcore import ArityMismatch, differential
+from .posets import TooLarge
 from .simplicial import Carrier, SimpCochain, SimplicialCarrier, check_slot, slot_pairs
 
 F1 = Fraction(1)
 
 FULL_TABLE_LIMIT = 10_000
-
-
-class TooLarge(ValueError):
-    """Full-complex computation beyond the documented size cap."""
 
 
 def _accumulate(acc, key, v):
@@ -269,6 +267,7 @@ class FullHochschildCarrier(Carrier):
         self._tuples = {}
 
     slot = staticmethod(lambda j: (j - 1,))  # key position of slot j's interval x_j
+    out = (-1,)  # key position of the output interval y
 
     def tuples(self, n):
         """All basis tuples (x_1, ..., x_n) of intervals, capped."""
@@ -287,32 +286,46 @@ class FullHochschildCarrier(Carrier):
         """f o_j g of multilinear maps, enumerating pairs of entries.
 
         (f o_j g)(t) = f(t[:j-1] + (g(u),) + t[j-1+q:]) with u the q
-        arguments in slots j..j+q-1.  So f's keys are grouped by the
-        interval in slot j, and each entry u + (K,) of g, the coefficient
-        of E[K] in g(u), meets only the keys a of f with K there: it adds
-        the product of the two values to the output key a[:j-1] + u + a[j:].
-        K is not part of that key, so entries of g with the same u land on
-        one output: outputs are summed and zeros dropped.  f's grouping is
-        cached on f.  No list of all tuples is built: no TooLarge here."""
+        arguments in slots j..j+q-1.  An entry u + (K,) of g, the
+        coefficient of E[K] in g(u), meets only the keys a of f with K in
+        slot j: it adds the product of the two values to the output key
+        a[:j-1] + u + a[j:].  When g has its grouping by output interval
+        (identity() and mult() do) and f has fewer entries than g, each
+        entry of f probes g's group there; else f's keys are grouped by
+        slot j (cached on f) and each entry of g probes its group.  K is
+        not part of the output key, so entries of g with the same u land
+        on one output: outputs are summed and zeros dropped.  No list of
+        all tuples is built: no TooLarge here."""
         check_slot(f, j)
-        by_slot = f.grouped(self.slot(j))
-        out = {}
-        for b, s in g.values.items():
-            u = b[:-1]
-            for a, x in by_slot.get(b[-1], ()):
-                key = a[: j - 1] + u + a[j:]
-                out[key] = out.get(key, 0) + x * s
+        by_out, out = g._ix and g._ix.get(self.out), {}
+        if by_out is not None and len(f.values) < len(g.values):
+            for a, x in f.values.items():
+                head, tail = a[: j - 1], a[j:]
+                for b, y in by_out.get(a[j - 1], ()):
+                    key = head + b[:-1] + tail
+                    out[key] = out.get(key, 0) + x * y
+        else:
+            by_slot = f.grouped(self.slot(j))
+            for b, y in g.values.items():
+                u = b[:-1]
+                for a, x in by_slot.get(b[-1], ()):
+                    key = a[: j - 1] + u + a[j:]
+                    out[key] = out.get(key, 0) + x * y
         out = {key: v for key, v in out.items() if v}
         return SimpCochain._reduced(f.degree + g.degree - 1, out, f.den * g.den)
 
     def _build(self, n):
-        """The identity map of kP (n = 1) or its product (n = 2)."""
+        """The identity map of kP (n = 1) or its product (n = 2), grouped
+        by output interval for compose_at."""
         ivs = self.poset.intervals()
         if n == 1:
-            return SimpCochain._of(1, {(x, x): 1 for x in ivs})
-        return SimpCochain._of(
-            2, {(x, y, (x[0], y[1])): 1 for x in ivs for y in ivs if x[1] == y[0]}
-        )
+            got = SimpCochain._of(1, {(x, x): 1 for x in ivs})
+        else:
+            got = SimpCochain._of(
+                2, {(x, y, (x[0], y[1])): 1 for x in ivs for y in ivs if x[1] == y[0]}
+            )
+        got.grouped(self.out)
+        return got
 
     def random_elem(self, n, rng):
         # each basis tuple, with probability 1/2, goes to c E[y] for a random
@@ -355,7 +368,13 @@ def hh_dims(poset, max_n, which="relative"):
     (max_n <= 2, table growth), keyed by basis tuples and an output
     interval, whose row is the mixed-radix index of the key over
     poset.intervals(), so no list of keys is built.  Both build each
-    matrix the same way: d = [m, -] of one unit cochain per key.
+    matrix the same way: row k of the transpose of d_n is d = [m, -] of
+    the k-th unit cochain of degree n.  The ranks come bottom-up from one
+    chain_ranks pass over these transposes, which clears: d_{n+1} d_n = 0
+    and the rows of the transpose of d_{n+1} are the columns of the
+    transpose of d_n, so a unit key of degree n + 1 at a pivot column of
+    the transpose of d_n is never differentiated, and the rank stays the
+    same.
     """
     if which == "relative":
         if max_n > 4:
@@ -383,13 +402,14 @@ def hh_dims(poset, max_n, which="relative"):
     else:
         raise ValueError("which must be 'relative' or 'full'")
 
-    def matrix(n):
-        m = SparseMat(sizes[n + 1], sizes[n])
+    def transpose(n, skip):
+        m = SparseMat(sizes[n], sizes[n + 1])
         for k, key in enumerate(basis(n)):
+            if k in skip:
+                continue
             df = differential(car, SimpCochain._of(n, {key: 1}))
             for out, v in df.values.items():
-                m.set(row(out), k, Fraction(v, df.den))
+                m.set(k, row(out), Fraction(v, df.den))
         return m
 
-    ranks = [rank(matrix(n)) for n in range(max_n + 1)]
-    return dims_from_ranks(sizes[: max_n + 1], ranks)
+    return dims_from_ranks(sizes[: max_n + 1], chain_ranks(max_n + 1, transpose))

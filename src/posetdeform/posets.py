@@ -13,9 +13,20 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+# Most vertices, summed over all chains of degrees 0..n, that one chain
+# complex may enumerate (chain_counts).  The largest complex in the tests
+# and the benchmark holds 36,180.  The chains and the face-sum matrices on
+# them take about 150 MB per million vertices; the fill-in of eliminating
+# those matrices is not bounded by this.
+CHAIN_BUDGET = 5_000_000
+
 
 class PosetError(ValueError):
     pass
+
+
+class TooLarge(ValueError):
+    """A request beyond a documented size budget or cap."""
 
 
 class CycleDetected(PosetError):
@@ -126,6 +137,32 @@ class Poset:
                 )
             self._chains[key] = got
         return got
+
+    def chain_counts(self, n, strict=False):
+        """The numbers of weak (default) or strict chains of degrees 0..n,
+        counted without enumerating any.  The k-chains that start at i
+        number N_k[i] = sum of N_{k-1}[j] over j in up[i], less j = i for
+        strict chains, and N_0[i] = 1 (powers of the zeta matrix, Stanley,
+        EC1 3.8).  Raises TooLarge as soon as the chains counted so far
+        hold more than CHAIN_BUDGET vertices: that total only grows with
+        the degree.  A strict count of 0 ends the list, since every later
+        one is 0 too."""
+        per_start, counts, total = [1] * self.n, [], 0
+        for k in range(n + 1):
+            counts.append(sum(per_start))
+            total += (k + 1) * counts[-1]
+            if total > CHAIN_BUDGET:
+                raise TooLarge(
+                    "the %s chains of degrees 0..%d hold more than %d vertices"
+                    % ("strict" if strict else "weak", k, CHAIN_BUDGET)
+                )
+            if not counts[-1]:
+                break
+            per_start = [
+                sum(per_start[j] for j in up if not (strict and j == i))
+                for i, up in enumerate(self.up)
+            ]
+        return counts
 
     def intervals(self):
         """All pairs (i, j) with i <= j, lexicographic: the weak 1-chains."""

@@ -27,7 +27,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import itemgetter
 
-from .linalg import SparseMat, dims_from_ranks, rank
+from .linalg import SparseMat, chain_ranks, dims_from_ranks
 from .scalars import TruncSeries, format_rat, rational
 
 _UNIT = {1: Fraction(1), -1: Fraction(-1)}
@@ -344,16 +344,19 @@ class SimplicialCarrier(Carrier):
         return ""
 
 
-def coboundary_matrix(poset, n, strict=False):
+def coboundary_matrix(poset, n, strict=False, skip=()):
     """Matrix of the classical alternating face sum C^n -> C^{n+1} on the
     weak (default) or strict chain basis: rows are (n+1)-chains, columns
-    n-chains, entry (-1)**i for dropping vertex i."""
+    n-chains, entry (-1)**i for dropping vertex i.  The rows whose index
+    is in skip are left empty (see cohomology_dims)."""
     src = poset.chains(n, strict=strict)
     dst = poset.chains(n + 1, strict=strict)
     col = {c: k for k, c in enumerate(src)}
     m = SparseMat(len(dst), len(src))
     entries = m.entries
     for r, ch in enumerate(dst):
+        if r in skip:
+            continue
         row = {}
         for i in range(n + 2):
             k = col.get(ch[:i] + ch[i + 1 :])
@@ -368,9 +371,20 @@ def coboundary_matrix(poset, n, strict=False):
 
 
 def cohomology_dims(poset, max_n, strict=True):
-    """Nerve cohomology dimensions [dim H^0, ..., dim H^max_n] over Q."""
+    """Nerve cohomology dimensions [dim H^0, ..., dim H^max_n] over Q.
+
+    The chains are counted first (Poset.chain_counts raises TooLarge past
+    posets.CHAIN_BUDGET), then enumerated bottom-up, one cached level at a
+    time, so no call of Poset.chains recurses more than one level.  The
+    ranks come top-down, d_max_n first, from one chain_ranks pass that
+    clears: d_{n+1} d_n = 0 and the rows of d_n are the (n+1)-chains, the
+    columns of d_{n+1}, so the rows of d_n at the pivot columns of d_{n+1}
+    are never built, and the rank stays the same."""
     if max_n < 0:
         raise ValueError("max_n must be >= 0")
-    sizes = [len(poset.chains(n, strict=strict)) for n in range(max_n + 1)]
-    ranks = [rank(coboundary_matrix(poset, n, strict=strict)) for n in range(max_n + 1)]
-    return dims_from_ranks(sizes, ranks)
+    poset.chain_counts(max_n + 1, strict=strict)
+    sizes = [len(poset.chains(n, strict=strict)) for n in range(max_n + 2)]
+    ranks = chain_ranks(
+        max_n + 1, lambda t, skip: coboundary_matrix(poset, max_n - t, strict, skip)
+    )
+    return dims_from_ranks(sizes[: max_n + 1], ranks[::-1])

@@ -10,7 +10,7 @@ jsonschema = pytest.importorskip("jsonschema")
 
 from posetdeform import cli
 from posetdeform.deform import MAX_ORDER, MCElement, moduli
-from posetdeform.posets import sphere_poset
+from posetdeform.posets import CHAIN_BUDGET, sphere_poset
 from posetdeform.simplicial import SimpCochain
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -405,6 +405,31 @@ def test_order_over_the_cap_is_an_input_error(capsys, tmp_path, order):
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:")
         assert str(MAX_ORDER) in lines[0]
+
+
+@pytest.mark.parametrize("degree", [400, 10**6])
+def test_weak_degree_over_the_chain_budget_is_an_input_error(capsys, degree):
+    """The weak chains of sphere14 grow with the degree; degree 400 once
+    kept allocating until a MemoryError.  They are counted first, and a
+    request past the chain budget exits 2 at once."""
+    code, out, err = run(
+        capsys, "cohomology", poset_path("sphere14"), "--unnormalized",
+        "--max-degree", str(degree),
+    )
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert str(CHAIN_BUDGET) in lines[0]
+
+
+def test_strict_degree_past_the_top_chain_is_accepted(capsys):
+    """Strict chains of sphere14 stop at degree 2, so degree 3000 costs
+    nothing, and the chains are enumerated bottom-up, so no recursion runs
+    3000 levels deep."""
+    code, doc, _ = run_json(
+        capsys, "cohomology", poset_path("sphere14"), "--max-degree", "3000"
+    )
+    assert code == 0 and doc["betti"] == [1, 0, 1] + [0] * 2998
 
 
 def test_order_at_the_cap_is_accepted(capsys, tmp_path):

@@ -21,6 +21,7 @@ from posetdeform.opcore import differential
 from posetdeform.posets import Poset, chain_poset
 from posetdeform.scalars import OrderMismatch, TruncSeries
 from posetdeform.simplicial import SimpCochain, cohomology_dims
+from poset_builders import opposite_poset
 
 
 def rand_inc(p, rng):
@@ -257,15 +258,14 @@ def test_full_hh_of_the_largest_chain_under_the_cap():
     assert hh_dims(chain_poset(6), 2, "full") == [1, 0, 0]
 
 
-def _s3_face_poset(opposite=False):
+def _s3_face_poset():
     """Face poset of the boundary of the 4-simplex, a 3-sphere: the 30
-    nonempty proper subsets of {0, ..., 4} ordered by inclusion (or by
-    reverse inclusion)."""
+    nonempty proper subsets of {0, ..., 4} ordered by inclusion."""
     faces = [
         "".join(c) for k in range(1, 5) for c in combinations("01234", k)
     ]
     pairs = [
-        (a, b) if not opposite else (b, a)
+        (a, b)
         for a in faces
         for b in faces
         if len(b) == len(a) + 1 and set(a) <= set(b)
@@ -295,7 +295,7 @@ def test_relative_hh_in_degree_4(sphere):
 
 def test_relative_hh_of_the_opposite_three_sphere():
     """P and P^op have the same nerve, so the same dimensions."""
-    assert hh_dims(_s3_face_poset(opposite=True), 2, "relative") == [1, 0, 0]
+    assert hh_dims(opposite_poset(_s3_face_poset()), 2, "relative") == [1, 0, 0]
 
 
 def test_series_ring_cochains(chain2):

@@ -16,6 +16,7 @@ from posetdeform.simplicial import (
     coboundary_matrix,
     cohomology_dims,
 )
+from poset_builders import opposite_poset
 
 
 def test_compose_on_two_element_chain(chain2):
@@ -144,8 +145,8 @@ def _subdivide(facets):
     ]
 
 
-def _face_poset(facets, opposite=False):
-    """Faces under inclusion (or reverse inclusion), given by covers."""
+def _face_poset(facets):
+    """Faces under inclusion, given by covers."""
     fs = _faces(facets)
     pairs = [
         (str(s[:i] + s[i + 1 :]), str(s))
@@ -153,8 +154,6 @@ def _face_poset(facets, opposite=False):
         if len(s) > 1
         for i in range(len(s))
     ]
-    if opposite:
-        pairs = [(b, a) for a, b in pairs]
     return Poset.from_relations([str(s) for s in fs], pairs)
 
 
@@ -171,7 +170,9 @@ def test_betti_numbers_of_triangulated_spaces(facets, n, betti, opposite):
     """The nerve of a face poset, or of its opposite, is the barycentric
     subdivision of the complex, so its Betti numbers are the space's;
     chi from the strict chain counts is their alternating sum."""
-    p = _face_poset(facets, opposite)
+    p = _face_poset(facets)
+    if opposite:
+        p = opposite_poset(p)
     top = len(betti) - 1
     assert p.n == n
     assert cohomology_dims(p, top) == betti
