@@ -5,7 +5,7 @@ The package is organized bottom-up:
 * ``scalars``    exact rationals and truncated power series (Witt units
                  are the series with constant term 1)
 * ``posets``     finite posets, chain and interval enumeration
-* ``linalg``     sparse exact Gaussian elimination (rank, kernel, solve)
+* ``linalg``     sparse exact elimination: rank, kernel, solves, class bases
 * ``opcore``     operad operations over any carrier (compose_at, identity,
                  mult) and all Koszul signs
 * ``simplicial`` the one cochain type and its arithmetic, the simplicial

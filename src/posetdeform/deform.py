@@ -25,11 +25,10 @@ solutions) and in JSON output.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import lcm
 
 from .hochschild import IncElem, rel_eval
-from .linalg import SparseMat, _eliminate, rank, rank_kernel, solve_in_image
+from .linalg import class_basis, solve_columns
 from .opcore import circle, differential
 from .scalars import DomainError, TruncSeries
 from .simplicial import SimpCochain, SimplicialCarrier, coboundary_matrix
@@ -341,9 +340,10 @@ def gauge_equivalent(p, e1, e2):
     or None when the two deformations are genuinely inequivalent.
 
     Both inputs must pass mc_check (NotMC otherwise).  The witness is
-    found by taking log of the ratio and solving one linear system per
-    lam-layer; exp of the solution is returned and the multiplicative
-    equation re-checked exactly.
+    found by taking log of the ratio, whose lam-layers L_1 ... L_N must
+    each be a coboundary d_1 psi_n: one elimination of [d_1 | L_1 ... L_N]
+    solves them all (linalg.solve_columns).  exp of the solution is
+    returned and the multiplicative equation re-checked exactly.
     """
     if e1.order != e2.order:
         raise ValueError("orders differ: %d vs %d" % (e1.order, e2.order))
@@ -352,29 +352,20 @@ def gauge_equivalent(p, e1, e2):
         ok, wit = mc_check(p, e, car)
         if not ok:
             raise NotMC("input fails the Maurer-Cartan equation at %r" % (wit,))
-    order = e1.order
     w1, w2 = to_witt(e1), to_witt(e2)
-    ratio = w1 * w2.inverse()
-    target = witt_log_layers(ratio)
+    target = witt_log_layers(w1 * w2.inverse())
 
-    rows = p.chains(2)
+    rowof = {ch: k for k, ch in enumerate(p.chains(2))}
+    sols = solve_columns(
+        coboundary_matrix(p, 1, strict=False),
+        [{rowof[ch]: t.value(ch) for ch in t.values} for t in target.values()],
+    )
+    if sols is None:
+        return None
     cols = p.chains(1)
-    rowof = {ch: k for k, ch in enumerate(rows)}
-    mat = coboundary_matrix(p, 1, strict=False)
+    psi = {n: SimpCochain(1, zip(cols, x)) for n, x in zip(target, sols)}
 
-    psi = {}
-    for n in range(1, order + 1):
-        b = [Fraction(0)] * len(rows)
-        for ch, v in target[n].values.items():
-            b[rowof[ch]] = Fraction(v, target[n].den)
-        sol = solve_in_image(mat, b)
-        if sol is None:
-            return None
-        layer = SimpCochain(1, zip(cols, sol))
-        if not layer.is_zero():
-            psi[n] = layer
-
-    phi = witt_exp(p, 1, order, psi)
+    phi = witt_exp(p, 1, e1.order, psi)
     if witt_coboundary(p, phi) * w2 != w1:
         raise AssertionError("gauge witness failed the exact re-check")
     return phi
@@ -383,42 +374,13 @@ def gauge_equivalent(p, e1, e2):
 def _strict_h2_reps(p):
     """Representatives of a basis of H^2 on strict chains, as weak
     2-cochains supported on strict chains (extended by zero)."""
-    d1 = coboundary_matrix(p, 1, strict=True)
-    d2 = coboundary_matrix(p, 2, strict=True)
     c2 = p.chains(2, strict=True)
-    r1 = rank(d1)
-    # dim ker d2 - rank d1, before paying for a kernel basis; d2 is
-    # eliminated once, for both
-    elim = _eliminate(d2)
-    b2 = len(c2) - len(elim[0]) - r1
-    if b2 <= 0:
-        return []
-    _, kernel = rank_kernel(d2, elim)
-
-    # grow the image of d1 by kernel vectors; the ones that enlarge the
-    # span represent independent cohomology classes
-    reps = []
-    base = SparseMat(len(c2), d1.cols + b2)
-    for (i, j), v in d1.entries.items():
-        base.set(i, j, v)
-    col = d1.cols
-    cur = r1
-    for vec in kernel:
-        if len(reps) == b2:
-            break
-        for i, v in enumerate(vec):
-            if v != 0:
-                base.set(i, col, v)
-        nr = rank(base)
-        if nr > cur:
-            cur = nr
-            col += 1
-            reps.append(SimpCochain(2, {c2[i]: v for i, v in enumerate(vec) if v != 0}))
-        else:
-            for i, v in enumerate(vec):
-                if v != 0:
-                    base.set(i, col, 0)
-    return reps
+    return [
+        SimpCochain(2, {c2[i]: v for i, v in enumerate(z) if v})
+        for z in class_basis(
+            coboundary_matrix(p, 2, strict=True), coboundary_matrix(p, 1, strict=True)
+        )
+    ]
 
 
 def moduli(p, order):

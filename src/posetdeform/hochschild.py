@@ -407,9 +407,10 @@ def hh_dims(poset, max_n, which="relative"):
         for k, key in enumerate(basis(n)):
             if k in skip:
                 continue
+            # numerators only: a row's scale df.den (always 1) keeps the rank
             df = differential(car, SimpCochain._of(n, {key: 1}))
             for out, v in df.values.items():
-                m.set(k, row(out), Fraction(v, df.den))
+                m.set(k, row(out), v)
         return m
 
     return dims_from_ranks(sizes[: max_n + 1], chain_ranks(max_n + 1, transpose))

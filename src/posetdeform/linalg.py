@@ -3,16 +3,19 @@
 Fraction-free Gaussian elimination over the integers, with the pivot
 rule of elimination over Q: columns are processed left to right and the
 pivot is the live row of smallest index with a nonzero entry in the
-current column.  Same matrix, same answer, always.  Rank, a kernel basis,
-and image membership with an explicit Fraction witness are all computed
-this way.  Nothing here ever touches a float: a float entry or right-hand
-side raises TypeError (scalars.rational).
+current column.  Same matrix, same answer, always.  Nothing here ever
+touches a float: a float entry raises TypeError (scalars.rational).
 
-The ranks of a cochain complex come from one pass, chain_ranks, that
-clears before it eliminates (the twist of Chen and Kerber, "Persistent
-homology computation with a twist", 2011): the pivot columns of one
-differential index rows the next one need not have, since the composite
-of the two is zero.  Same pivot rule, same ranks, fewer rows.
+Every answer is read off the pivot columns of one elimination, and a
+column is a pivot exactly when it is independent of the columns before
+it.  rank counts them; rank_kernel back-substitutes one kernel vector
+per free column; solve_columns and solve_in_image put right-hand sides
+in as trailing columns, each in the image exactly when it is not a
+pivot; class_basis keeps the kernel vectors whose unit column is a pivot
+of a second elimination; chain_ranks ranks a whole cochain complex in
+one pass that clears before it eliminates (the twist of Chen and Kerber,
+"Persistent homology computation with a twist", 2011): the pivot
+columns of one differential index rows the next one need not have.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ F1 = Fraction(1)
 
 
 class SparseMat:
-    """Sparse matrix over Fraction: entries maps (row, col) -> value."""
+    """Sparse matrix over Q: entries maps (row, col) -> int or Fraction."""
 
     def __init__(self, rows, cols, entries=None):
         self.rows = rows
@@ -40,7 +43,7 @@ class SparseMat:
     def set(self, r, c, v):
         if not (0 <= r < self.rows and 0 <= c < self.cols):
             raise IndexError("entry (%d, %d) out of shape" % (r, c))
-        v = v if isinstance(v, Fraction) else Fraction(rational(v))
+        v = rational(v)
         if v == 0:
             self.entries.pop((r, c), None)
         else:
@@ -50,17 +53,17 @@ class SparseMat:
         return "SparseMat(%dx%d, %d nonzero)" % (self.rows, self.cols, len(self.entries))
 
 
-def _eliminate(mat, rhs=None):
+def _eliminate(mat):
     """Forward elimination.  Returns (pivots, rowmap) where pivots is a
     list of (col, row) in column order and rowmap holds the surviving row
-    dictionaries (col -> int, with the optional right-hand side stored
-    under key BCOL).  Unpivoted rows end up empty except possibly BCOL.
-    Rows are cleared of denominators, then only replaced by scale*row -
-    factor*prow with scale > 0: each stays a nonzero multiple of its row over Q.
+    dictionaries (col -> int); unpivoted rows end up empty.  A row
+    holding a Fraction is first cleared of denominators; after that a row
+    is only replaced by scale*row - factor*prow with scale > 0: each
+    stays a nonzero multiple of its row over Q.
     """
-    BCOL = mat.cols  # sentinel column index for the rhs
     rowmap = {}
     colrows = {}
+    fractional = set()
     for (r, c), v in mat.entries.items():
         row = rowmap.get(r)
         if row is None:
@@ -70,11 +73,10 @@ def _eliminate(mat, rhs=None):
         if s is None:
             s = colrows[c] = set()
         s.add(r)
-    if rhs is not None:
-        for r, v in enumerate(rhs):
-            if v:
-                rowmap.setdefault(r, {})[BCOL] = v
-    for row in rowmap.values():
+        if v.__class__ is not int:
+            fractional.add(r)
+    for r in fractional:
+        row = rowmap[r]
         den = lcm(*[v.denominator for v in row.values()])
         for c, v in row.items():
             row[c] = v.numerator * (den // v.denominator)
@@ -106,26 +108,25 @@ def _eliminate(mat, rhs=None):
             for cc, vv in prow.items():
                 nv = row.get(cc, 0) - factor * vv
                 if nv == 0:
-                    row.pop(cc, None)
-                    if cc != BCOL:
-                        cs = colrows.get(cc)
-                        if cs is not None:
-                            cs.discard(r)
+                    del row[cc]
+                    colrows[cc].discard(r)
                 else:
-                    if cc not in row and cc != BCOL:
-                        colrows.setdefault(cc, set()).add(r)
+                    if cc not in row:
+                        colrows[cc].add(r)
                     row[cc] = nv
     return pivots, rowmap
 
 
-def _back_substitute(pivots, rowmap, x):
-    """Solve the pivot rows of an elimination for their pivot coordinates
-    of x, right to left, given its free coordinates; a row's right-hand
-    side, if any, sits in column len(x)."""
-    cols = len(x)
+def _back_substitute(pivots, rowmap, cols, free=None, rhs=None):
+    """Solve the pivot rows of an elimination, right to left, for x in
+    its first cols columns, with right-hand side column rhs (or 0) and
+    free coordinates 0 but for a 1 at column free, if given."""
+    x = [F0] * cols
+    if free is not None:
+        x[free] = F1
     for c, r in reversed(pivots):
         row = rowmap[r]
-        s = Fraction(row.get(cols, 0))
+        s = Fraction(row.get(rhs, 0))
         for cc, vv in row.items():
             if cc != c and cc < cols:
                 xv = x[cc]
@@ -135,25 +136,50 @@ def _back_substitute(pivots, rowmap, x):
     return x
 
 
-def rank_kernel(mat, elim=None):
+def rank_kernel(mat):
     """Rank and an exact kernel basis.  Kernel vectors are built one per
     free column by back substitution; they are linearly independent by
-    construction (each has a 1 in its own free coordinate).  elim is
-    _eliminate(mat) when the caller already has it."""
-    pivots, rowmap = elim if elim is not None else _eliminate(mat)
+    construction (each has a 1 in its own free coordinate, 0 in the
+    others)."""
+    pivots, rowmap = _eliminate(mat)
     pivot_cols = {c for c, _ in pivots}
-    kernel = []
-    for fc in range(mat.cols):
-        if fc not in pivot_cols:
-            x = [F0] * mat.cols
-            x[fc] = F1
-            kernel.append(_back_substitute(pivots, rowmap, x))
+    kernel = [_back_substitute(pivots, rowmap, mat.cols, fc)
+              for fc in range(mat.cols) if fc not in pivot_cols]
     return len(pivots), kernel
 
 
 def rank(mat):
     pivots, _ = _eliminate(mat)
     return len(pivots)
+
+
+def class_basis(d, prev):
+    """Cocycles representing a basis of ker d / im prev, where d prev = 0
+    and the rows of prev are indexed like the columns of d: the kernel
+    vectors of rank_kernel(d), in order, that lie outside the span of im
+    prev and the kernel vectors before them.
+
+    Let F be the free columns of d.  Restricting to the coordinates in F
+    is an isomorphism from ker d onto Q^F: back substitution fixes a
+    kernel vector's pivot coordinates from its free ones, and the kernel
+    vector k_f of free column f restricts to the unit vector e_f.  im
+    prev lies in ker d and restricts to the span of prev's rows at F.  So
+    k_f is outside the span of im prev and the k_f' before it exactly
+    when e_f is outside the span of those rows and the e_f' before it:
+    exactly when e_f's column is a pivot of [prev's rows at F | identity
+    on F].  Only those k_f are back-substituted."""
+    pivots, rowmap = _eliminate(d)
+    pivot_cols = {c for c, _ in pivots}
+    free = [c for c in range(d.cols) if c not in pivot_cols]
+    at = {c: i for i, c in enumerate(free)}
+    m = SparseMat(len(free), prev.cols + len(free))
+    for (r, c), v in prev.entries.items():
+        if r in at:
+            m.entries[(at[r], c)] = v
+    for i in range(len(free)):
+        m.entries[(i, prev.cols + i)] = 1
+    return [_back_substitute(pivots, rowmap, d.cols, free[c - prev.cols])
+            for c, _ in _eliminate(m)[0] if c >= prev.cols]
 
 
 def chain_ranks(count, matrix):
@@ -185,18 +211,29 @@ def dims_from_ranks(sizes, ranks):
             for n in range(len(sizes))]
 
 
-def solve_in_image(mat, b):
-    """A witness x with mat*x == b, or None when b is not in the image.
+def solve_columns(mat, columns):
+    """Witnesses x_i with mat*x_i == b_i for the right-hand sides b_i in
+    columns (dicts row -> value), or None when some b_i is not in the
+    image, from one elimination of [mat | b_1 ... b_k].  b_i's column is
+    a pivot exactly when b_i is independent of mat and the b_j before it,
+    so the first b_i outside the image is the first pivot past mat.  Each
+    witness is the particular solution with all free variables zero."""
+    aug = SparseMat(mat.rows, mat.cols + len(columns))
+    aug.entries.update(mat.entries)
+    for k, b in enumerate(columns, mat.cols):
+        for r, v in b.items():
+            aug.set(r, k, v)
+    pivots, rowmap = _eliminate(aug)
+    if pivots and pivots[-1][0] >= mat.cols:
+        return None
+    return [_back_substitute(pivots, rowmap, mat.cols, rhs=k)
+            for k in range(mat.cols, aug.cols)]
 
-    None is the normal negative answer here, not an error.  The witness is
-    the deterministic particular solution with all free variables zero."""
+
+def solve_in_image(mat, b):
+    """solve_columns for the one column b, a list: a witness x with
+    mat*x == b, or None (the normal negative answer, not an error)."""
     if len(b) != mat.rows:
         raise ValueError("rhs length %d != %d rows" % (len(b), mat.rows))
-    BCOL = mat.cols
-    b = [v if isinstance(v, Fraction) else Fraction(rational(v)) for v in b]
-    pivots, rowmap = _eliminate(mat, rhs=b)
-    pivoted = {r for _, r in pivots}
-    for r, row in rowmap.items():
-        if r not in pivoted and row.get(BCOL):
-            return None
-    return _back_substitute(pivots, rowmap, [F0] * mat.cols)
+    xs = solve_columns(mat, [dict(enumerate(b))])
+    return None if xs is None else xs[0]

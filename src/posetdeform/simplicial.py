@@ -30,9 +30,6 @@ from operator import itemgetter
 from .linalg import SparseMat, chain_ranks, dims_from_ranks
 from .scalars import TruncSeries, format_rat, rational
 
-_UNIT = {1: Fraction(1), -1: Fraction(-1)}
-
-
 class ArityMismatch(ValueError):
     """Argument list length does not match the arity being saturated."""
 
@@ -366,7 +363,7 @@ def coboundary_matrix(poset, n, strict=False, skip=()):
         # alternating signs sum to 0 or +-1, so every sum here is 0 or +-1
         for k, v in row.items():
             if v:
-                entries[(r, k)] = _UNIT[v]
+                entries[(r, k)] = v
     return m
 
 

@@ -110,9 +110,9 @@ def test_clearing_is_in_effect(sphere, monkeypatch):
     shapes = []
     eliminate = linalg._eliminate
 
-    def recording(mat, rhs=None):
+    def recording(mat):
         shapes.append((mat.rows, len({r for r, _ in mat.entries})))
-        return eliminate(mat, rhs)
+        return eliminate(mat)
 
     monkeypatch.setattr(linalg, "_eliminate", recording)
     assert cohomology_dims(sphere, 2) == [1, 0, 1]

@@ -206,9 +206,13 @@ def _same_rows(got, ref):
 @given(systems())
 def test_elimination_matches_fraction_reference(system):
     mat, b = system
-    for rhs in (None, b):
-        pivots, rowmap = _eliminate(mat, rhs)
-        ref_pivots, ref_rowmap = eliminate_reference(mat, rhs)
+    # the right-hand side as an ordinary trailing column
+    aug = SparseMat(mat.rows, mat.cols + 1, mat.entries)
+    for r, v in enumerate(b):
+        aug.set(r, mat.cols, v)
+    for m in (mat, aug):
+        pivots, rowmap = _eliminate(m)
+        ref_pivots, ref_rowmap = eliminate_reference(m)
         assert pivots == ref_pivots
         _same_rows(rowmap, ref_rowmap)
 

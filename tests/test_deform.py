@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from posetdeform import deform
+from posetdeform import deform, linalg
 from posetdeform.deform import (
     MAX_ORDER,
     MCElement,
@@ -26,7 +26,8 @@ from posetdeform.deform import (
 )
 from posetdeform.opcore import SignFlip, circle, differential
 from posetdeform.scalars import DomainError, TruncSeries
-from posetdeform.simplicial import SimpCochain, SimplicialCarrier
+from posetdeform.linalg import solve_in_image
+from posetdeform.simplicial import SimpCochain, SimplicialCarrier, coboundary_matrix
 
 
 def face_sum(p, x):
@@ -361,6 +362,64 @@ def test_gauge_at_order_20(sphere):
     assert gauge_equivalent(sphere, e1, e3) is None
 
 
+def gauge_reference(p, e1, e2):
+    """The per-layer loop of the former gauge_equivalent, verbatim after
+    its MC checks: one solve_in_image per lam-layer."""
+    order = e1.order
+    w1, w2 = to_witt(e1), to_witt(e2)
+    ratio = w1 * w2.inverse()
+    target = witt_log_layers(ratio)
+
+    rows = p.chains(2)
+    cols = p.chains(1)
+    rowof = {ch: k for k, ch in enumerate(rows)}
+    mat = coboundary_matrix(p, 1, strict=False)
+
+    psi = {}
+    for n in range(1, order + 1):
+        b = [Fraction(0)] * len(rows)
+        for ch, v in target[n].values.items():
+            b[rowof[ch]] = Fraction(v, target[n].den)
+        sol = solve_in_image(mat, b)
+        if sol is None:
+            return None
+        layer = SimpCochain(1, zip(cols, sol))
+        if not layer.is_zero():
+            psi[n] = layer
+
+    phi = witt_exp(p, 1, order, psi)
+    if witt_coboundary(p, phi) * w2 != w1:
+        raise AssertionError("gauge witness failed the exact re-check")
+    return phi
+
+
+def test_gauge_solves_every_layer_from_one_elimination(sphere, monkeypatch):
+    """Order-20 elements: a twist of exp(z lam + z lam^3) by layers at lam,
+    lam^2, lam^7 and lam^20 is equivalent to it, and exp(z lam + z lam^3 +
+    z lam^5) is not, first at lam^5.  Each gauge_equivalent call runs one
+    elimination, and its witness or None is the per-layer loop's."""
+    z = closed_2_rep(sphere)
+    car = SimplicialCarrier(sphere)
+    rng = random.Random("gauge:one")
+    e1 = from_witt(witt_exp(sphere, 2, 20, {1: z, 3: z}))
+    e2 = twist(sphere, e1, {n: car.random_elem(1, rng) for n in (1, 2, 7, 20)})
+    e3 = from_witt(witt_exp(sphere, 2, 20, {1: z, 3: z, 5: z}))
+    calls = []
+    eliminate = linalg._eliminate
+
+    def counting(mat):
+        calls.append(mat)
+        return eliminate(mat)
+
+    monkeypatch.setattr(linalg, "_eliminate", counting)
+    for a, b, equivalent in ((e2, e1, True), (e1, e2, True), (e1, e3, False), (e3, e2, False)):
+        calls.clear()
+        got = gauge_equivalent(sphere, a, b)
+        assert len(calls) == 1
+        assert (got is not None) is equivalent
+        assert got == gauge_reference(sphere, a, b)
+
+
 def test_gauge_preconditions(sphere, cr4):
     z = closed_2_rep(sphere)
     e1 = MCElement.single(1, 1, z)
@@ -387,10 +446,10 @@ def test_moduli_dimensions(cr4, diamond, sphere):
 
 
 def test_moduli_skips_the_kernel_when_b2_is_zero(cr4, monkeypatch):
-    def refuse(mat):
-        raise AssertionError("kernel basis computed although b2 = 0")
+    def refuse(*args, **kwargs):
+        raise AssertionError("kernel vector computed although b2 = 0")
 
-    monkeypatch.setattr(deform, "rank_kernel", refuse)
+    monkeypatch.setattr(linalg, "_back_substitute", refuse)
     assert moduli(cr4, 3) == (0, [])
 
 
