@@ -6,8 +6,8 @@ The package is organized bottom-up:
                  are the series with constant term 1)
 * ``posets``     finite posets, chain and interval enumeration
 * ``linalg``     sparse exact elimination: rank, kernel, solves, class bases
-* ``opcore``     operad operations over any carrier (compose_at, identity,
-                 mult) and all Koszul signs
+* ``opcore``     operad operations over any carrier (compose_into,
+                 compose_at, identity, mult) and all Koszul signs
 * ``simplicial`` the one cochain type and its arithmetic, the simplicial
                  carrier, nerve cohomology
 * ``hochschild`` incidence algebra; the relative Hochschild carrier (the

@@ -5,9 +5,9 @@ A candidate deformed product m + omega_1*lam + ... + omega_N*lam^N is an
 MCElement: its higher terms as one series-valued simplicial 2-cochain W,
 W(chain) = sum_n omega_n(chain) lam^n, an element of the DGLA tensored
 with lam*k[lam]/(lam^{N+1}).  mc_check tests the Maurer-Cartan equation
-dW + W o W = 0 there, with the shifted differential and circle product
-from opcore; the layers omega_n are read off W only for JSON and for the
-linear solves.
+dW + W o W = 0 there, the shifted differential and circle product from
+opcore summed in one pass (curvature); the layers omega_n are read off W
+only for JSON and for the linear solves.
 
 The same data reads as a cochain valued in the truncated Witt group
 W_N = 1 + lam*k[lam]/(lam^{N+1}): pointwise 1 + W.  Under that reading
@@ -29,7 +29,7 @@ from math import lcm
 
 from .hochschild import IncElem, rel_eval
 from .linalg import class_basis, solve_columns
-from .opcore import circle, differential
+from .opcore import curvature
 from .scalars import DomainError, TruncSeries
 from .simplicial import SimpCochain, SimplicialCarrier, coboundary_matrix
 
@@ -141,7 +141,7 @@ def mc_check(p, e, carrier=None):
     carrier is how the sensitivity tests poke this harness.
     """
     car = carrier if carrier is not None else SimplicialCarrier(p)
-    defect = (differential(car, e.w) + circle(car, e.w, e.w)).values
+    defect = curvature(car, e.w).values
     if not defect:
         return True, None
     # chains(3) is lexicographic: its first chain is the least tuple

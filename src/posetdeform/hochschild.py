@@ -33,17 +33,13 @@ like (#intervals)**(n+1), so the list of all basis tuples of a degree
 (tuples) is capped, and so are hh_dims and random_elem, which walk it;
 exceeding the cap raises TooLarge.
 
-Composition in either carrier enumerates the pairs of entries of f and g
-that meet in slot j (grouped by the interval there), never all chains or
-all tuples of the output degree, and needs no cap.  The groupings are
-cached on the cochains (SimpCochain.grouped), identity() and mult() have
-theirs from the start (the full ones also by output interval), so
-m o_j x and x o_j m for a unit x cost one probe plus a step per pair.  A
-relative step reads a structure table, delta_a o_j delta_b = k delta_c,
-that rel_eval fills the first time (j, a, b) meets and that lives as long
-as its carrier.  Its entries come from evaluation in kP while the
-simplicial carrier restricts faces, so iso still compares two
-independently derived rules.
+Composition in either carrier (its kernel compose_into, see
+simplicial.Carrier) enumerates the pairs of entries of f and g that meet
+in slot j (grouped by the interval there), never all chains or all tuples
+of the output degree, and needs no cap.  The groupings are cached on the
+cochains (SimpCochain.grouped), identity() and mult() have theirs from
+the start (the full ones also by output interval), so m o_j x and
+x o_j m for a unit x cost one probe plus a step per pair.
 
 IncElem and rel_eval use nothing of their scalars but +, * and the zero
 test, so they work over ints, Fractions and truncated series alike (the
@@ -61,7 +57,7 @@ from itertools import product
 from .linalg import SparseMat, chain_ranks, dims_from_ranks
 from .opcore import ArityMismatch, differential
 from .posets import TooLarge
-from .simplicial import Carrier, SimpCochain, SimplicialCarrier, check_slot, slot_pairs
+from .simplicial import Carrier, SimpCochain, SimplicialCarrier, compose_sum, slot_walk
 
 F1 = Fraction(1)
 
@@ -221,37 +217,34 @@ class RelHochschildCarrier(SimplicialCarrier):
         return got.terms.get((a[0], a[-1]), 0)
 
     def compose_at(self, f, j, g):
-        """f o_j g by evaluation in kP, through a structure table.
+        """f o_j g by evaluation in kP, the one-term compose_sum."""
+        return compose_sum(self, f.degree + g.degree - 1, [(0, f, j, g)])
 
-        f o_j g sums f(a) g(b) (delta_a o_j delta_b) over chains a of f and
-        b of g, and each term is k delta_c with k = _structure(j, a, b) and
-        c = a[:j-1] + b + a[j+1:].  A relative cochain is bilinear over the
-        diagonal, so delta_b's value lies in E[b0] kP E[bq] and can fill
-        slot j only where a has the interval (b0, bq): g's chains are
-        grouped by end points and each chain of f meets one group
-        (slot_pairs), as in the simplicial carrier.  The table
-        self._tables[j][a][b] is filled when a pair first meets and lives
-        as long as the carrier, so rel_eval runs once per pair per carrier.
-        Every k still comes from evaluation in kP while the simplicial
-        carrier restricts faces, so the iso suite still compares two
-        independently derived rules.  By bilinearity the numerators
-        multiply as they are, over f.den * g.den."""
-        pairs = slot_pairs(f, j, g)
-        table = self._tables.setdefault(j, {})
-        out = {}
-        for a, x, group in pairs:
-            row = table.get(a)
-            if row is None:
-                row = table[a] = {}
-            head, tail = a[: j - 1], a[j + 1 :]
-            for b, y in group:
-                k = row.get(b)
-                if k is None:
-                    k = row[b] = self._structure(j, a, b)
-                v = k * x * y
-                if v:
-                    out[head + b + tail] = v
-        return SimpCochain._reduced(f.degree + g.degree - 1, out, f.den * g.den)
+    def compose_into(self, out, s, f, j, g):
+        """Add s (f o_j g) into out through a structure table.  A relative
+        cochain is bilinear over the diagonal, so delta_b fills slot j of
+        delta_a only where a has b's end points: the pairs are the
+        simplicial carrier's (slot_walk).  Each adds k f(a) g(b) on
+        c = a[:j-1] + b + a[j+1:], with k = self._tables[j][a][b] filled by
+        _structure, evaluation in kP, when the pair first meets and kept as
+        long as the carrier: iso compares two independently derived rules."""
+        entries, by_ends = slot_walk(f, j, g)
+        table, get = self._tables.setdefault(j, {}), out.get
+        for a, x in entries:
+            group = by_ends.get(a[j - 1 : j + 1])
+            if group:
+                row = table.get(a)
+                if row is None:
+                    row = table[a] = {}
+                head, tail, x = a[: j - 1], a[j + 1 :], x * s
+                for b, y in group:
+                    k = row.get(b)
+                    if k is None:
+                        k = row[b] = self._structure(j, a, b)
+                    if k:
+                        c, v = head + b + tail, k * x * y
+                        cur = get(c)
+                        out[c] = v if cur is None else cur + v
 
 
 class FullHochschildCarrier(Carrier):
@@ -283,36 +276,35 @@ class FullHochschildCarrier(Carrier):
         return got
 
     def compose_at(self, f, j, g):
-        """f o_j g of multilinear maps, enumerating pairs of entries.
+        """f o_j g of multilinear maps, the one-term compose_sum."""
+        return compose_sum(self, f.degree + g.degree - 1, [(0, f, j, g)])
+
+    def compose_into(self, out, s, f, j, g):
+        """Add s (f o_j g) into out, enumerating pairs of entries.
 
         (f o_j g)(t) = f(t[:j-1] + (g(u),) + t[j-1+q:]) with u the q
         arguments in slots j..j+q-1.  An entry u + (K,) of g, the
         coefficient of E[K] in g(u), meets only the keys a of f with K in
-        slot j: it adds the product of the two values to the output key
-        a[:j-1] + u + a[j:].  When g has its grouping by output interval
-        (identity() and mult() do) and f has fewer entries than g, each
-        entry of f probes g's group there; else f's keys are grouped by
-        slot j (cached on f) and each entry of g probes its group.  K is
-        not part of the output key, so entries of g with the same u land
-        on one output: outputs are summed and zeros dropped.  No list of
-        all tuples is built: no TooLarge here."""
-        check_slot(f, j)
-        by_out, out = g._ix and g._ix.get(self.out), {}
+        slot j and adds the product of the two values, s times the walked
+        one, to the output key a[:j-1] + u + a[j:] (K is not part of it).
+        When g has its grouping by output interval (identity() and mult()
+        do) and f has fewer entries than g, each entry of f probes g's
+        group there; else each entry of g probes f's grouping by slot j
+        (cached on f).  No list of all tuples is built: no TooLarge here."""
+        by_out, get = g._ix and g._ix.get(self.out), out.get
         if by_out is not None and len(f.values) < len(g.values):
             for a, x in f.values.items():
-                head, tail = a[: j - 1], a[j:]
+                head, tail, x = a[: j - 1], a[j:], x * s
                 for b, y in by_out.get(a[j - 1], ()):
                     key = head + b[:-1] + tail
-                    out[key] = out.get(key, 0) + x * y
+                    out[key] = get(key, 0) + x * y
         else:
             by_slot = f.grouped(self.slot(j))
             for b, y in g.values.items():
-                u = b[:-1]
+                u, y = b[:-1], y * s
                 for a, x in by_slot.get(b[-1], ()):
                     key = a[: j - 1] + u + a[j:]
-                    out[key] = out.get(key, 0) + x * y
-        out = {key: v for key, v in out.items() if v}
-        return SimpCochain._reduced(f.degree + g.degree - 1, out, f.den * g.den)
+                    out[key] = get(key, 0) + x * y
 
     def _build(self, n):
         """The identity map of kP (n = 1) or its product (n = 2), grouped

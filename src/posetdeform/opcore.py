@@ -1,14 +1,16 @@
 """Carrier-generic operad operations.
 
 A *carrier* is an operad with multiplication on simplicial.SimpCochain:
-``compose_at(f, j, g)``, ``identity()`` and ``mult()`` (a fixed
-associative arity-2 element with m o m = 0) are all this module reads of
-it; the arithmetic (degree, SimpCochain(n) as zero, +, unary -, scale,
-== and is_zero()) is SimpCochain's own.  The suites also read
-``poset``, ``random_elem(n, rng)`` and ``diff_witness(x, y)``.
+its kernel ``compose_into(out, s, f, j, g)`` (add s f o_j g to a dict of
+numerators), ``compose_at(f, j, g)``, ``identity()`` and ``mult()`` (a
+fixed associative arity-2 element with m o m = 0) are all this module
+reads of it: each signed sum of insertions is one simplicial.compose_sum,
+and gamma and a brace's inner levels use compose_at.  The arithmetic
+(degree, +, unary -, == and is_zero()) is SimpCochain's own.  The suites
+also read ``poset``, ``random_elem(n, rng)`` and ``diff_witness(x, y)``.
 SimplicialCarrier keys cochains by weak chains and composes by face
-restriction; the relative Hochschild carrier inherits all of it but
-``compose_at``; the full Hochschild carrier keys them by argument
+restriction; the relative Hochschild carrier inherits all of it but the
+composition; the full Hochschild carrier keys them by argument
 intervals and an output interval (x_1, ..., x_n, y) and composes them as
 multilinear maps.  Everything in this module is written once against
 that interface, so all carriers share one set of sign conventions by
@@ -33,18 +35,20 @@ live on the shifted side:
   (-1)**(|x|+1) times it, so kernels and images agree degreewise.  The
   unshifted differential -d is also provided.
 * bracket: [f, g] = f o g - (-1)**(<f><g>) g o f.
+* curvature: dw + w o w, zero exactly for a Maurer-Cartan w of arity 2.
 
 SignFlip(car) is the one way to doctor a carrier: it negates every
-insertion into slot 2, and each harness (the law suites, the iso suite,
-mc_check) takes it in place of car to show that it reports failures.
+insertion into slot 2 (compose_at and kernel alike), and each harness
+(the law suites, the iso suite, mc_check) takes it in place of car to
+show that it reports failures.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
 
-# the exceptions live with the carriers that raise them and stay importable here
-from .simplicial import ArityMismatch, SimpCochain, SlotOutOfRange  # noqa: F401
+# compose_sum and the exceptions live with the carriers; the exceptions stay importable here
+from .simplicial import ArityMismatch, SlotOutOfRange, compose_sum  # noqa: F401
 
 
 def signed(e, x):
@@ -75,19 +79,19 @@ def brace(car, x, args):
     args = list(args)
     if not args:
         return x
-    m = x.degree
-    if len(args) > m:
-        return SimpCochain(max(m + sum(a.degree - 1 for a in args), 0))
-    return _brace_sum(car, x, m, args)
+    degree = max(x.degree + sum(a.degree - 1 for a in args), 0)
+    return compose_sum(car, degree, _brace_terms(car, x, args))
 
 
-def _brace_sum(car, x, m, args):
+def _brace_terms(car, x, args, e=0):
+    """The compose_sum terms (eps + e, y, s_1, x_1) of x{x_1, ..., x_k},
+    one per slots s_1 < ... < s_k, y = x o_{s_k} x_k ... o_{s_2} x_2."""
     k = len(args)
     arities = [a.degree for a in args]
     shifted = [a - 1 for a in arities]
     terms = []
-    for slots in combinations(range(1, m + 1), k):
-        eps = 0
+    for slots in combinations(range(1, x.degree + 1), k):
+        eps = e
         consumed = 0  # arity consumed by earlier blocks
         for p in range(k):
             # inputs of the composite before block p: untouched slots of x
@@ -95,11 +99,11 @@ def _brace_sum(car, x, m, args):
             i_p = (slots[p] - 1 - p) + consumed
             eps += shifted[p] * i_p
             consumed += arities[p]
-        term = x
-        for p in range(k - 1, -1, -1):
-            term = car.compose_at(term, slots[p], args[p])
-        terms.append((eps, term))
-    return SimpCochain.lincomb(m + sum(arities) - k, terms)
+        y = x
+        for p in range(k - 1, 0, -1):
+            y = car.compose_at(y, slots[p], args[p])
+        terms.append((eps, y, slots[0], args[0]))
+    return terms
 
 
 def circle(car, f, g):
@@ -112,11 +116,17 @@ def dot(car, x, y):
     return signed(x.degree, brace(car, car.mult(), [x, y]))
 
 
+def _circles(car, degree, circles):
+    """The sum of (-1)**e f o g over circles (e, f, g), in one compose_sum."""
+    terms = [t for e, f, g in circles for t in _brace_terms(car, f, [g], e)]
+    return compose_sum(car, degree, terms)
+
+
 def differential(car, x):
-    """Differential of the shifted complex: d x = m o x - (-1)**<x> x o m.
-    Raises arity by one and squares to zero."""
-    left = circle(car, car.mult(), x)
-    return SimpCochain.lincomb(left.degree, [(0, left), (x.degree, circle(car, x, car.mult()))])
+    """Differential of the shifted complex: d x = m o x - (-1)**<x> x o m,
+    both circles in one sum.  Raises arity by one and squares to zero."""
+    m = car.mult()
+    return _circles(car, x.degree + 1, [(0, m, x), (x.degree, x, m)])
 
 
 def differential_unshifted(car, x):
@@ -127,11 +137,17 @@ def differential_unshifted(car, x):
 
 def bracket(car, f, g):
     """Graded bracket [f, g] = f o g - (-1)**(<f><g>) g o f on the shifted
-    complex.  Both products have arity max(|f| + |g| - 1, 0), zeros
-    included, so they add directly."""
-    fg = circle(car, f, g)
+    complex, both circles in one sum.  Both have arity
+    max(|f| + |g| - 1, 0), zeros included, so they add directly."""
     e = (f.degree - 1) * (g.degree - 1) + 1
-    return SimpCochain.lincomb(fg.degree, [(0, fg), (e, circle(car, g, f))])
+    return _circles(car, max(f.degree + g.degree - 1, 0), [(0, f, g), (e, g, f)])
+
+
+def curvature(car, w):
+    """dw + w o w = m o w + w o m + w o w for w of arity 2 (shifted degree
+    1), in one sum: zero exactly when w is a Maurer-Cartan element."""
+    m = car.mult()
+    return _circles(car, 3, [(0, m, w), (0, w, m), (0, w, w)])
 
 
 class SignFlip:
@@ -147,6 +163,9 @@ class SignFlip:
     def compose_at(self, f, j, g):
         out = self.base.compose_at(f, j, g)
         return -out if j == 2 else out
+
+    def compose_into(self, out, s, f, j, g):
+        self.base.compose_into(out, -s if j == 2 else s, f, j, g)
 
     def __getattr__(self, attr):
         return getattr(self.base, attr)

@@ -35,7 +35,7 @@ class ArityMismatch(ValueError):
 
 
 class SlotOutOfRange(ValueError):
-    """compose_at with j outside 1..degree of f."""
+    """compose_at or compose_sum with j outside 1..degree of f."""
 
 
 def _times(values, s):
@@ -124,7 +124,8 @@ class SimpCochain:
     def lincomb(cls, degree, terms):
         """The sum of (-1)**e x over a list of terms (e, x), x of this
         degree, in one pass: each x's numerators, times lcm(dens) // x.den
-        and signed, are summed into one dict, reduced by one gcd at the end."""
+        and signed, are summed into one dict, whose zeros go and gcd is
+        taken at the end, as in compose_sum."""
         den, out = lcm(*[x.den for _, x in terms]), {}
         for e, x in terms:
             if x.degree != degree:
@@ -137,13 +138,8 @@ class SimpCochain:
                 if s != 1:
                     v = -v if s == -1 else v * s
                 cur = out.get(ch)
-                if cur is None:
-                    out[ch] = v
-                elif nv := cur + v:
-                    out[ch] = nv
-                else:
-                    del out[ch]
-        return cls._reduced(degree, out, den)
+                out[ch] = v if cur is None else cur + v
+        return cls._reduced(degree, {ch: v for ch, v in out.items() if v}, den)
 
     def add(self, other):
         return SimpCochain.lincomb(self.degree, [(0, self), (0, other)])
@@ -237,13 +233,14 @@ class SimpCochain:
 
 class Carrier:
     """What every carrier shares, whatever the keys of its SimpCochains
-    mean.  A carrier is an operad with multiplication: compose_at(f, j, g)
-    from the subclass, and identity() and mult(), each built once by the
-    subclass's _build(n) (n = 1, 2) and then shared, since no operation
-    changes a cochain in place, with its grouping by each slot, the f side
-    of compose_at (grouped(self.slot(j))).  The arithmetic is SimpCochain's
-    own.  The suites also read poset, random_elem(n, rng) and
-    diff_witness(x, y)."""
+    mean.  A carrier is an operad with multiplication: from the subclass,
+    the kernel compose_into(out, s, f, j, g), adding s f o_j g to a dict of
+    numerators over f.den * g.den, and compose_at(f, j, g), the one-term
+    compose_sum; identity() and mult(), built once by its _build(n) and
+    shared, since no operation changes a cochain in place, with their
+    grouping by each slot (grouped(self.slot(j))), the f side of the
+    kernel.  The arithmetic is SimpCochain's own.  The suites also read
+    poset, random_elem(n, rng) and diff_witness(x, y)."""
 
     def __init__(self, poset):
         self.poset = poset
@@ -268,54 +265,66 @@ class Carrier:
         return got
 
 
-def check_slot(f, j):
-    """Raise SlotOutOfRange unless 1 <= j <= f.degree."""
-    if not 1 <= j <= f.degree:
-        raise SlotOutOfRange("slot %d invalid for arity %d" % (j, f.degree))
+def compose_sum(car, degree, terms):
+    """The sum of (-1)**e f o_j g over terms (e, f, j, g) in one pass: each
+    car.compose_into adds its numerators, over the lcm of the f.den * g.den
+    and signed, into one dict, whose zeros go and gcd is taken at the end.
+    A slot j outside 1..f.degree raises SlotOutOfRange."""
+    den, out = lcm(*[f.den * g.den for _, f, _, g in terms]), {}
+    for e, f, j, g in terms:
+        if not 1 <= j <= f.degree:
+            raise SlotOutOfRange("slot %d invalid for arity %d" % (j, f.degree))
+        s = den // (f.den * g.den)
+        car.compose_into(out, -s if e % 2 else s, f, j, g)
+    return SimpCochain._reduced(degree, {k: v for k, v in out.items() if v}, den)
 
 
-def slot_pairs(f, j, g):
-    """Check slot j of f, then yield (a, x, group): each entry of f with the
-    group of g's entries (b, y) whose ends (b[0], b[-1]) are a's slot-j
-    interval (a[j-1], a[j]) ((x,) has ends (x, x)).  The walk runs over g's
-    groups, probing f's slot index, when f has one (the constants do) and
-    g has fewer groups than f has entries; else over f's entries."""
-    check_slot(f, j)
+def slot_walk(f, j, g):
+    """The entries (a, x) of f to walk, and g's entries grouped by their
+    ends (b[0], b[-1]) ((x,) has ends (x, x)), each a's to meet at
+    (a[j-1], a[j]).  Those of f are read off its slot index when it has one
+    (the constants do) and g has fewer groups than f has entries: only the
+    ones on g's intervals; else they are all of f's."""
     by_ends = g.grouped((0, -1))
-    by_slot = f._ix and f._ix.get(SimplicialCarrier.slot(j))
+    by_slot = f._ix and f._ix.get((j - 1, j))
     if by_slot is not None and len(by_ends) < len(f.values):
-        return ((a, x, grp) for ends, grp in by_ends.items() for a, x in by_slot.get(ends, ()))
-    return ((a, x, grp) for a, x in f.values.items() if (grp := by_ends.get(a[j - 1 : j + 1])))
+        return [ax for ends in by_ends for ax in by_slot.get(ends, ())], by_ends
+    return f.values.items(), by_ends
 
 
 class SimplicialCarrier(Carrier):
     """Operad carrier of simplicial cochains on one poset, composing by
     face restriction.  hochschild.RelHochschildCarrier inherits everything
-    here except compose_at."""
+    here but compose_at and compose_into."""
 
     name = "simplicial"
 
     slot = staticmethod(lambda j: (j - 1, j))  # key positions of slot j's interval
 
     def compose_at(self, f, j, g):
-        """f o_j g by face restriction, enumerating pairs of supports.
+        """f o_j g by face restriction, the one-term compose_sum."""
+        return compose_sum(self, f.degree + g.degree - 1, [(0, f, j, g)])
 
-        An output chain c is the pair (a, b) glued in slot j: a = f's
-        chain with its interval (a[j-1], a[j]) filled in by b = g's chain
-        from a[j-1] to a[j], c = a[:j-1] + b + a[j+1:].  So g's chains
-        are grouped by their end points and each chain of f meets only its
-        own group (slot_pairs); every output comes from exactly one pair
-        and costs one product."""
-        out = {}
-        for a, x, group in slot_pairs(f, j, g):
-            head, tail = a[: j - 1], a[j + 1 :]
-            for b, y in group:
-                out[head + b + tail] = x * y
-        if out and not isinstance(next(iter(out.values())), int):
-            # two nonzero ints never multiply to 0, but two series can
-            out = {c: v for c, v in out.items() if v}
-        # (f/D) o_j (g/E) = (f o_j g)/(DE): numerators multiply as ints
-        return SimpCochain._reduced(f.degree + g.degree - 1, out, f.den * g.den)
+    def compose_into(self, out, s, f, j, g):
+        """Add s (f o_j g) into out by face restriction.  An output chain
+        c = a[:j-1] + b + a[j+1:] glues f's chain a and g's chain b, which
+        fills a's slot-j interval: it runs from a[j-1] to a[j].  So each
+        entry of f meets only g's group of chains with those ends
+        (slot_walk), and each pair adds one product: (f/D) o_j (g/E) =
+        (f o_j g)/(DE), so numerators multiply as they are.  s scales each
+        value of f once, if not 1 (-1 negates: no gcd for a series)."""
+        entries, by_ends = slot_walk(f, j, g)
+        get = out.get
+        for a, x in entries:
+            group = by_ends.get(a[j - 1 : j + 1])
+            if group:
+                if s != 1:
+                    x = -x if s == -1 else x * s
+                head, tail = a[: j - 1], a[j + 1 :]
+                for b, y in group:
+                    c, v = head + b + tail, x * y
+                    cur = get(c)
+                    out[c] = v if cur is None else cur + v
 
     def constant(self, n, value=1):
         return SimpCochain(n, {c: value for c in self.poset.chains(n)})

@@ -247,14 +247,15 @@ def hga_suite(car, samples=25, seed=0, max_degree=3):
             r = rng.randint(0, min(2, max_degree))
             z = car.random_elem(r, rng)
 
+            xy, dx = dot(car, x, y), differential(car, x)
             rep.same(car, "dot-assoc", (p, q, r),
-                     dot(car, dot(car, x, y), z), dot(car, x, dot(car, y, z)))
+                     dot(car, xy, z), dot(car, x, dot(car, y, z)))
 
             n_ct = rng.randint(0, 2)
             ys = [car.random_elem(rng.randint(0, 1), rng)
                   for _ in range(n_ct)]
             sy = [w.degree - 1 for w in ys]
-            lhs = brace(car, dot(car, x, y), ys)
+            lhs = brace(car, xy, ys)
             terms = []
             for i in range(n_ct + 1):
                 t = dot(car, brace(car, x, ys[:i]), brace(car, y, ys[i:]))
@@ -262,12 +263,11 @@ def hga_suite(car, samples=25, seed=0, max_degree=3):
             rep.same(car, "dot-brace[n=%d]" % n_ct, (p, q),
                      lhs, _zsum(terms))
 
-            rep.vanishes(car, "d-squared", (p,),
-                         differential(car, differential(car, x)))
+            rep.vanishes(car, "d-squared", (p,), differential(car, dx))
 
-            lhs = differential_unshifted(car, dot(car, x, y))
+            lhs = differential_unshifted(car, xy)
             right = signed(x.degree, dot(car, x, differential_unshifted(car, y)))
-            rhs = _zsum([dot(car, differential_unshifted(car, x), y), right])
+            rhs = _zsum([dot(car, -dx, y), right])
             rep.same(car, "leibniz-dot", (p, q), lhs, rhs)
     return rep
 
@@ -290,20 +290,20 @@ def dgla_suite(car, samples=25, seed=0, max_degree=3):
             h = car.random_elem(r, rng)
             sr = r - 1
 
+            fg = bracket(car, f, g)
             gf = signed(sp * sq, bracket(car, g, f))
-            rep.vanishes(car, "antisymmetry", (p, q),
-                         _zsum([bracket(car, f, g), gf]))
+            rep.vanishes(car, "antisymmetry", (p, q), _zsum([fg, gf]))
 
             lhs = _associator(car, f, g, h)
             rhs = signed(sq * sr, _associator(car, f, h, g))
             rep.same(car, "prelie-symmetry", (p, q, r), lhs, rhs)
 
-            t1 = signed(sp * sr, bracket(car, bracket(car, f, g), h))
+            t1 = signed(sp * sr, bracket(car, fg, h))
             t2 = signed(sq * sp, bracket(car, bracket(car, g, h), f))
             t3 = signed(sr * sq, bracket(car, bracket(car, h, f), g))
             rep.vanishes(car, "jacobi", (p, q, r), _zsum([t1, t2, t3]))
 
-            lhs = differential(car, bracket(car, f, g))
+            lhs = differential(car, fg)
             right = signed(sp, bracket(car, f, differential(car, g)))
             rhs = _zsum([bracket(car, differential(car, f), g), right])
             rep.same(car, "leibniz-bracket", (p, q), lhs, rhs)

@@ -126,19 +126,28 @@ def test_mc_check_skips_layers_that_cannot_carry_a_defect(diamond, sphere):
     assert seen[True] >= 1 and seen[False] >= 1 and seen["outside"] >= 1
 
 
-def test_mc_check_is_one_differential_and_one_circle(sphere, monkeypatch):
-    """dW + W o W on the series-valued cochain, not a loop over layers."""
+def test_mc_check_is_one_curvature_sum(sphere, monkeypatch):
+    """dW + W o W on the series-valued cochain, as one signed sum of the
+    six insertions m o_j W, W o_j m and W o_j W (j = 1, 2), not a loop
+    over layers and not a sum of separately built composites."""
     z = closed_2_rep(sphere)
     e = MCElement(3, {1: z, 2: z.scale(Fraction(2)), 3: z.scale(Fraction(-1, 3))})
     assert set(e.terms) == {1, 2, 3}
-    calls = {"differential": 0, "circle": 0}
-    for name in calls:
-        def counted(*args, _f=getattr(deform, name), _name=name):
+    calls = {"curvature": 0, "compose_into": 0, "compose_at": 0}
+
+    def counted(*args, _f=deform.curvature):
+        calls["curvature"] += 1
+        assert args[1] is e.w
+        return _f(*args)
+
+    monkeypatch.setattr(deform, "curvature", counted)
+    for name in ("compose_into", "compose_at"):
+        def method(self, *args, _f=getattr(SimplicialCarrier, name), _name=name):
             calls[_name] += 1
-            return _f(*args)
-        monkeypatch.setattr(deform, name, counted)
+            return _f(self, *args)
+        monkeypatch.setattr(SimplicialCarrier, name, method)
     assert mc_check(sphere, e)[0]
-    assert calls == {"differential": 1, "circle": 1}
+    assert calls == {"curvature": 1, "compose_into": 6, "compose_at": 0}
 
 
 def test_zero_layers_are_not_terms(sphere):

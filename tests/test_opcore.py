@@ -21,6 +21,8 @@ from posetdeform.opcore import (
 )
 from posetdeform.simplicial import SimpCochain, SimplicialCarrier
 
+import lincomb_route
+
 
 @pytest.fixture(scope="module")
 def car(diamond):
@@ -234,16 +236,36 @@ def test_sign_flip_wrapper(car):
     # attribute access falls through to the wrapped carrier
     assert bad.poset is car.poset
     assert bad.identity() is car.identity()
+    # the one-pass sums flip slot 2 through the kernel exactly as the
+    # route of one compose_at per slot and lincomb does through compose_at
+    rng = random.Random("opcore:signflip")
+    flipped = 0
+    for p in range(4):
+        for q in range(4):
+            x, y, z = car.random_elem(p, rng), car.random_elem(q, rng), car.random_elem(1, rng)
+            pairs = [
+                (brace(bad, x, [y]), lincomb_route.brace(bad, x, [y]), brace(car, x, [y])),
+                (brace(bad, x, [y, z]), lincomb_route.brace(bad, x, [y, z]),
+                 brace(car, x, [y, z])),
+                (differential(bad, x), lincomb_route.differential(bad, x), differential(car, x)),
+                (bracket(bad, x, y), lincomb_route.bracket(bad, x, y), bracket(car, x, y)),
+            ]
+            for got, want, unflipped in pairs:
+                assert got == want
+                flipped += got != unflipped
+    assert flipped >= 30
 
 
 class Bare:
     """A carrier cut down to the operad with multiplication: compose_at,
-    identity and mult, with nothing to fall through to."""
+    its accumulating kernel compose_into, identity and mult, with nothing
+    to fall through to."""
 
-    __slots__ = ("compose_at", "identity", "mult")
+    __slots__ = ("compose_at", "compose_into", "identity", "mult")
 
     def __init__(self, car):
-        self.compose_at, self.identity, self.mult = car.compose_at, car.identity, car.mult
+        self.compose_at, self.compose_into = car.compose_at, car.compose_into
+        self.identity, self.mult = car.identity, car.mult
 
 
 def test_operations_need_only_compose_identity_and_mult(car):

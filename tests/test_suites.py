@@ -2,6 +2,7 @@
 
 import pytest
 
+from posetdeform.deform import mc_check, moduli
 from posetdeform.gsiso import verify_morphism
 from posetdeform.hochschild import RelHochschildCarrier
 from posetdeform.opcore import SignFlip
@@ -39,6 +40,45 @@ def test_sign_sabotage_is_detected(diamond, name):
     for car in carriers(diamond):
         rep = SUITES[name](SignFlip(car), samples=4, seed=0)
         assert rep.failed >= 1
+
+
+class SlotOneFlip:
+    """A mutant carrier, kept out of the package: it negates every
+    insertion into slot 1, through compose_at and the kernel alike."""
+
+    def __init__(self, base):
+        self.base = base
+        self.name = base.name + "+slot1flip"
+
+    def compose_at(self, f, j, g):
+        out = self.base.compose_at(f, j, g)
+        return -out if j == 1 else out
+
+    def compose_into(self, out, s, f, j, g):
+        self.base.compose_into(out, -s if j == 1 else s, f, j, g)
+
+    def __getattr__(self, attr):
+        return getattr(self.base, attr)
+
+
+@pytest.mark.parametrize("name", sorted(SUITES))
+def test_slot_one_flip_is_detected(diamond, name):
+    """Every suite, the operad and iso suites first among them, reports
+    failures on the slot-1 mutant of either carrier."""
+    for car in carriers(diamond):
+        rep = SUITES[name](SlotOneFlip(car), samples=4, seed=0)
+        assert rep.failed >= 1, name
+
+
+def test_slot_one_flip_fails_every_mc_element(sphere):
+    """mc_check on the slot-1 mutant rejects each basis element of the
+    order-1 and order-2 moduli of sphere14, all of which are MC."""
+    car = SimplicialCarrier(sphere)
+    bad = SlotOneFlip(car)
+    for order in (1, 2):
+        for e in moduli(sphere, order)[1]:
+            assert mc_check(sphere, e, car)[0]
+            assert not mc_check(sphere, e, bad)[0]
 
 
 def test_shared_constants_survive_every_suite(diamond):
