@@ -5,9 +5,9 @@ A candidate deformed product m + omega_1*lam + ... + omega_N*lam^N is an
 MCElement: its higher terms as one series-valued simplicial 2-cochain W,
 W(chain) = sum_n omega_n(chain) lam^n, an element of the DGLA tensored
 with lam*k[lam]/(lam^{N+1}).  mc_check tests the Maurer-Cartan equation
-dW + W o W = 0 there, the shifted differential and circle product from
-opcore summed in one pass (curvature); the layers omega_n are read off W
-only for JSON and for the linear solves.
+dW + W o W = 0 there as one opcore.curvature of W at lam = 2**B, an int
+per chain (Kronecker substitution): no caller composes series any more.
+The layers omega_n are read off W only for JSON and the linear solves.
 
 The same data reads as a cochain valued in the truncated Witt group
 W_N = 1 + lam*k[lam]/(lam^{N+1}): pointwise 1 + W.  Under that reading
@@ -18,9 +18,8 @@ gauge_equivalent and moduli are computed; mc_check stays on the DGLA
 side precisely so the equivalence of the two roads is testable.
 
 Every series is a TruncSeries of int numerators over one denominator, so
-mc_check and the whole Witt road run on ints.  Fractions enter only at
-the linear solves of gauge_equivalent (their right-hand sides and
-solutions) and in JSON output.
+the whole Witt road runs on ints.  Fractions enter only at the linear
+solves of gauge_equivalent and in JSON output.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from math import lcm
 from .hochschild import IncElem, rel_eval
 from .linalg import class_basis, solve_columns
 from .opcore import curvature
-from .scalars import DomainError, TruncSeries
+from .scalars import DomainError, TruncSeries, digits, kronecker
 from .simplicial import SimpCochain, SimplicialCarrier, coboundary_matrix
 
 
@@ -139,9 +138,24 @@ def mc_check(p, e, carrier=None):
     simplicial one; moduli and gauge_equivalent pass one carrier to all
     their calls, so its mult() is built once, and passing a doctored
     carrier is how the sensitivity tests poke this harness.
+
+    The defect is one opcore.curvature on ints (_defect), no series
+    composed.  With W = P/D (one den D) and mult() = M/E, L = lcm(D E, D**2)
+    times the curvature of P(2**b)/D is Q(2**b), Q = (L/(D E)) (M o P +
+    P o M) + (L/D**2) P o P, as the kernels only add and multiply and
+    lam -> 2**b is a ring map.  Q's coefficients 0..N over L are the
+    truncated defect: if every |q_k| < 2**(b-1), they are the lowest N + 1
+    digits of Q(2**b) in signed base 2**b, and the digits above N are the
+    truncation.  Every kernel here (and SignFlip) pairs, per output key,
+    each entry of either side with at most one of the other, times -1, 0
+    or 1.  So each of the two slots of M o P and of P o M adds at most
+    |M|_1 |P|_inf to |q_k|, each of P o P at most sum_a sum_i |P_i(a)|
+    |P|_inf = |P|_1 |P|_inf (|.|_1 sums, |.|_inf maxes |numerators| over
+    chains and powers), and |q_k| <= beta = (L/(D E)) 4 |M|_1 |P|_inf +
+    (L/D**2) 2 |P|_1 |P|_inf < 2**(b-1) for b = beta.bit_length() + 1.
     """
     car = carrier if carrier is not None else SimplicialCarrier(p)
-    defect = curvature(car, e.w).values
+    defect = _defect(car, e.w, e.order)
     if not defect:
         return True, None
     # chains(3) is lexicographic: its first chain is the least tuple
@@ -149,6 +163,20 @@ def mc_check(p, e, carrier=None):
         (next(k for k, a in enumerate(s.num) if a), ch) for ch, s in defect.items()
     )
     return False, (n, tuple(p.chain_labels(ch)))
+
+
+def _defect(car, w, order):
+    """{chain: series}: curvature(car, w) truncated at order, as mc_check says."""
+    m, d = car.mult(), lcm(*[s.den for s in w.values.values()])
+    rows = [(ch, s.num, d // s.den) for ch, s in w.values.items()]
+    inf = max([max(map(abs, a)) * f for _, a, f in rows], default=0)
+    l1, big = sum([sum(map(abs, a)) * f for _, a, f in rows]), lcm(d * m.den, d * d)
+    beta = big // (d * m.den) * 4 * sum(map(abs, m.values.values())) * inf
+    b = (beta + big // (d * d) * 2 * l1 * inf).bit_length() + 1
+    x = SimpCochain._reduced(2, {ch: kronecker(a, b) * f for ch, a, f in rows}, d)
+    out, low = curvature(car, x), (1 << b * (order + 1)) - 1
+    return {ch: TruncSeries._reduced(order, digits(r, b, order), big)
+            for ch, v in out.values.items() if (r := v * (big // out.den) & low)}
 
 
 class WittCochain:

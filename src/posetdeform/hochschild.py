@@ -59,8 +59,6 @@ from .opcore import ArityMismatch, differential
 from .posets import TooLarge
 from .simplicial import Carrier, SimpCochain, SimplicialCarrier, compose_sum, slot_walk
 
-F1 = Fraction(1)
-
 FULL_TABLE_LIMIT = 10_000
 
 
@@ -93,16 +91,10 @@ class IncElem:
 
     @classmethod
     def basis(cls, i, j):
-        return cls._of({(i, j): F1})
+        return cls._of({(i, j): Fraction(1)})
 
     def is_zero(self):
         return not self.terms
-
-    def add(self, other):
-        out = dict(self.terms)
-        for ij, v in other.terms.items():
-            _accumulate(out, ij, v)
-        return IncElem._of(out)
 
     def scale(self, c):
         return IncElem._of({ij: nv for ij, v in self.terms.items() if (nv := c * v)})
@@ -116,15 +108,6 @@ class IncElem:
                     _accumulate(out, (i, k), a * b)
         return IncElem._of(out)
 
-    __add__ = add
-    __mul__ = mul
-
-    def __sub__(self, other):
-        return self.add(other.scale(-1))
-
-    def __neg__(self):
-        return self.scale(-1)
-
     def __eq__(self, other):
         return isinstance(other, IncElem) and self.terms == other.terms
 
@@ -132,11 +115,6 @@ class IncElem:
 
     def __repr__(self):
         return "IncElem(%d terms)" % len(self.terms)
-
-
-def inc_unit(poset):
-    """The algebra unit: the sum of all diagonal idempotents."""
-    return IncElem({(i, i): F1 for i in range(poset.n)})
 
 
 def _over(elem, den):  # elem / den
@@ -339,17 +317,6 @@ class FullHochschildCarrier(Carrier):
             if x.value(key) != y.value(key):
                 return str(key[:-1])
         return ""
-
-
-def include_relative(f):
-    """The inclusion of relative cochains into the full complex: the
-    value on a weak chain c goes to the key of c's intervals followed by
-    (c[0], c[-1]); a degree-0 (x,) goes to ((x, x),), as in as_element."""
-    return SimpCochain._of(
-        f.degree,
-        {tuple(zip(c, c[1:])) + ((c[0], c[-1]),): v for c, v in f.values.items()},
-        f.den,
-    )
 
 
 def hh_dims(poset, max_n, which="relative"):

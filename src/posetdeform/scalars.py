@@ -43,13 +43,32 @@ def format_rat(q):
 
 
 def rational(c):
-    """c as an int or Fraction (a string such as "1/3" through Fraction).
-    A float raises TypeError: its binary value is not the number written."""
+    """c as an int or Fraction: a plain ASCII string n or n/d through int(),
+    any other string, such as "1.5", through Fraction.  A float raises
+    TypeError: its binary value is not the number written."""
     if isinstance(c, (int, Fraction)):
         return c
     if isinstance(c, float):
         raise TypeError("%r is a float; pass an int, a Fraction or a string" % (c,))
+    if isinstance(c, str) and c.isascii():
+        n, slash, d = c.partition("/")
+        if n.removeprefix("-").isdigit() and (d.isdigit() or not slash):
+            return Fraction(int(n), int(d)) if slash else int(n)
     return Fraction(c)
+
+
+def kronecker(num, b):
+    """The int polynomial with coefficients num, lowest first, at lam = 2**b."""
+    return sum(a << b * k for k, a in enumerate(num))
+
+
+def digits(v, b, n):
+    """Digits 0..n of v in signed base 2**b, each in [-2**(b-1), 2**(b-1))."""
+    out, half, mask = [], 1 << (b - 1), (1 << b) - 1
+    for _ in range(n + 1):
+        out.append(((v + half) & mask) - half)
+        v = (v - out[-1]) >> b
+    return out
 
 
 def _push(out, den, s, t):

@@ -63,9 +63,10 @@ class SimpCochain:
     and grouped can cache groupings of its values (not in ==, repr, JSON).
     Series values (scalars.TruncSeries: deform.MCElement.w and
     deform.deformation_product) have den 1, are never reduced and take int
-    scalars only; opcore runs on them unchanged, composing them with the
-    int-valued mult().  The two kinds refuse to be added (TypeError), as
-    do series of different orders (scalars.OrderMismatch)."""
+    scalars only; no caller in the package composes them (mc_check
+    evaluates W at lam = 2**B), though the simplicial and relative kernels
+    can.  The two kinds refuse to be added (TypeError), as do series of
+    different orders (scalars.OrderMismatch)."""
 
     __slots__ = ("degree", "values", "den", "_ix")
 
@@ -212,12 +213,12 @@ class SimpCochain:
             isinstance(e, dict) and "chain" in e and "value" in e for e in entries
         ):
             raise ValueError("entries must be a list of objects with a chain and a value")
-        vals = {}
+        vals, ix, up = {}, poset._index, poset.upsets
         for e in entries:
             if not isinstance(e["chain"], list):
                 raise ValueError("chain %r is not a list" % (e["chain"],))
-            ch = poset.chain_indices(e["chain"])
-            if not all(poset.le(a, b) for a, b in zip(ch, ch[1:])):
+            ch = tuple([ix[lab] if lab in ix else poset.index(lab) for lab in e["chain"]])
+            if not all(up[a] >> b & 1 for a, b in zip(ch, ch[1:])):
                 raise ValueError("%r is not a chain" % (e["chain"],))
             if ch in vals:
                 raise ValueError("chain %r is listed twice" % (e["chain"],))
@@ -225,7 +226,7 @@ class SimpCochain:
             if isinstance(v, bool) or not isinstance(v, (str, int)):
                 raise ValueError("value %r is not a string or an integer" % (v,))
             try:
-                vals[ch] = Fraction(v)
+                vals[ch] = rational(v)
             except ZeroDivisionError:
                 raise ValueError("value %r divides by zero" % (v,)) from None
         return cls(degree, vals)
@@ -239,8 +240,9 @@ class Carrier:
     compose_sum; identity() and mult(), built once by its _build(n) and
     shared, since no operation changes a cochain in place, with their
     grouping by each slot (grouped(self.slot(j))), the f side of the
-    kernel.  The arithmetic is SimpCochain's own.  The suites also read
-    poset, random_elem(n, rng) and diff_witness(x, y)."""
+    kernel.  The arithmetic is SimpCochain's own; every caller composes
+    int numerators (deform.mc_check evaluates W at lam = 2**B first).
+    The suites also read poset, random_elem(n, rng) and diff_witness(x, y)."""
 
     def __init__(self, poset):
         self.poset = poset
@@ -329,8 +331,7 @@ class SimplicialCarrier(Carrier):
     def constant(self, n, value=1):
         return SimpCochain(n, {c: value for c in self.poset.chains(n)})
 
-    def _build(self, n):
-        return self.constant(n)
+    _build = constant
 
     def random_elem(self, n, rng):
         # a/b with a in -3..3 and b in 1..3, drawn a then b, as a * (6 // b) over 6

@@ -3,8 +3,13 @@
 The order complex of P x Q is homeomorphic to the product of the order
 complexes of P and Q (J. W. Walker, Europ. J. Combin. 9, 1988), so its
 Betti numbers follow by Kunneth; P and P^op have the same nerve; the
-nerve of a disjoint union is the disjoint union of the nerves.  These
+nerve of a disjoint union is the disjoint union of the nerves.  The
+face poset of a simplicial complex, given by its facets, has the
+complex's barycentric subdivision as its nerve, so the facet lists
+TORUS7, S3_5 and RP2_6 give posets with known Betti numbers.  These
 constructors stay out of the package: only the tests need them."""
+
+from itertools import combinations, permutations
 
 from posetdeform.posets import Poset
 
@@ -41,3 +46,51 @@ def disjoint_union(*ps):
         for k, p in enumerate(ps) for i in range(p.n) for j in p.up[i] if j != i
     ]
     return Poset.from_relations(labels, pairs, name="+".join(p.name for p in ps))
+
+
+# Csaszar's 7-vertex torus: triangles {i, i+1, i+3} and {i, i+2, i+3} mod 7
+TORUS7 = [(i, (i + 1) % 7, (i + 3) % 7) for i in range(7)] + [
+    (i, (i + 2) % 7, (i + 3) % 7) for i in range(7)
+]
+# the boundary of the 4-simplex, a 3-sphere
+S3_5 = list(combinations(range(5), 4))
+# the 6-vertex real projective plane, the quotient of the icosahedron by
+# the antipodal map: over Q its Betti numbers are [1, 0, 0]
+RP2_6 = [
+    (1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 5, 6), (1, 6, 2),
+    (2, 3, 5), (3, 4, 6), (4, 5, 2), (5, 6, 3), (6, 2, 4),
+]
+
+
+def faces(facets):
+    """All nonempty faces of a simplicial complex, as sorted tuples."""
+    return sorted(
+        {
+            c
+            for f in facets
+            for k in range(1, len(f) + 1)
+            for c in combinations(sorted(f), k)
+        }
+    )
+
+
+def subdivide(facets):
+    """Facets of the barycentric subdivision, whose vertices are the
+    faces: one flag of faces per ordering of a facet's vertices."""
+    return [
+        tuple(tuple(sorted(perm[:k])) for k in range(1, len(perm) + 1))
+        for f in facets
+        for perm in permutations(f)
+    ]
+
+
+def face_poset(facets):
+    """Faces under inclusion, given by covers."""
+    fs = faces(facets)
+    pairs = [
+        (str(s[:i] + s[i + 1 :]), str(s))
+        for s in fs
+        if len(s) > 1
+        for i in range(len(s))
+    ]
+    return Poset.from_relations([str(s) for s in fs], pairs)

@@ -241,3 +241,69 @@ def test_compose_at_matches_reference(kind, p, q, draw):
     _, g = draw.draw(cochain_data(q))
     got = CARRIERS[kind].compose_at(SimpCochain(p, f), j, SimpCochain(q, g))
     assert_matches(got, p + q - 1, ref_compose(ref_of(f), p, j, ref_of(g), q))
+
+
+def reference_from_dict(poset, d):
+    """SimpCochain.from_dict's entry loop before it mapped labels in one
+    comprehension and read plain strings with int(): every label through
+    Poset.index, every order through Poset.le, every value through
+    Fraction."""
+    vals = {}
+    for e in d["entries"]:
+        ch = poset.chain_indices(e["chain"])
+        if not all(poset.le(a, b) for a, b in zip(ch, ch[1:])):
+            raise ValueError("%r is not a chain" % (e["chain"],))
+        if ch in vals:
+            raise ValueError("chain %r is listed twice" % (e["chain"],))
+        v = e["value"]
+        if isinstance(v, bool) or not isinstance(v, (str, int)):
+            raise ValueError("value %r is not a string or an integer" % (v,))
+        try:
+            vals[ch] = Fraction(v)
+        except ZeroDivisionError:
+            raise ValueError("value %r divides by zero" % (v,)) from None
+    return SimpCochain(len(d["entries"][0]["chain"]) - 1, vals)
+
+
+def outcome(f, *args):
+    try:
+        return f(*args)
+    except Exception as exc:  # the type and the message must match
+        return type(exc), str(exc)
+
+
+SPECIAL_VALUES = [
+    " 1/2", "+3", "1.5", "1e3", "1_0", "١", "3/0", "-0/5", True, False, "", "-",
+    "--3", "-+3", "1/-2", "1/", "/2", "0x10", "007", "-0", "1 /2", "²", "1/2/3",
+    "\t4\n", None, 1.5, [1], 12, -7,
+]
+VALUES = st.one_of(
+    st.sampled_from(SPECIAL_VALUES),
+    st.integers(-(2**70), 2**70),
+    st.fractions().map(str),
+    st.text(alphabet="0123456789-+/ ._e١²", max_size=8),
+)
+LABELS = st.one_of(st.sampled_from(DIAMOND.labels), st.sampled_from(["zz", 7]))
+
+
+def check_from_dict(entries):
+    doc = {"degree": 1, "entries": [{"chain": c, "value": v} for c, v in entries]}
+    got = outcome(SimpCochain.from_dict, DIAMOND, doc)
+    assert got == outcome(reference_from_dict, DIAMOND, doc)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(st.lists(LABELS, min_size=2, max_size=2), VALUES),
+                min_size=1, max_size=3))
+def test_from_dict_reads_values_and_chains_as_fraction_does(entries):
+    """The int() fast path for plain ASCII n and n/d, the one-comprehension
+    label map and the up-set bit test accept and reject the same documents
+    as the Fraction and Poset.le route, with the same values and the same
+    error messages."""
+    check_from_dict(entries)
+
+
+@pytest.mark.parametrize("v", SPECIAL_VALUES, ids=repr)
+def test_from_dict_reads_each_special_value_as_fraction_does(v):
+    bot = DIAMOND.labels[0]
+    check_from_dict([([bot, bot], v)])

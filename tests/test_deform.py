@@ -1,5 +1,6 @@
 """Formal deformations: Maurer-Cartan, Witt cocycles, gauge, moduli."""
 
+import inspect
 import random
 from fractions import Fraction
 
@@ -127,9 +128,10 @@ def test_mc_check_skips_layers_that_cannot_carry_a_defect(diamond, sphere):
 
 
 def test_mc_check_is_one_curvature_sum(sphere, monkeypatch):
-    """dW + W o W on the series-valued cochain, as one signed sum of the
-    six insertions m o_j W, W o_j m and W o_j W (j = 1, 2), not a loop
-    over layers and not a sum of separately built composites."""
+    """dW + W o W as one signed sum of the six insertions m o_j X,
+    X o_j m and X o_j X (j = 1, 2) on X, an int-valued evaluation of the
+    series-valued W on the same chains: not a loop over layers, not a
+    sum of separately built composites, and no series composed."""
     z = closed_2_rep(sphere)
     e = MCElement(3, {1: z, 2: z.scale(Fraction(2)), 3: z.scale(Fraction(-1, 3))})
     assert set(e.terms) == {1, 2, 3}
@@ -137,7 +139,9 @@ def test_mc_check_is_one_curvature_sum(sphere, monkeypatch):
 
     def counted(*args, _f=deform.curvature):
         calls["curvature"] += 1
-        assert args[1] is e.w
+        x = args[1]
+        assert x.degree == 2 and x.values.keys() == e.w.values.keys()
+        assert all(type(v) is int for v in x.values.values())
         return _f(*args)
 
     monkeypatch.setattr(deform, "curvature", counted)
@@ -282,10 +286,12 @@ def test_exp_log_layers_round_trip(diamond):
     assert back[1] == layers[1] and back[2] == layers[2]
 
 
-def test_mc_agrees_with_witt_cocycle_condition(diamond, cr4):
-    """Sampled form of the central equivalence."""
+def mc_witt_agreement(diamond, cr4):
+    """Sampled form of the central equivalence: {verdict: count} of
+    mc_check over mixed elements, and how often is_witt_cocycle
+    disagreed."""
     rng = random.Random("mc:equiv")
-    seen = {True: 0, False: 0}
+    seen, disagreements = {True: 0, False: 0}, 0
     for p in (diamond, cr4):
         car = SimplicialCarrier(p)
         for _ in range(15):
@@ -298,9 +304,52 @@ def test_mc_agrees_with_witt_cocycle_condition(diamond, cr4):
                     terms[n] = car.random_elem(2, rng)
             e = MCElement(order, terms)
             ok = mc_check(p, e)[0]
-            assert ok == is_witt_cocycle(p, to_witt(e))
+            disagreements += ok != is_witt_cocycle(p, to_witt(e))
             seen[ok] += 1
+    return seen, disagreements
+
+
+def test_mc_agrees_with_witt_cocycle_condition(diamond, cr4):
+    seen, disagreements = mc_witt_agreement(diamond, cr4)
+    assert disagreements == 0
     assert seen[True] >= 1 and seen[False] >= 1
+
+
+def witt_coboundary_mutant(monkeypatch, parity):
+    """Replace deform.witt_coboundary by its own source with the test for
+    which faces to invert, "if i % 2:", rewritten as parity."""
+    src = inspect.getsource(deform.witt_coboundary)
+    assert src.count("if i % 2:") == 1
+    ns = dict(vars(deform))
+    exec(src.replace("if i % 2:", "if %s:" % parity), ns)
+    monkeypatch.setattr(deform, "witt_coboundary", ns["witt_coboundary"])
+
+
+def test_wrong_inverse_parity_is_killed_by_the_mc_witt_agreement(
+    diamond, cr4, monkeypatch
+):
+    """The last face of a 3-chain multiplied in uninverted: the Witt side
+    then calls cocycles non-cocycles, and disagrees with mc_check."""
+    witt_coboundary_mutant(monkeypatch, "i % 2 and i < n + 1")
+    assert mc_witt_agreement(diamond, cr4)[1] >= 1
+
+
+def test_every_parity_flipped_is_killed_by_the_gauge_recheck(
+    diamond, cr4, sphere, monkeypatch
+):
+    """Inverting the even faces instead of the odd ones gives the exact
+    inverse of every coboundary, so no cocycle test can see it: the
+    agreement above still holds.  gauge_equivalent's exact re-check of
+    d(phi) * w2 = w1 does see it."""
+    z = closed_2_rep(sphere)
+    psi = SimplicialCarrier(sphere).random_elem(1, random.Random("mc:parity"))
+    e1 = MCElement.single(1, 1, z)
+    e2 = MCElement.single(1, 1, z.add(face_sum(sphere, psi)))
+    assert gauge_equivalent(sphere, e1, e2) is not None
+    witt_coboundary_mutant(monkeypatch, "i % 2 == 0")
+    assert mc_witt_agreement(diamond, cr4)[1] == 0
+    with pytest.raises(AssertionError, match="exact re-check"):
+        gauge_equivalent(sphere, e1, e2)
 
 
 def test_gauge_reflexive(sphere):

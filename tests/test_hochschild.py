@@ -13,14 +13,13 @@ from posetdeform.hochschild import (
     TooLarge,
     as_element,
     hh_dims,
-    inc_unit,
-    include_relative,
     rel_eval,
 )
 from posetdeform.opcore import differential
 from posetdeform.posets import Poset, chain_poset
 from posetdeform.scalars import OrderMismatch, TruncSeries
 from posetdeform.simplicial import SimpCochain, cohomology_dims
+from incidence_helpers import inc_add, inc_unit, include_relative
 from poset_builders import opposite_poset
 
 
@@ -59,7 +58,7 @@ def test_unit_and_associativity(diamond):
         assert inc_mul(unit, a) == a
         assert inc_mul(a, unit) == a
         assert inc_mul(inc_mul(a, b), c) == inc_mul(a, inc_mul(b, c))
-        assert inc_mul(a, b.add(c)) == inc_mul(a, b).add(inc_mul(a, c))
+        assert inc_mul(a, inc_add(b, c)) == inc_add(inc_mul(a, b), inc_mul(a, c))
 
 
 def test_ring_mismatch(chain2):
@@ -70,11 +69,11 @@ def test_ring_mismatch(chain2):
     b = IncElem({(0, 1): TruncSeries.one(1)})
     c = IncElem({(0, 1): TruncSeries.one(2)})
     with pytest.raises(TypeError):
-        a.add(b)
+        inc_add(a, b)
     with pytest.raises(TypeError):
-        b.add(a)
+        inc_add(b, a)
     with pytest.raises(OrderMismatch):
-        b.add(c)
+        inc_add(b, c)
     with pytest.raises(OrderMismatch):
         inc_mul(b, IncElem({(1, 1): TruncSeries.one(2)}))
     f = SimpCochain(1, {(0, 1): Fraction(1)})
@@ -119,8 +118,8 @@ def test_evaluation_is_multilinear(diamond):
     f = car.random_elem(2, rng)
     a, a2, b = (rand_inc(diamond, rng) for _ in range(3))
     c = Fraction(3, 2)
-    lhs = rel_eval(f, [a.add(a2.scale(c)), b])
-    rhs = rel_eval(f, [a, b]).add(rel_eval(f, [a2, b]).scale(c))
+    lhs = rel_eval(f, [inc_add(a, a2.scale(c)), b])
+    rhs = inc_add(rel_eval(f, [a, b]), rel_eval(f, [a2, b]).scale(c))
     assert lhs == rhs
 
 

@@ -2,7 +2,6 @@
 
 import random
 from fractions import Fraction
-from itertools import combinations, permutations
 
 import pytest
 
@@ -16,7 +15,7 @@ from posetdeform.simplicial import (
     coboundary_matrix,
     cohomology_dims,
 )
-from poset_builders import opposite_poset
+from poset_builders import RP2_6, S3_5, TORUS7, face_poset, opposite_poset, subdivide
 
 
 def test_compose_on_two_element_chain(chain2):
@@ -115,62 +114,21 @@ def test_sphere(sphere):
     assert (d1.rows, d1.cols) == (24, 36) and rank(d1) == 23
 
 
-# Csaszar's 7-vertex torus: triangles {i, i+1, i+3} and {i, i+2, i+3} mod 7
-TORUS7 = [(i, (i + 1) % 7, (i + 3) % 7) for i in range(7)] + [
-    (i, (i + 2) % 7, (i + 3) % 7) for i in range(7)
-]
-# the boundary of the 4-simplex, a 3-sphere
-S3_5 = list(combinations(range(5), 4))
-
-
-def _faces(facets):
-    """All nonempty faces of a simplicial complex, as sorted tuples."""
-    return sorted(
-        {
-            c
-            for f in facets
-            for k in range(1, len(f) + 1)
-            for c in combinations(sorted(f), k)
-        }
-    )
-
-
-def _subdivide(facets):
-    """Facets of the barycentric subdivision, whose vertices are the
-    faces: one flag of faces per ordering of a facet's vertices."""
-    return [
-        tuple(tuple(sorted(perm[:k])) for k in range(1, len(perm) + 1))
-        for f in facets
-        for perm in permutations(f)
-    ]
-
-
-def _face_poset(facets):
-    """Faces under inclusion, given by covers."""
-    fs = _faces(facets)
-    pairs = [
-        (str(s[:i] + s[i + 1 :]), str(s))
-        for s in fs
-        if len(s) > 1
-        for i in range(len(s))
-    ]
-    return Poset.from_relations([str(s) for s in fs], pairs)
-
-
 @pytest.mark.parametrize("opposite", [False, True])
 @pytest.mark.parametrize(
     "facets,n,betti",
     [
-        (_subdivide(_subdivide(TORUS7)), 1512, [1, 2, 1]),
-        (_subdivide(S3_5), 540, [1, 0, 0, 1]),
+        (subdivide(subdivide(TORUS7)), 1512, [1, 2, 1]),
+        (subdivide(S3_5), 540, [1, 0, 0, 1]),
+        (RP2_6, 31, [1, 0, 0]),
     ],
-    ids=["sd2-torus7", "sd-s3_5"],
+    ids=["sd2-torus7", "sd-s3_5", "rp2_6"],
 )
 def test_betti_numbers_of_triangulated_spaces(facets, n, betti, opposite):
     """The nerve of a face poset, or of its opposite, is the barycentric
     subdivision of the complex, so its Betti numbers are the space's;
     chi from the strict chain counts is their alternating sum."""
-    p = _face_poset(facets)
+    p = face_poset(facets)
     if opposite:
         p = opposite_poset(p)
     top = len(betti) - 1
