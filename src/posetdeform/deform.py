@@ -55,18 +55,10 @@ class MCElement:
     __slots__ = ("order", "w")
 
     def __init__(self, order, terms=()):
-        if not 1 <= order <= MAX_ORDER:
-            raise ValueError("order %d outside 1..%d" % (order, MAX_ORDER))
-        layers = {}
-        for n, c in terms.items() if isinstance(terms, dict) else terms:
-            n = int(n)
-            if not 1 <= n <= order:
-                raise ValueError("term index %d outside 1..%d" % (n, order))
-            if c.degree != 2:
-                raise ValueError("term %d has degree %d, expected 2" % (n, c.degree))
-            layers[n] = c
+        layers = {int(n): c for n, c in dict(terms).items()}
+        _check(order, [(n, c.degree) for n, c in layers.items()])
         self.order = order
-        self.w = SimpCochain._of(2, _series(layers, order))
+        self.w = SimpCochain._of(2, _series(_rows(layers), order))
 
     @classmethod
     def zero(cls, order):
@@ -109,7 +101,9 @@ class MCElement:
     @classmethod
     def from_dict(cls, poset, d):
         """Inverse of to_dict; rejects malformed documents with ValueError
-        (see SimpCochain.from_dict for the checks on each term)."""
+        (see SimpCochain.from_dict for the checks on each term) in the order
+        MCElement(order, terms) would: every layer's entries, then _check.
+        The entries go straight into the series, with no cochain per layer."""
         if not isinstance(d, dict) or not isinstance(d.get("terms", {}), dict):
             raise ValueError("an element must be a JSON object with a 'terms' object")
         if "order" not in d:
@@ -117,16 +111,22 @@ class MCElement:
         order = d["order"]
         if isinstance(order, bool) or not isinstance(order, int):
             raise ValueError("order %r is not an integer" % (order,))
-        terms = {}
+        degrees, rows, known = {}, {}, {}
         for k, cd in d.get("terms", {}).items():
             try:
                 n = int(k)
             except ValueError:
                 raise ValueError("layer key %r is not an integer" % (k,)) from None
-            if n in terms:
+            if n in degrees:
                 raise ValueError("layer %r repeats layer %d" % (k, n))
-            terms[n] = SimpCochain.from_dict(poset, cd)
-        return cls(order, terms)
+            degrees[n], entries = SimpCochain._entries(poset, cd, known)
+            for ch, (a, q) in entries.items():
+                if a:
+                    rows.setdefault(ch, []).append((n, a, q))
+        _check(order, degrees.items())
+        e = cls.__new__(cls)
+        e.order, e.w = order, SimpCochain._of(2, _series(rows, order))
+        return e
 
 
 def mc_check(p, e, carrier=None):
@@ -270,21 +270,37 @@ class WittCochain:
         return {"degree": self.degree, "order": self.order, "entries": entries}
 
 
-def _series(layers, order):
-    """Per chain, the series sum_n layers[n](chain) lam^n, read off the
-    layers' int numerators: over the lcm of the dens of the layers present
-    at that chain, reduced once.  Chains no layer is nonzero on are left
-    out."""
+def _check(order, degrees):
+    """ValueError unless 1 <= order <= MAX_ORDER and then, for each layer
+    (n, degree) in turn, 1 <= n <= order and degree == 2."""
+    if not 1 <= order <= MAX_ORDER:
+        raise ValueError("order %d outside 1..%d" % (order, MAX_ORDER))
+    for n, degree in degrees:
+        if not 1 <= n <= order:
+            raise ValueError("term index %d outside 1..%d" % (n, order))
+        if degree != 2:
+            raise ValueError("term %d has degree %d, expected 2" % (n, degree))
+
+
+def _rows(layers):
+    """{chain: [(n, a, q)]}: the numerator a over the den q of each
+    layers[n] at each chain it is nonzero on."""
     rows = {}
     for n, c in layers.items():
         for ch, v in c.values.items():
             rows.setdefault(ch, []).append((n, v, c.den))
+    return rows
+
+
+def _series(rows, order):
+    """Per chain, the series sum_n (a/q) lam^n of its rows (n, a, q),
+    nonzero a: over the lcm of the row dens, reduced once."""
     out = {}
     for ch, row in rows.items():
-        den = lcm(*[d for _, _, d in row])
+        den = lcm(*[q for _, _, q in row])
         num = [0] * (order + 1)
-        for n, v, d in row:
-            num[n] = v * (den // d)
+        for n, a, q in row:
+            num[n] = a * (den // q)
         out[ch] = TruncSeries._reduced(order, num, den)
     return out
 
@@ -353,7 +369,7 @@ def is_witt_cocycle(p, c):
 def witt_exp(p, degree, order, layers):
     """Pointwise exponential of additive layers: layers[n] (1-indexed)
     are cochains of the given degree; missing layers are zero."""
-    vals = {ch: s.exp() for ch, s in _series(layers, order).items()}
+    vals = {ch: s.exp() for ch, s in _series(_rows(layers), order).items()}
     return WittCochain(degree, order, vals)
 
 

@@ -272,17 +272,23 @@ class FullHochschildCarrier(Carrier):
         by_out, get = g._ix and g._ix.get(self.out), out.get
         if by_out is not None and len(f.values) < len(g.values):
             for a, x in f.values.items():
-                head, tail, x = a[: j - 1], a[j:], x * s
+                if s != 1:
+                    x = -x if s == -1 else x * s
+                head, tail = a[: j - 1], a[j:]
                 for b, y in by_out.get(a[j - 1], ()):
-                    key = head + b[:-1] + tail
-                    out[key] = get(key, 0) + x * y
+                    key, v = head + b[:-1] + tail, x * y
+                    cur = get(key)
+                    out[key] = v if cur is None else cur + v
         else:
             by_slot = f.grouped(self.slot(j))
             for b, y in g.values.items():
-                u, y = b[:-1], y * s
+                if s != 1:
+                    y = -y if s == -1 else y * s
+                u = b[:-1]
                 for a, x in by_slot.get(b[-1], ()):
-                    key = a[: j - 1] + u + a[j:]
-                    out[key] = get(key, 0) + x * y
+                    key, v = a[: j - 1] + u + a[j:], x * y
+                    cur = get(key)
+                    out[key] = v if cur is None else cur + v
 
     def _build(self, n):
         """The identity map of kP (n = 1) or its product (n = 2), grouped

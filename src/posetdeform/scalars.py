@@ -43,18 +43,25 @@ def format_rat(q):
 
 
 def rational(c):
-    """c as an int or Fraction: a plain ASCII string n or n/d through int(),
-    any other string, such as "1.5", through Fraction.  A float raises
+    """c as an int or Fraction: c itself if it is one, else Fraction(*ratio(c))."""
+    return c if isinstance(c, (int, Fraction)) else Fraction(*ratio(c))
+
+
+def ratio(c):
+    """c as ints (n, d), d > 0, not reduced: a plain ASCII string n or n/d
+    through int() alone, anything else, and a zero d, through Fraction
+    (which raises ZeroDivisionError for the latter).  A float raises
     TypeError: its binary value is not the number written."""
-    if isinstance(c, (int, Fraction)):
-        return c
-    if isinstance(c, float):
-        raise TypeError("%r is a float; pass an int, a Fraction or a string" % (c,))
     if isinstance(c, str) and c.isascii():
         n, slash, d = c.partition("/")
         if n.removeprefix("-").isdigit() and (d.isdigit() or not slash):
-            return Fraction(int(n), int(d)) if slash else int(n)
-    return Fraction(c)
+            d = int(d) if slash else 1
+            if d:
+                return int(n), d
+    if isinstance(c, float):
+        raise TypeError("%r is a float; pass an int, a Fraction or a string" % (c,))
+    q = Fraction(c)
+    return q.numerator, q.denominator
 
 
 def kronecker(num, b):

@@ -28,7 +28,7 @@ from math import gcd, lcm
 from operator import itemgetter
 
 from .linalg import SparseMat, chain_ranks, dims_from_ranks
-from .scalars import TruncSeries, format_rat, rational
+from .scalars import TruncSeries, format_rat, ratio, rational
 
 class ArityMismatch(ValueError):
     """Argument list length does not match the arity being saturated."""
@@ -57,7 +57,8 @@ class SimpCochain:
     a key is values[key] / den, with den > 0 and gcd(den, *values) == 1.
     That form is unique, so equality compares den and values directly, and
     add, scale and compose_at run on ints and reduce by one gcd at the end.
-    Fractions appear only in the constructor, value(), to_dict, from_dict.
+    Fractions appear only in the constructor, value() and to_dict, and in
+    from_dict for a value not written as plain n or n/d (scalars.ratio).
     No operation changes a cochain in place: each returns a new one, so
     one cochain can be shared, as the carriers share identity() and mult(),
     and grouped can cache groupings of its values (not in ==, repr, JSON).
@@ -202,8 +203,21 @@ class SimpCochain:
         on anything that is not a cochain on this poset: a document that is
         not an object, a bad degree or entries list, a chain that is not a
         list of labels, an entry on a tuple that is not a weak chain or on
-        a chain listed before, or a value that is not an exact rational
-        written as a string or an int."""
+        a chain listed before, a value that is not an exact rational
+        written as a string or an int, and, after all of those, a chain of
+        the wrong length.  One reduction over the lcm of the dens as written."""
+        degree, rows = cls._entries(poset, d, {})
+        den = lcm(*[q for a, q in rows.values() if a])
+        vals = {ch: a * (den // q) for ch, (a, q) in rows.items() if a}
+        return cls._reduced(degree, vals, den)
+
+    @staticmethod
+    def _entries(poset, d, known):
+        """The degree of a to_dict document and its entries {chain: (a, q)},
+        a/q each value as written (scalars.ratio), checked as from_dict says.
+        known memoizes, for one reading on one poset, each label tuple's
+        chain and each value's (a, q): MCElement.from_dict passes one dict
+        to all its layers, so each distinct chain is mapped and checked once."""
         if not isinstance(d, dict):
             raise ValueError("a cochain must be a JSON object")
         degree, entries = d.get("degree"), d.get("entries", [])
@@ -213,23 +227,38 @@ class SimpCochain:
             isinstance(e, dict) and "chain" in e and "value" in e for e in entries
         ):
             raise ValueError("entries must be a list of objects with a chain and a value")
-        vals, ix, up = {}, poset._index, poset.upsets
+        rows, ix, up = {}, poset._index, poset.upsets
         for e in entries:
-            if not isinstance(e["chain"], list):
-                raise ValueError("chain %r is not a list" % (e["chain"],))
-            ch = tuple([ix[lab] if lab in ix else poset.index(lab) for lab in e["chain"]])
-            if not all(up[a] >> b & 1 for a, b in zip(ch, ch[1:])):
-                raise ValueError("%r is not a chain" % (e["chain"],))
-            if ch in vals:
-                raise ValueError("chain %r is listed twice" % (e["chain"],))
+            labs = e["chain"]
+            if not isinstance(labs, list):
+                raise ValueError("chain %r is not a list" % (labs,))
+            try:
+                ch = known.get(key := tuple(labs))
+            except TypeError:  # an unhashable label: the map below raises
+                ch = None
+            if ch is None:
+                ch = tuple([ix[lab] if lab in ix else poset.index(lab) for lab in labs])
+                if not all(up[a] >> b & 1 for a, b in zip(ch, ch[1:])):
+                    raise ValueError("%r is not a chain" % (labs,))
+                known[key] = ch
+            if ch in rows:
+                raise ValueError("chain %r is listed twice" % (labs,))
             v = e["value"]
             if isinstance(v, bool) or not isinstance(v, (str, int)):
                 raise ValueError("value %r is not a string or an integer" % (v,))
-            try:
-                vals[ch] = rational(v)
-            except ZeroDivisionError:
-                raise ValueError("value %r divides by zero" % (v,)) from None
-        return cls(degree, vals)
+            got = known.get(v)
+            if got is None:
+                try:
+                    got = known[v] = ratio(v)
+                except ZeroDivisionError:
+                    raise ValueError("value %r divides by zero" % (v,)) from None
+            rows[ch] = got
+        for ch in rows:
+            if len(ch) != degree + 1:
+                raise ValueError(
+                    "chain %r has %d entries, expected %d" % (ch, len(ch), degree + 1)
+                )
+        return degree, rows
 
 
 class Carrier:

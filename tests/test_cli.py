@@ -276,6 +276,13 @@ def _layer(cochain):
     return {"order": 1, "terms": {"1": cochain}}
 
 
+def _two_layers(*extra):
+    """Layer 1 on the chain (bot, a, top); layer 2 on it too, then extra."""
+    entry = {"chain": ["bot", "a", "top"], "value": "1"}
+    layers = {"1": [entry], "2": [{**entry, "value": "1/2"}, *extra]}
+    return {"order": 2, "terms": {n: {"degree": 2, "entries": es} for n, es in layers.items()}}
+
+
 BAD_ELEMENTS = {
     "non-chain": _element({"chain": ["top", "bot", "a"], "value": "1"}),
     "zero-denominator": _element({"chain": ["bot", "a", "top"], "value": "1/0"}),
@@ -335,6 +342,11 @@ BAD_ELEMENTS = {
     # these two exited 2 with "'order'" and "invalid literal for int()"
     "missing-order": {"terms": {}},
     "non-integer-layer-key": {"order": 1, "terms": {"x": {"degree": 2, "entries": []}}},
+    # layer 1 is valid and layer 2 reads its chain again: each distinct
+    # chain is checked once per element, and these faults come after
+    "layer-2-unknown-label": _two_layers({"chain": ["bot", "zz", "top"], "value": "1"}),
+    "layer-2-repeated-chain": _two_layers({"chain": ["bot", "a", "top"], "value": "2"}),
+    "layer-2-unhashable-label": _two_layers({"chain": [["a"], "a", "top"], "value": "1"}),
 }
 
 # the error line names what is wrong
@@ -346,6 +358,9 @@ BAD_ELEMENT_WORDS = {
     "entry-without-value": "value",
     "missing-order": "order is missing",
     "non-integer-layer-key": "layer key 'x' is not an integer",
+    "layer-2-unknown-label": "zz",
+    "layer-2-repeated-chain": "listed twice",
+    "layer-2-unhashable-label": "unhashable",
 }
 
 
@@ -369,6 +384,9 @@ BAD_ELEMENT_WORDS = {
         ("mc-check", "entry-without-value"),
         ("mc-check", "missing-order"),
         ("mc-check", "non-integer-layer-key"),
+        ("mc-check", "layer-2-unknown-label"),
+        ("mc-check", "layer-2-repeated-chain"),
+        ("mc-check", "layer-2-unhashable-label"),
     ],
 )
 def test_malformed_element_is_an_input_error(capsys, tmp_path, verb, bad):

@@ -26,6 +26,7 @@ from posetdeform.deform import (
     witt_log_layers,
 )
 from posetdeform.opcore import SignFlip, circle, differential
+from posetdeform.posets import chain_poset
 from posetdeform.scalars import DomainError, TruncSeries
 from posetdeform.linalg import solve_in_image
 from posetdeform.simplicial import SimpCochain, SimplicialCarrier, coboundary_matrix
@@ -286,12 +287,19 @@ def test_exp_log_layers_round_trip(diamond):
     assert back[1] == layers[1] and back[2] == layers[2]
 
 
+def exp_coboundary(p, order, j, psi):
+    """exp(d(psi) lam**j) on p, an MC element: on chain4, which has strict
+    3-chains, its linear term cancels a nonzero quadratic one."""
+    return from_witt(witt_exp(p, 2, order, {j: differential(SimplicialCarrier(p), psi)}))
+
+
 def mc_witt_agreement(diamond, cr4):
     """Sampled form of the central equivalence: {verdict: count} of
-    mc_check over mixed elements, and how often is_witt_cocycle
-    disagreed."""
+    mc_check over mixed elements, how often is_witt_cocycle disagreed,
+    and how many of the MC elements had W o W != 0."""
     rng = random.Random("mc:equiv")
-    seen, disagreements = {True: 0, False: 0}, 0
+    seen, disagreements, quadratic = {True: 0, False: 0}, 0, 0
+    elements = []
     for p in (diamond, cr4):
         car = SimplicialCarrier(p)
         for _ in range(15):
@@ -302,17 +310,28 @@ def mc_witt_agreement(diamond, cr4):
                     terms[n] = face_sum(p, car.random_elem(1, rng))
                 else:
                     terms[n] = car.random_elem(2, rng)
-            e = MCElement(order, terms)
-            ok = mc_check(p, e)[0]
-            disagreements += ok != is_witt_cocycle(p, to_witt(e))
-            seen[ok] += 1
-    return seen, disagreements
+            elements.append((p, car, MCElement(order, terms)))
+    chain4 = chain_poset(4)
+    car = SimplicialCarrier(chain4)
+    for _ in range(6):
+        order = rng.randint(2, 4)
+        psi = car.random_elem(1, rng)
+        e = exp_coboundary(chain4, order, rng.randint(1, order // 2), psi)
+        elements.append((chain4, car, e))
+    for p, car, e in elements:
+        ok = mc_check(p, e)[0]
+        disagreements += ok != is_witt_cocycle(p, to_witt(e))
+        seen[ok] += 1
+        quadratic += ok and not circle(car, e.w, e.w).is_zero()
+    return seen, disagreements, quadratic
 
 
 def test_mc_agrees_with_witt_cocycle_condition(diamond, cr4):
-    seen, disagreements = mc_witt_agreement(diamond, cr4)
+    """Also on chain4, where dW cancels a nonzero W o W."""
+    seen, disagreements, quadratic = mc_witt_agreement(diamond, cr4)
     assert disagreements == 0
     assert seen[True] >= 1 and seen[False] >= 1
+    assert quadratic >= 1
 
 
 def witt_coboundary_mutant(monkeypatch, parity):

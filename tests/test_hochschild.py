@@ -6,6 +6,7 @@ from itertools import combinations
 
 import pytest
 
+from posetdeform.deform import _layer
 from posetdeform.hochschild import (
     FullHochschildCarrier,
     IncElem,
@@ -18,7 +19,7 @@ from posetdeform.hochschild import (
 from posetdeform.opcore import differential
 from posetdeform.posets import Poset, chain_poset
 from posetdeform.scalars import OrderMismatch, TruncSeries
-from posetdeform.simplicial import SimpCochain, cohomology_dims
+from posetdeform.simplicial import SimpCochain, cohomology_dims, compose_sum
 from incidence_helpers import inc_add, inc_unit, include_relative
 from poset_builders import opposite_poset
 
@@ -310,3 +311,25 @@ def test_series_ring_cochains(chain2):
     lam = TruncSeries.lam(1)
     assert rel_eval(m, [a.scale(lam), b.scale(lam)]).is_zero()
     assert not TruncSeries.zero(1) and TruncSeries.one(1) and lam
+
+
+def test_full_kernel_composes_series_values(diamond):
+    """A series-valued full cochain S = sum_k L_k lam^k composes with
+    identity() and mult(), in every slot, on either side and signed, as
+    each layer L_k does: the full kernel sums series as the other two do."""
+    car, order = FullHochschildCarrier(diamond), 2
+    rng = random.Random("full-kernel:series")
+    for n in (1, 2):
+        layers = [car.random_elem(n, rng) for _ in range(order + 1)]
+        keys = set().union(*[x.values for x in layers])
+        s = SimpCochain(n, {k: TruncSeries(order, [x.value(k) for x in layers]) for k in keys})
+        for c in (car.identity(), car.mult()):
+            pairs = [(s, j, c) for j in range(1, n + 1)]
+            pairs += [(c, j, s) for j in range(1, c.degree + 1)]
+            for (f, j, g), e in [(fjg, e) for fjg in pairs for e in (0, 1)]:
+                deg = f.degree + g.degree - 1
+                got = compose_sum(car, deg, [(e, f, j, g)])
+                assert got.den == 1 and all(got.values.values())
+                for k, x in enumerate(layers):
+                    fk, gk = (x if f is s else f), (x if g is s else g)
+                    assert _layer(deg, got.values, k) == compose_sum(car, deg, [(e, fk, j, gk)])

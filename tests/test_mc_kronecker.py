@@ -18,12 +18,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from posetdeform import deform
-from posetdeform.deform import MAX_ORDER, MCElement, from_witt, mc_check, witt_exp
-from posetdeform.opcore import SignFlip, curvature, differential
+from posetdeform.deform import MAX_ORDER, MCElement, mc_check
+from posetdeform.opcore import SignFlip, curvature
 from posetdeform.posets import chain_poset, diamond_poset, sphere_poset
 from posetdeform.scalars import digits, kronecker
 from posetdeform.simplicial import SimpCochain, SimplicialCarrier
-from test_deform import NoDifferential
+from test_deform import NoDifferential, exp_coboundary
 
 SETTINGS = settings(max_examples=300, deadline=None, derandomize=True)
 # chain4 has strict 3-chains, where the linear and quadratic terms of an
@@ -77,8 +77,7 @@ def elements(draw):
         chains[k]: Fraction(draw(st.integers(-(2**20), 2**20)), draw(st.integers(1, 2**20)))
         for k in draw(st.lists(st.integers(0, len(chains) - 1), min_size=1, max_size=3))
     })
-    j = draw(st.integers(1, order // 2))
-    return p, car, from_witt(witt_exp(p, 2, order, {j: differential(simp, psi)}))
+    return p, car, exp_coboundary(p, order, draw(st.integers(1, order // 2)), psi)
 
 
 @SETTINGS
