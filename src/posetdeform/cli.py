@@ -19,6 +19,7 @@ import argparse
 import json
 import sys
 import time
+from functools import cache
 
 from . import __version__
 from .deform import MAX_ORDER, MCElement, NotMC, gauge_equivalent, mc_check, moduli
@@ -84,6 +85,7 @@ def _load_mc(path, poset):
         raise _InputError("%s: %s" % (path, e)) from e
 
 
+@cache  # built once per process: argparse makes a formatter per argument
 def _parser():
     top = argparse.ArgumentParser(
         prog="posetdeform",

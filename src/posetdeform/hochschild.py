@@ -35,8 +35,10 @@ exceeding the cap raises TooLarge.
 
 Composition in either carrier (its kernel compose_into, see
 simplicial.Carrier) enumerates the pairs of entries of f and g that meet
-in slot j (grouped by the interval there), never all chains or all tuples
-of the output degree, and needs no cap.  The groupings are cached on the
+in slot j (grouped by the interval there), never all tuples of the
+output degree, and needs no cap; only for dense relative f and g does it
+take every chain of the output degree (the simplicial carrier's plan),
+with one structure constant per chain.  The groupings are cached on the
 cochains (SimpCochain.grouped), identity() and mult() have theirs from
 the start (the full ones also by output interval), so m o_j x and
 x o_j m for a unit x cost one probe plus a step per pair.
@@ -53,6 +55,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import reduce
 from itertools import product
+from operator import add, mul
 
 from .linalg import SparseMat, chain_ranks, dims_from_ranks
 from .opcore import ArityMismatch, differential
@@ -171,8 +174,7 @@ class RelHochschildCarrier(SimplicialCarrier):
 
     def __init__(self, poset):
         super().__init__(poset)
-        self._bargs = {}
-        self._tables = {}
+        self._bargs, self._tables, self._consts = {}, {}, {}
 
     def _basis_args(self, chain):
         # shared immutable IncElems with the int 1 as coefficient; cached
@@ -198,6 +200,19 @@ class RelHochschildCarrier(SimplicialCarrier):
         """f o_j g by evaluation in kP, the one-term compose_sum."""
         return compose_sum(self, f.degree + g.degree - 1, [(0, f, j, g)])
 
+    def _shape_constants(self, p, j, q):
+        """The k of each pair (a, b) of the plan of shape (p, j, q), from the
+        structure table: every pair not met before is evaluated."""
+        got = self._consts.get((p, j, q))
+        if got is None:
+            ca, cb, table, got = self._level(p), self._level(q), self._tables.setdefault(j, {}), []
+            for x, y in zip(*self._plan(p, j, q)):
+                a, b = ca[x], cb[y]
+                row = table.setdefault(a, {})
+                got.append(row[b] if b in row else row.setdefault(b, self._structure(j, a, b)))
+            self._consts[p, j, q] = got
+        return got
+
     def compose_into(self, out, s, f, j, g):
         """Add s (f o_j g) into out through a structure table.  A relative
         cochain is bilinear over the diagonal, so delta_b fills slot j of
@@ -205,7 +220,12 @@ class RelHochschildCarrier(SimplicialCarrier):
         simplicial carrier's (slot_walk).  Each adds k f(a) g(b) on
         c = a[:j-1] + b + a[j+1:], with k = self._tables[j][a][b] filled by
         _structure, evaluation in kP, when the pair first meets and kept as
-        long as the carrier: iso compares two independently derived rules."""
+        long as the carrier: iso compares two independently derived rules.
+        A list out, from compose_sum, adds all pairs at once (_products)."""
+        if type(out) is list:
+            ks = self._shape_constants(f.degree, j, g.degree)
+            out[:] = map(add, out, map(mul, ks, self._products(s, f, j, g)))
+            return
         entries, by_ends = slot_walk(f, j, g)
         table, get = self._tables.setdefault(j, {}), out.get
         for a, x in entries:
@@ -214,7 +234,9 @@ class RelHochschildCarrier(SimplicialCarrier):
                 row = table.get(a)
                 if row is None:
                     row = table[a] = {}
-                head, tail, x = a[: j - 1], a[j + 1 :], x * s
+                if s != 1:
+                    x = -x if s == -1 else x * s
+                head, tail = a[: j - 1], a[j + 1 :]
                 for b, y in group:
                     k = row.get(b)
                     if k is None:

@@ -12,6 +12,11 @@ makes the graded space an operad; composing with a degree-0 argument
 repeats the vertex c_{j-1}.  The constant cochains 1 in degrees 1 and 2
 are the operadic identity and the multiplication, and through them the
 whole opcore structure (braces, dot, differential, bracket) applies.
+Each output chain c comes from one pair only, a = c[:j] + c[j+q-1:] and
+b = c[j-1:j+q]: for dense f and g (SimplicialCarrier.vector: int-valued,
+nonzero on at least half the chains of their degree) compose_sum
+gathers those pairs by one position list per shape (p, j, q), in C-level
+maps over int lists.
 
 SimpCochain is the cochain type of every carrier (the full Hochschild
 carrier keys it by intervals, see its docstring) and carries all the
@@ -24,8 +29,9 @@ strict chain basis.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import compress, count, repeat
 from math import gcd, lcm
-from operator import itemgetter
+from operator import add, floordiv, itemgetter, mul
 
 from .linalg import SparseMat, chain_ranks, dims_from_ranks
 from .scalars import TruncSeries, format_rat, ratio, rational
@@ -61,7 +67,8 @@ class SimpCochain:
     from_dict for a value not written as plain n or n/d (scalars.ratio).
     No operation changes a cochain in place: each returns a new one, so
     one cochain can be shared, as the carriers share identity() and mult(),
-    and grouped can cache groupings of its values (not in ==, repr, JSON).
+    and grouped and SimplicialCarrier.vector can cache groupings of its
+    values and its dense vector on it (neither in ==, repr, JSON).
     Series values (scalars.TruncSeries: deform.MCElement.w and
     deform.deformation_product) have den 1, are never reduced and take int
     scalars only; no caller in the package composes them (mc_check
@@ -69,13 +76,13 @@ class SimpCochain:
     can.  The two kinds refuse to be added (TypeError), as do series of
     different orders (scalars.OrderMismatch)."""
 
-    __slots__ = ("degree", "values", "den", "_ix")
+    __slots__ = ("degree", "values", "den", "_ix", "_vec")
 
     def __init__(self, degree, values=()):
         if degree < 0:
             raise ValueError("degree must be >= 0")
         self.degree = degree
-        self._ix = None
+        self._ix = self._vec = None
         vals = {}
         items = values.items() if isinstance(values, dict) else values
         for ch, v in items:
@@ -102,7 +109,7 @@ class SimpCochain:
         c.degree = degree
         c.values = values
         c.den = den
-        c._ix = None
+        c._ix = c._vec = None
         return c
 
     @classmethod
@@ -114,6 +121,18 @@ class SimpCochain:
                 den //= g
                 values = {ch: v // g for ch, v in values.items()}
         return cls._of(degree, values, den)
+
+    @classmethod
+    def _gathered(cls, degree, chains, vec, den):
+        """Wrap int numerators over den > 0, given as a list indexed like
+        chains (zeros included), divided by their gcd; the cochain keeps
+        the list as its vector (SimplicialCarrier.vector)."""
+        g = gcd(den, *vec)
+        if g != 1:
+            den, vec = den // g, list(map(floordiv, vec, repeat(g)))
+        c = cls._of(degree, dict(compress(zip(chains, vec), vec)), den)
+        c._vec = (chains, vec)
+        return c
 
     def value(self, chain):
         v = self.values.get(chain, 0)
@@ -265,7 +284,8 @@ class Carrier:
     """What every carrier shares, whatever the keys of its SimpCochains
     mean.  A carrier is an operad with multiplication: from the subclass,
     the kernel compose_into(out, s, f, j, g), adding s f o_j g to a dict of
-    numerators over f.den * g.den, and compose_at(f, j, g), the one-term
+    numerators over f.den * g.den (or to a list indexed like the chains,
+    see compose_sum), and compose_at(f, j, g), the one-term
     compose_sum; identity() and mult(), built once by its _build(n) and
     shared, since no operation changes a cochain in place, with their
     grouping by each slot (grouped(self.slot(j))), the f side of the
@@ -299,14 +319,21 @@ class Carrier:
 def compose_sum(car, degree, terms):
     """The sum of (-1)**e f o_j g over terms (e, f, j, g) in one pass: each
     car.compose_into adds its numerators, over the lcm of the f.den * g.den
-    and signed, into one dict, whose zeros go and gcd is taken at the end.
-    A slot j outside 1..f.degree raises SlotOutOfRange."""
-    den, out = lcm(*[f.den * g.den for _, f, _, g in terms]), {}
+    and signed, into one accumulator, whose zeros go and gcd is taken at
+    the end: a list indexed like the chains car.dense_chains gives when
+    every f and g is dense (SimplicialCarrier.vector), else a dict.  A
+    slot j outside 1..f.degree raises SlotOutOfRange."""
+    den = lcm(*[f.den * g.den for _, f, _, g in terms])
+    dense = getattr(car, "dense_chains", None)
+    chains = dense(degree, terms) if dense else None
+    out = {} if chains is None else [0] * len(chains)
     for e, f, j, g in terms:
         if not 1 <= j <= f.degree:
             raise SlotOutOfRange("slot %d invalid for arity %d" % (j, f.degree))
         s = den // (f.den * g.den)
         car.compose_into(out, -s if e % 2 else s, f, j, g)
+    if chains is not None:
+        return SimpCochain._gathered(degree, chains, out, den)
     return SimpCochain._reduced(degree, {k: v for k, v in out.items() if v}, den)
 
 
@@ -332,6 +359,59 @@ class SimplicialCarrier(Carrier):
 
     slot = staticmethod(lambda j: (j - 1, j))  # key positions of slot j's interval
 
+    def __init__(self, poset):
+        super().__init__(poset)
+        self._levels, self._plans = {}, {}
+
+    def _level(self, n):  # poset.chains(n), fetched once per carrier
+        return self._levels.get(n) or self._levels.setdefault(n, self.poset.chains(n))
+
+    def vector(self, x):
+        """x's numerators as a list indexed like poset.chains(x.degree) if x
+        is dense: int-valued and nonzero on at least half those chains;
+        else None.  Kept on x against the chain list it indexes (diamond
+        and cr4 share element indices, not chains).  A key of a dense x
+        that is not a chain raises ValueError."""
+        chains = self._levels.get(x.degree) or self._level(x.degree)
+        if 2 * len(x.values) < len(chains):
+            return None
+        got = x._vec
+        if got is None or got[0] is not chains:
+            vals, vec = x.values, None
+            if {*map(type, vals.values())} == {int}:
+                vec = list(map(vals.get, chains, repeat(0)))
+                if len(vec) - vec.count(0) != len(vals):
+                    raise ValueError("a key of %r is not a chain of %s" % (x, self.poset.name))
+            got = x._vec = (chains, vec)
+        return got[1]
+
+    def dense_chains(self, degree, terms):
+        """poset.chains(degree) if every f and g of terms has a vector; a
+        degree below 0 means a bad slot, which compose_sum raises."""
+        for _, f, _, g in terms:
+            if self.vector(g) is None or self.vector(f) is None:
+                return None
+        return self._level(degree) if terms and degree >= 0 else None
+
+    def _plan(self, p, j, q):
+        """Positions A, B in chains(p), chains(q), once per shape: the i-th
+        chain c of chains(p + q - 1) is glued in slot j from one pair only,
+        a = c[:j] + c[j+q-1:] at A[i] and b = c[j-1:j+q] at B[i]."""
+        got = self._plans.get((p, j, q))
+        if got is None:
+            wa, wb = [dict(zip(self._level(n), count())) for n in (p, q)]
+            out = self._level(p + q - 1)
+            got = self._plans[p, j, q] = (
+                [wa[c[:j] + c[j + q - 1 :]] for c in out], [wb[c[j - 1 : j + q]] for c in out])
+        return got
+
+    def _products(self, s, f, j, g):
+        """s f(a_i) g(b_i) over the plan of f o_j g in C loops, off the
+        vectors dense_chains has just checked."""
+        pa, pb = self._plan(f.degree, j, g.degree)
+        got = map(mul, map(f._vec[1].__getitem__, pa), map(g._vec[1].__getitem__, pb))
+        return got if s == 1 else map(mul, got, repeat(s))
+
     def compose_at(self, f, j, g):
         """f o_j g by face restriction, the one-term compose_sum."""
         return compose_sum(self, f.degree + g.degree - 1, [(0, f, j, g)])
@@ -343,7 +423,11 @@ class SimplicialCarrier(Carrier):
         entry of f meets only g's group of chains with those ends
         (slot_walk), and each pair adds one product: (f/D) o_j (g/E) =
         (f o_j g)/(DE), so numerators multiply as they are.  s scales each
-        value of f once, if not 1 (-1 negates: no gcd for a series)."""
+        value of f once, if not 1 (-1 negates: no gcd for a series).  A
+        list out, from compose_sum, adds all pairs at once (_products)."""
+        if type(out) is list:
+            out[:] = map(add, out, self._products(s, f, j, g))
+            return
         entries, by_ends = slot_walk(f, j, g)
         get = out.get
         for a, x in entries:
@@ -363,13 +447,17 @@ class SimplicialCarrier(Carrier):
     _build = constant
 
     def random_elem(self, n, rng):
-        # a/b with a in -3..3 and b in 1..3, drawn a then b, as a * (6 // b) over 6
-        vals = {}
-        for c in self.poset.chains(n):
-            v = rng.randint(-3, 3) * (6 // rng.randint(1, 3))
-            if v:
-                vals[c] = v
-        return SimpCochain._reduced(n, vals, 6)
+        # a/b with a in -3..3 and b in 1..3, drawn a then b, as a * (6 // b)
+        # over 6; rng.randint's draws, by Random._randbelow's getrandbits loop
+        bits, chains, vec = rng.getrandbits, self._level(n), []
+        for _ in chains:
+            a, b = 7, 3
+            while a == 7:
+                a = bits(3)
+            while b == 3:
+                b = bits(2)
+            vec.append((a - 3) * (6, 3, 2)[b])
+        return SimpCochain._gathered(n, chains, vec, 6)
 
     def diff_witness(self, x, y):
         """First basis chain where two same-degree cochains differ."""

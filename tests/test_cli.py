@@ -1,6 +1,9 @@
 """Command line surface: exit codes, report shapes, schema, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -537,3 +540,23 @@ def test_no_meta_output_matches_golden(capsys, case):
     code, out, _ = run(capsys, *argv, "--format", "json", "--no-meta")
     assert code == spec["exit"]
     assert out.encode() == (GOLDEN / ("%s.json" % case)).read_bytes()
+
+
+def test_one_parser_per_process_prints_what_a_fresh_process_prints(capsys):
+    """main builds its parser once per process and reuses it: a bad flag
+    (exit 2), then --version, then a good verb, each in this process,
+    give the exit code and output that each gives in a new process."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    cases = [
+        ("verify", poset_path("diamond"), "--bogus"),
+        ("--version",),
+        ("verify", poset_path("diamond"), "--samples", "1", "--max-degree", "1", "--no-meta"),
+    ]
+    for argv in cases:
+        fresh = subprocess.run(
+            [sys.executable, "-m", "posetdeform", *argv],
+            capture_output=True, text=True, env=env, cwd=ROOT,
+        )
+        assert run(capsys, *argv) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+    assert [run(capsys, *argv)[0] for argv in cases] == [2, 0, 0]
+    assert cli._parser() is cli._parser()

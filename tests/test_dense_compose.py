@@ -1,0 +1,142 @@
+"""compose_sum's list path against its dict path.
+
+compose_sum sums into a list indexed like poset.chains(degree) when every
+factor of every term is dense (SimplicialCarrier.vector: int-valued and
+nonzero on at least half the chains of its degree), and into a dict
+otherwise.  dict_sum below forces the dict path on any terms; both must
+give the same canonical cochain on the simplicial and relative carriers
+and through SignFlip, for densities on both sides of the rule, sums that
+mix dense and sparse terms, degree-0 g and sums that cancel."""
+
+import random
+from fractions import Fraction
+from math import lcm
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from posetdeform.hochschild import RelHochschildCarrier
+from posetdeform.opcore import SignFlip
+from posetdeform.posets import crown_poset, diamond_poset
+from posetdeform.simplicial import SimpCochain, SimplicialCarrier, compose_sum
+from test_compose_reference import dense
+
+SETTINGS = settings(max_examples=300, deadline=None, derandomize=True)
+DIAMOND = diamond_poset()
+CARRIERS = {
+    "simplicial": SimplicialCarrier(DIAMOND),
+    "relative": RelHochschildCarrier(DIAMOND),
+    "simplicial+signflip": SignFlip(SimplicialCarrier(DIAMOND)),
+    "relative+signflip": SignFlip(RelHochschildCarrier(DIAMOND)),
+}
+
+
+def dict_sum(car, degree, terms):
+    """compose_sum with a dict accumulator, whatever the factors."""
+    den, out = lcm(*[f.den * g.den for _, f, _, g in terms]), {}
+    for e, f, j, g in terms:
+        s = den // (f.den * g.den)
+        car.compose_into(out, -s if e % 2 else s, f, j, g)
+    return SimpCochain._reduced(degree, {k: v for k, v in out.items() if v}, den)
+
+
+@st.composite
+def cochains(draw, degree, dense):
+    """Values a/den on a chosen number of chains: for a dense cochain the
+    least dense size, all chains or any size between; else none, one, the
+    size just below the least dense one, or any size below it."""
+    chains = DIAMOND.chains(degree)
+    least = (len(chains) + 1) // 2
+    if dense:
+        sizes = [st.sampled_from([least, len(chains)]), st.integers(least, len(chains))]
+    else:
+        sizes = [st.sampled_from([0, 1, least - 1]), st.integers(0, least - 1)]
+    size = draw(st.one_of(sizes))
+    picked = draw(st.permutations(chains))[:size]
+    nums = draw(st.lists(st.integers(-6, 6).filter(bool), min_size=size, max_size=size))
+    den = draw(st.integers(1, 4))
+    return SimpCochain(degree, {c: Fraction(a, den) for c, a in zip(picked, nums)})
+
+
+@st.composite
+def sums(draw):
+    """An output degree 0..4 and one to three terms (e, f, j, g) of it,
+    f of arity 1..3 and g of arity 0..3.  Half the time every factor is
+    dense; else each is dense or not at random, so dense and sparse terms
+    mix.  A term may be followed by its negative, and a quarter of the
+    time the sum is one term and its negative, which cancel."""
+    degree, all_dense = draw(st.integers(0, 4)), draw(st.booleans())
+
+    def factor(n):
+        return draw(cochains(n, all_dense or draw(st.booleans())))
+
+    terms = []
+    for _ in range(draw(st.integers(1, 3))):
+        p = draw(st.integers(max(1, degree - 2), min(3, degree + 1)))
+        f, j = factor(p), draw(st.integers(1, p))
+        term = (draw(st.integers(0, 1)), f, j, factor(degree - p + 1))
+        terms.append(term)
+        if draw(st.booleans()):
+            terms.append((term[0] + 1,) + term[1:])
+    if draw(st.integers(0, 3)) == 0:
+        terms = [terms[0], (terms[0][0] + 1,) + terms[0][1:]]
+    return degree, terms
+
+
+@pytest.mark.parametrize("kind", list(CARRIERS))
+@SETTINGS
+@given(data=st.data())
+def test_list_path_matches_the_dict_path(kind, data):
+    car = CARRIERS[kind]
+    degree, terms = data.draw(sums())
+    got, want = compose_sum(car, degree, terms), dict_sum(car, degree, terms)
+    assert got == want
+    assert got.den > 0 and all(got.values.values())
+    listed = all(dense(DIAMOND, x) for _, f, _, g in terms for x in (f, g))
+    assert (got._vec is not None) == listed
+    if listed:
+        chains, vec = got._vec
+        assert chains is DIAMOND.chains(degree)
+        assert vec == [got.values.get(c, 0) for c in chains]
+    if len(terms) == 2 and terms[1] == (terms[0][0] + 1,) + terms[0][1:]:
+        assert got == SimpCochain(degree) and got.den == 1
+
+
+def test_one_cochain_on_two_posets_in_turn():
+    """Diamond and cr4 share element indices, not chains: a cochain on
+    chains of both, dense on both, composed on each carrier in turn, reads
+    the vector of that carrier's chains each time."""
+    cr4 = crown_poset()
+    rng = random.Random("dense:two-posets")
+    shared = {n: [c for c in DIAMOND.chains(n) if c in set(cr4.chains(n))] for n in range(4)}
+
+    def on_both(n):
+        return SimpCochain(n, {c: rng.choice([-2, -1, 1, 3]) for c in shared[n]})
+
+    for kind in (SimplicialCarrier, RelHochschildCarrier):
+        cars = [kind(DIAMOND), kind(cr4)]
+        for p, q in ((1, 1), (2, 1), (1, 0), (2, 2), (3, 1)):
+            f, g = on_both(p), on_both(q)
+            for car in cars + cars:
+                assert dense(car.poset, f) and dense(car.poset, g)
+                for j in range(1, p + 1):
+                    got = car.compose_at(f, j, g)
+                    assert got == dict_sum(car, p + q - 1, [(0, f, j, g)])
+                    assert got._vec[0] is car.poset.chains(p + q - 1)
+                assert f._vec[0] is car.poset.chains(p)
+
+
+def test_a_dense_cochain_off_the_chains_is_refused():
+    """A dense cochain with a key that is not a chain of the carrier's
+    poset raises on the list path rather than losing that entry."""
+    cr4 = crown_poset()
+    f = SimpCochain(2, {c: 1 for c in DIAMOND.chains(2)})
+    g = SimplicialCarrier(DIAMOND).random_elem(1, random.Random("dense:off"))
+    for kind in (SimplicialCarrier, RelHochschildCarrier):
+        car = kind(cr4)
+        assert 2 * len(f.values) >= len(cr4.chains(2))
+        with pytest.raises(ValueError, match="not a chain of"):
+            car.compose_at(f, 1, g)

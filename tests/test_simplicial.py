@@ -89,6 +89,32 @@ def test_random_elem_is_deterministic(diamond):
     assert a == b
 
 
+def randint_elem(car, n, rng):
+    """random_elem's draws as rng.randint makes them, the reference for
+    its getrandbits route: a in -3..3 and then b in 1..3 per chain."""
+    vals = {}
+    for c in car.poset.chains(n):
+        v = rng.randint(-3, 3) * (6 // rng.randint(1, 3))
+        if v:
+            vals[c] = v
+    return SimpCochain._reduced(n, vals, 6)
+
+
+def test_random_elem_draws_the_randint_stream(diamond):
+    """50 seeds, degrees 0..5: the same cochain, its vector the same
+    values, and the generator left in the same state."""
+    car = SimplicialCarrier(diamond)
+    for seed in range(50):
+        for n in range(6):
+            got_rng, want_rng = random.Random(seed), random.Random(seed)
+            got, want = car.random_elem(n, got_rng), randint_elem(car, n, want_rng)
+            assert got == want, (seed, n)
+            assert got_rng.getstate() == want_rng.getstate(), (seed, n)
+            chains, vec = got._vec
+            assert chains is diamond.chains(n)
+            assert vec == [got.values.get(c, 0) for c in chains]
+
+
 def test_contractible_posets(chain3, diamond):
     assert cohomology_dims(chain3, 2) == [1, 0, 0]
     assert cohomology_dims(diamond, 2) == [1, 0, 0]
