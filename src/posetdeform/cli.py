@@ -40,11 +40,13 @@ class _RepeatedKey(ValueError):
 def _unique_keys(pairs):
     """object_pairs_hook for json.load, which on its own keeps the last of
     repeated keys without a word."""
-    obj = {}
-    for key, value in pairs:
-        if key in obj:
-            raise _RepeatedKey(key)
-        obj[key] = value
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise _RepeatedKey(key)
+            seen.add(key)
     return obj
 
 
@@ -177,10 +179,7 @@ def _run_cohomology(args):
     if args.max_degree < 0:
         raise _InputError("--max-degree must be >= 0")
     strict = not args.unnormalized
-    try:
-        betti = cohomology_dims(p, args.max_degree, strict=strict)
-    except TooLarge as e:
-        raise _InputError(str(e)) from e
+    betti = cohomology_dims(p, args.max_degree, strict=strict)
     report = {
         "verb": "cohomology",
         "poset": p.name,
@@ -196,12 +195,9 @@ def _run_hochschild(args):
     n = args.max_degree
     if not 0 <= n <= 2:
         raise _InputError("--max-degree must lie in 0..2 (full-complex cap)")
-    try:
-        simp = cohomology_dims(p, n, strict=True)
-        relative = hh_dims(p, n, "relative")
-        full = hh_dims(p, n, "full")
-    except TooLarge as e:
-        raise _InputError(str(e)) from e
+    simp = cohomology_dims(p, n, strict=True)
+    relative = hh_dims(p, n, "relative")
+    full = hh_dims(p, n, "full")
     agree = simp == relative == full
     report = {
         "verb": "hochschild",
@@ -352,7 +348,7 @@ def main(argv=None):
         return code if isinstance(code, int) else 2
     try:
         report, code = _HANDLERS[args.verb](args)
-    except _InputError as e:
+    except (_InputError, TooLarge) as e:
         print("error: %s" % e, file=sys.stderr)
         return 2
     _emit(report, args)

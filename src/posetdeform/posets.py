@@ -13,11 +13,13 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+from operator import sub
+
 # Most vertices, summed over all chains of degrees 0..n, that one chain
 # complex may enumerate (chain_counts).  The largest complex in the tests
 # and the benchmark holds 36,180.  The chains and the face-sum matrices on
 # them take about 150 MB per million vertices; the fill-in of eliminating
-# those matrices is not bounded by this.
+# those matrices is bounded by linalg.FILL_BUDGET instead.
 CHAIN_BUDGET = 5_000_000
 
 
@@ -112,9 +114,6 @@ class Poset:
         except KeyError:
             raise UnknownElement("unknown element %r" % (label,)) from None
 
-    def le(self, i, j):
-        return bool(self.upsets[i] >> j & 1)
-
     def chains(self, n, strict=False):
         """All weak (default) or strict n-chains, lexicographic.
 
@@ -158,10 +157,8 @@ class Poset:
                 )
             if not counts[-1]:
                 break
-            per_start = [
-                sum(per_start[j] for j in up if not (strict and j == i))
-                for i, up in enumerate(self.up)
-            ]
+            sums = [sum(map(per_start.__getitem__, up)) for up in self.up]
+            per_start = list(map(sub, sums, per_start)) if strict else sums
         return counts
 
     def intervals(self):

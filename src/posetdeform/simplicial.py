@@ -29,9 +29,9 @@ strict chain basis.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import compress, count, repeat
+from itertools import compress, count, filterfalse, repeat
 from math import gcd, lcm
-from operator import add, floordiv, itemgetter, mul
+from operator import add, eq, floordiv, itemgetter, mul
 
 from .linalg import SparseMat, chain_ranks, dims_from_ranks
 from .scalars import TruncSeries, format_rat, ratio, rational
@@ -472,26 +472,49 @@ def coboundary_matrix(poset, n, strict=False, skip=()):
     """Matrix of the classical alternating face sum C^n -> C^{n+1} on the
     weak (default) or strict chain basis: rows are (n+1)-chains, columns
     n-chains, entry (-1)**i for dropping vertex i.  The rows whose index
-    is in skip are left empty (see cohomology_dims)."""
+    is in skip are left empty (see cohomology_dims).
+
+    It is built one face position i at a time over all rows.  Every face
+    of a chain is a chain.  A weak chain repeats a vertex only in runs;
+    dropping any vertex of a run gives one face, and the run's alternating
+    signs sum to 0 or to the sign of its first vertex.  So face i is kept
+    exactly when i starts a run of odd length, a rule looked up once per
+    pattern of equal consecutive vertices."""
     src = poset.chains(n, strict=strict)
     dst = poset.chains(n + 1, strict=strict)
     col = {c: k for k, c in enumerate(src)}
     m = SparseMat(len(dst), len(src))
-    entries = m.entries
-    for r, ch in enumerate(dst):
-        if r in skip:
-            continue
-        row = {}
-        for i in range(n + 2):
-            k = col.get(ch[:i] + ch[i + 1 :])
-            if k is not None:
-                row[k] = row.get(k, 0) + (-1 if i % 2 else 1)
-        # a chain repeats a vertex only in consecutive runs, and a run's
-        # alternating signs sum to 0 or +-1, so every sum here is 0 or +-1
-        for k, v in row.items():
-            if v:
-                entries[(r, k)] = v
+    rows, chains = range(len(dst)), dst
+    if skip:
+        rows = list(filterfalse(skip.__contains__, rows))
+        chains = list(map(dst.__getitem__, rows))
+    if not rows:
+        return m
+    if not strict:
+        verts = list(zip(*chains))
+        pats = list(zip(*[map(eq, a, b) for a, b in zip(verts, verts[1:])]))
+        keep = {pat: _odd_run_starts(pat) for pat in set(pats)}
+        keeps = list(map(keep.__getitem__, pats))
+    # slices at the ends, so that the faces of 1-chains are 1-tuples
+    inner = [itemgetter(*range(i), *range(i + 1, n + 2)) for i in range(1, n + 1)]
+    faces = [itemgetter(slice(1, None)), *inner, itemgetter(slice(n + 1))]
+    for i, face in enumerate(faces):
+        rs, chs = rows, chains
+        if not strict:
+            rs = compress(rows, map(itemgetter(i), keeps))
+            chs = compress(chains, map(itemgetter(i), keeps))
+        ks = map(col.__getitem__, map(face, chs))
+        m.entries.update(zip(zip(rs, ks), repeat(-1 if i % 2 else 1)))
     return m
+
+
+def _odd_run_starts(eqs):
+    """For a chain whose vertices j, j+1 are equal exactly when eqs[j],
+    whether each vertex starts a run of equal vertices of odd length."""
+    odd = [True] * (len(eqs) + 1)  # the run from j on has odd length
+    for j in reversed(range(len(eqs))):
+        odd[j] = not (eqs[j] and odd[j + 1])
+    return [o and not (j and eqs[j - 1]) for j, o in enumerate(odd)]
 
 
 def cohomology_dims(poset, max_n, strict=True):

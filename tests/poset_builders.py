@@ -7,11 +7,31 @@ nerve of a disjoint union is the disjoint union of the nerves.  The
 face poset of a simplicial complex, given by its facets, has the
 complex's barycentric subdivision as its nerve, so the facet lists
 TORUS7, S3_5 and RP2_6 give posets with known Betti numbers.  These
-constructors stay out of the package: only the tests need them."""
+constructors, and the order test le, stay out of the package: only the
+tests need them."""
 
 from itertools import combinations, permutations
 
 from posetdeform.posets import Poset
+
+
+def le(p, i, j):
+    """Whether element i lies below or at element j of the poset p."""
+    return bool(p.upsets[i] >> j & 1)
+
+
+def levels_poset(levels, width):
+    """levels antichains of width elements each, every element above every
+    element of the level below: the ordinal sum of the antichains.  Its
+    nerve is a join of discrete sets, a wedge of (width - 1)**levels
+    spheres of dimension levels - 1, and the elimination of its face-sum
+    matrices fills in heavily."""
+    labels = [["%d.%d" % (k, i) for i in range(width)] for k in range(levels)]
+    pairs = [(a, b) for lo, hi in zip(labels, labels[1:]) for a in lo for b in hi]
+    return Poset.from_relations(
+        [a for level in labels for a in level], pairs,
+        name="levels%dx%d" % (levels, width),
+    )
 
 
 def product_poset(p, q):

@@ -11,7 +11,9 @@ import pytest
 
 jsonschema = pytest.importorskip("jsonschema")
 
-from posetdeform import cli
+from poset_builders import levels_poset
+
+from posetdeform import cli, linalg
 from posetdeform.deform import MAX_ORDER, MCElement, moduli
 from posetdeform.posets import CHAIN_BUDGET, sphere_poset
 from posetdeform.simplicial import SimpCochain
@@ -441,6 +443,22 @@ def test_weak_degree_over_the_chain_budget_is_an_input_error(capsys, degree):
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
     assert str(CHAIN_BUDGET) in lines[0]
+
+
+def test_fill_past_the_budget_is_an_input_error(capsys, tmp_path, monkeypatch):
+    """Four levels of twenty elements have few enough chains for the chain
+    budget, but without a fill budget eliminating their d_2 takes
+    gigabytes; at the real budget the request is refused after about
+    10 s (a CI step runs it).  With the budget lowered it exits 2 at
+    once, with one line that names the budget."""
+    path = tmp_path / "levels.json"
+    path.write_text(json.dumps(levels_poset(4, 20).to_dict()))
+    monkeypatch.setattr(linalg, "FILL_BUDGET", 1000)
+    code, out, err = run(capsys, "cohomology", str(path), "--max-degree", "2")
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert "past 1000 entries" in lines[0]
 
 
 def test_strict_degree_past_the_top_chain_is_accepted(capsys):

@@ -14,9 +14,11 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from poset_builders import le
 
 from posetdeform.linalg import SparseMat, _eliminate, rank_kernel, solve_in_image
 from posetdeform.posets import CycleDetected, Poset
+from posetdeform.simplicial import coboundary_matrix
 
 SETTINGS = settings(max_examples=300, deadline=None, derandomize=True)
 F0 = Fraction(0)
@@ -52,7 +54,7 @@ def eliminate_reference(mat, rhs=None):
     rowmap = {}
     colrows = {}
     for (r, c), v in mat.entries.items():
-        rowmap.setdefault(r, {})[c] = v
+        rowmap.setdefault(r, {})[c] = Fraction(v)
         colrows.setdefault(c, set()).add(r)
     if rhs is not None:
         for r, v in enumerate(rhs):
@@ -153,7 +155,7 @@ def test_closure_matches_warshall(rel):
     n = len(labels)
     for i in range(n):
         for j in range(n):
-            assert p.le(i, j) is leq[i][j]
+            assert le(p, i, j) is leq[i][j]
     assert p.up == tuple(tuple(j for j in range(n) if leq[i][j]) for i in range(n))
     assert p.intervals() == tuple(
         (i, j) for i in range(n) for j in range(n) if leq[i][j]
@@ -174,13 +176,34 @@ RATIONAL = st.builds(
 
 
 @st.composite
-def systems(draw):
-    """A sparse rational matrix with non-integer entries, and a right-hand
-    side that is either in its image or arbitrary."""
+def rational_matrices(draw):
+    """A sparse matrix with non-integer entries."""
     rows, cols = draw(st.integers(0, 7)), draw(st.integers(0, 7))
     cells = [(r, c) for r in range(rows) for c in range(cols)]
     support = draw(st.lists(st.sampled_from(cells), unique=True)) if cells else []
-    mat = SparseMat(rows, cols, {rc: draw(RATIONAL) for rc in support})
+    return SparseMat(rows, cols, {rc: draw(RATIONAL) for rc in support})
+
+
+@st.composite
+def face_sum_matrices(draw):
+    """The weak or strict face-sum matrix of degree 0 to 2 of a poset on up
+    to six elements: entries +-1, rows that cancel and fill in."""
+    n = draw(st.integers(1, 6))
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    idx = draw(st.lists(pair, min_size=n, max_size=3 * n))
+    p = Poset.from_relations(
+        ["e%d" % k for k in range(n)],
+        [("e%d" % min(i, j), "e%d" % max(i, j)) for i, j in idx],
+    )
+    return coboundary_matrix(p, draw(st.integers(0, 2)), draw(st.booleans()))
+
+
+@st.composite
+def systems(draw, matrices):
+    """A matrix drawn from matrices, and a right-hand side that is either
+    in its image or arbitrary."""
+    mat = draw(matrices)
+    rows, cols = mat.rows, mat.cols
     if draw(st.booleans()):
         x = [draw(RATIONAL) for _ in range(cols)]
         b = [F0] * rows
@@ -203,9 +226,18 @@ def _same_rows(got, ref):
 
 
 @SETTINGS
-@given(systems())
+@given(systems(rational_matrices()))
 def test_elimination_matches_fraction_reference(system):
-    mat, b = system
+    check_against_reference(*system)
+
+
+@SETTINGS
+@given(systems(face_sum_matrices()))
+def test_face_sum_elimination_matches_fraction_reference(system):
+    check_against_reference(*system)
+
+
+def check_against_reference(mat, b):
     # the right-hand side as an ordinary trailing column
     aug = SparseMat(mat.rows, mat.cols + 1, mat.entries)
     for r, v in enumerate(b):

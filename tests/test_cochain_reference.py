@@ -18,6 +18,8 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from poset_builders import le
+
 from posetdeform.hochschild import RelHochschildCarrier
 from posetdeform.posets import diamond_poset
 from posetdeform.scalars import TruncSeries
@@ -246,12 +248,12 @@ def test_compose_at_matches_reference(kind, p, q, draw):
 def reference_from_dict(poset, d):
     """SimpCochain.from_dict's entry loop before it mapped labels in one
     comprehension and read plain strings with int(): every label through
-    Poset.index, every order through Poset.le, every value through
+    Poset.index, every order through le, every value through
     Fraction."""
     vals = {}
     for e in d["entries"]:
         ch = poset.chain_indices(e["chain"])
-        if not all(poset.le(a, b) for a, b in zip(ch, ch[1:])):
+        if not all(le(poset, a, b) for a, b in zip(ch, ch[1:])):
             raise ValueError("%r is not a chain" % (e["chain"],))
         if ch in vals:
             raise ValueError("chain %r is listed twice" % (e["chain"],))

@@ -5,7 +5,9 @@ from fractions import Fraction
 
 import pytest
 
+from posetdeform import linalg
 from posetdeform.linalg import SparseMat, rank, rank_kernel, solve_in_image
+from posetdeform.posets import TooLarge
 
 
 def rand_matrix(rng, rows, cols):
@@ -128,3 +130,18 @@ def test_solve_in_image_refuses_float_rhs():
     with pytest.raises(TypeError):
         solve_in_image(m, [0.1])
     assert solve_in_image(m, ["1/10"]) == [Fraction(1, 10)]
+
+
+def test_fill_budget_counts_the_entries_in_and_every_fill_in(monkeypatch):
+    """Reducing the second row by the first fills in column 1: four entries
+    in, one fill-in.  A count of 5 passes a budget of 5 and not one of 4;
+    the identity, which never fills in, passes a budget of its own size."""
+    m = from_rows([[1, 1, 0], [1, 0, 1]])
+    monkeypatch.setattr(linalg, "FILL_BUDGET", 5)
+    assert rank(m) == 2
+    assert rank(from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]])) == 3
+    monkeypatch.setattr(linalg, "FILL_BUDGET", 4)
+    with pytest.raises(TooLarge, match="2x3 matrix fills in past 4 entries"):
+        rank(m)
+    monkeypatch.setattr(linalg, "FILL_BUDGET", 3)
+    assert rank(from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]])) == 3
