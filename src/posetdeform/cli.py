@@ -40,13 +40,11 @@ class _RepeatedKey(ValueError):
 def _unique_keys(pairs):
     """object_pairs_hook for json.load, which on its own keeps the last of
     repeated keys without a word."""
-    obj = dict(pairs)
-    if len(obj) < len(pairs):
-        seen = set()
-        for key, _ in pairs:
-            if key in seen:
-                raise _RepeatedKey(key)
-            seen.add(key)
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise _RepeatedKey(key)
+        obj[key] = value
     return obj
 
 

@@ -6,8 +6,8 @@ pivot is the live row of smallest index with a nonzero entry in the
 current column.  Same matrix, same answer, always.  Nothing here ever
 touches a float: a float entry raises TypeError (scalars.rational).
 Each column keeps the set of its unpivoted rows only.  An elimination
-that counts more than FILL_BUDGET entries held plus rows reduced stops
-with posets.TooLarge, before memory or time runs out.
+that holds more than FILL_BUDGET entries at once stops with
+posets.TooLarge, so every function here can raise it.
 
 Every answer is read off the pivot columns of one elimination, and a
 column is a pivot exactly when it is independent of the columns before
@@ -32,10 +32,8 @@ from .scalars import rational
 F0 = Fraction(0)
 F1 = Fraction(1)
 
-# Most entries plus row reductions one elimination may count (_eliminate).
-# The largest count in the tests is 468,231 (the strict d_2 of the
-# subdivided 3-sphere), in the benchmark 21,676.  Eliminating the face sums
-# of four levels of twenty elements reaches it in about 10 s at 330 MB.
+# Most entries one elimination may hold at once (_eliminate).  The largest
+# peak in the tests is 465,353 (the strict d_2 of the subdivided 3-sphere).
 FILL_BUDGET = 5_000_000
 
 
@@ -74,9 +72,9 @@ def _eliminate(mat):
     colrows[c] holds only unpivoted rows, each zero left of c when c is
     reached: the pivot row is their least and leaves its other columns'
     sets, and the others, reduced by it alone, lose their entry at c.
-    nnz counts the entries in, plus fill-ins, less cancellations off the
-    pivot column: the entries held plus the rows reduced, a bound on both
-    memory and time.  Past FILL_BUDGET the elimination raises TooLarge.
+    nnz counts the entries in, plus fill-ins, less cancellations, the
+    pivot column's included: the entries held.  A fill-in past
+    FILL_BUDGET raises TooLarge.
     """
     rowmap = {}
     colrows = {}
@@ -114,6 +112,7 @@ def _eliminate(mat):
         for r in live:
             row = rowmap[r]
             a = row.pop(c)
+            nnz -= 1
             g = gcd(a, pval) if pval > 0 else -gcd(a, pval)
             scale, factor = pval // g, a // g
             if scale != 1:

@@ -18,8 +18,8 @@ from operator import sub
 # Most vertices, summed over all chains of degrees 0..n, that one chain
 # complex may enumerate (chain_counts).  The largest complex in the tests
 # and the benchmark holds 36,180.  The chains and the face-sum matrices on
-# them take about 150 MB per million vertices; the fill-in of eliminating
-# those matrices is bounded by linalg.FILL_BUDGET instead.
+# them take about 150 MB per million vertices; the entries held while
+# eliminating those matrices are bounded by linalg.FILL_BUDGET instead.
 CHAIN_BUDGET = 5_000_000
 
 

@@ -447,10 +447,9 @@ def test_weak_degree_over_the_chain_budget_is_an_input_error(capsys, degree):
 
 def test_fill_past_the_budget_is_an_input_error(capsys, tmp_path, monkeypatch):
     """Four levels of twenty elements have few enough chains for the chain
-    budget, but without a fill budget eliminating their d_2 takes
-    gigabytes; at the real budget the request is refused after about
-    10 s (a CI step runs it).  With the budget lowered it exits 2 at
-    once, with one line that names the budget."""
+    budget, but eliminating their d_2 fills in heavily.  With the fill
+    budget lowered the request exits 2 at once, with one line that names
+    the budget."""
     path = tmp_path / "levels.json"
     path.write_text(json.dumps(levels_poset(4, 20).to_dict()))
     monkeypatch.setattr(linalg, "FILL_BUDGET", 1000)

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from posetdeform import linalg
-from posetdeform.linalg import SparseMat, rank, rank_kernel, solve_in_image
+from posetdeform.linalg import SparseMat, class_basis, rank, rank_kernel, solve_in_image
 from posetdeform.posets import TooLarge
 
 
@@ -132,16 +132,30 @@ def test_solve_in_image_refuses_float_rhs():
     assert solve_in_image(m, ["1/10"]) == [Fraction(1, 10)]
 
 
-def test_fill_budget_counts_the_entries_in_and_every_fill_in(monkeypatch):
-    """Reducing the second row by the first fills in column 1: four entries
-    in, one fill-in.  A count of 5 passes a budget of 5 and not one of 4;
-    the identity, which never fills in, passes a budget of its own size."""
-    m = from_rows([[1, 1, 0], [1, 0, 1]])
+def test_fill_budget_counts_the_entries_held(monkeypatch):
+    """Reducing the second row by the first drops its entry at column 0
+    and fills in columns 1 and 2: five entries held, which pass a budget
+    of 5 and not one of 4.  With a 1 at column 1 instead, that entry
+    cancels and only column 2 fills in: four held, within a budget of 4.
+    The identity never fills in."""
+    fills = from_rows([[1, 1, 1], [1, 0, 0]])
+    cancels = from_rows([[1, 1, 1], [1, 1, 0]])
     monkeypatch.setattr(linalg, "FILL_BUDGET", 5)
-    assert rank(m) == 2
-    assert rank(from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]])) == 3
+    assert rank(fills) == 2
     monkeypatch.setattr(linalg, "FILL_BUDGET", 4)
     with pytest.raises(TooLarge, match="2x3 matrix fills in past 4 entries"):
-        rank(m)
-    monkeypatch.setattr(linalg, "FILL_BUDGET", 3)
+        rank(fills)
+    assert rank(cancels) == 2
+    monkeypatch.setattr(linalg, "FILL_BUDGET", 2)
     assert rank(from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]])) == 3
+
+
+def test_fill_budget_bounds_every_elimination(monkeypatch):
+    """The budget lives in the one elimination, so the solvers and
+    class_basis refuse too, not only the ranks of cohomology."""
+    fills = from_rows([[1, 1, 1], [1, 0, 0]])
+    monkeypatch.setattr(linalg, "FILL_BUDGET", 4)
+    with pytest.raises(TooLarge):
+        solve_in_image(fills, [1, 0])
+    with pytest.raises(TooLarge):
+        class_basis(fills, SparseMat(3, 0))
