@@ -1,19 +1,26 @@
 """Sparse exact linear algebra over the rationals.
 
-Fraction-free Gaussian elimination over the integers, with the pivot
-rule of elimination over Q: columns are processed left to right and the
-pivot is the live row of smallest index with a nonzero entry in the
-current column.  Same matrix, same answer, always.  Nothing here ever
-touches a float: a float entry raises TypeError (scalars.rational).
+Fraction-free Gaussian elimination over the integers: columns are
+processed left to right and the pivot is the live row of largest index
+with a nonzero entry in the current column.  Same matrix, same answer,
+always.  Nothing here ever touches a float: a float entry raises
+TypeError (scalars.rational).
 Each column keeps the set of its unpivoted rows only.  An elimination
 that holds more than FILL_BUDGET entries at once stops with
 posets.TooLarge, so every function here can raise it.
 
 Every answer is read off the pivot columns of one elimination, and a
 column is a pivot exactly when it is independent of the columns before
-it.  rank counts them; rank_kernel back-substitutes one kernel vector
-per free column; solve_columns and solve_in_image put right-hand sides
-in as trailing columns, each in the image exactly when it is not a
+it, whichever live row is taken as pivot.  With the free coordinates
+fixed, each solution below is unique, since the pivot columns are
+independent; so the row decides only how much fills in.  On coboundaries
+in lexicographic chain order the last row fills in far less than the
+first (Bauer, "Ripser", 2021, on how much such orders matter there): a
+third fewer entry updates on the nerves of face posets, and the d_2 of
+four levels of twenty elements in seconds, where the first row did not
+finish.  rank counts the pivots; rank_kernel back-substitutes one kernel
+vector per free column; solve_columns and solve_in_image put right-hand
+sides in as trailing columns, each in the image exactly when it is not a
 pivot; class_basis keeps the kernel vectors whose unit column is a pivot
 of a second elimination; chain_ranks ranks a whole cochain complex in
 one pass that clears before it eliminates (the twist of Chen and Kerber,
@@ -33,7 +40,8 @@ F0 = Fraction(0)
 F1 = Fraction(1)
 
 # Most entries one elimination may hold at once (_eliminate).  The largest
-# peak in the tests is 465,353 (the strict d_2 of the subdivided 3-sphere).
+# peak in the tests is 155,809 (the strict d_2 of four levels of twelve);
+# four levels of twenty, which CI answers to degree 2, peak at 1,232,801.
 FILL_BUDGET = 5_000_000
 
 
@@ -70,8 +78,11 @@ def _eliminate(mat):
     stays a nonzero multiple of its row over Q.
 
     colrows[c] holds only unpivoted rows, each zero left of c when c is
-    reached: the pivot row is their least and leaves its other columns'
+    reached: the pivot row is their greatest and leaves its other columns'
     sets, and the others, reduced by it alone, lose their entry at c.
+    Any of them would do: the pivot columns, and so every answer read off
+    them, are the same whichever is taken; the greatest fills in far less
+    on the coboundaries here.
     nnz counts the entries in, plus fill-ins, less cancellations, the
     pivot column's included: the entries held.  A fill-in past
     FILL_BUDGET raises TooLarge.
@@ -102,7 +113,7 @@ def _eliminate(mat):
         live = colrows.pop(c, None)
         if not live:
             continue
-        pr = min(live)
+        pr = max(live)
         live.remove(pr)
         pivots.append((c, pr))
         prow = rowmap[pr]

@@ -5,7 +5,9 @@ topological pass, and linalg._eliminate reduces over the integers.  The
 references below are the dense Warshall closure and Gaussian elimination
 over Fraction they replaced; on every input the fast code must give the
 same relation, the same error, the same pivots and row supports, and the
-same exact solutions."""
+same exact solutions.  The reference pivots on the live row of largest
+index, as _eliminate does; pivoting on the smallest instead changes the
+rows but none of the answers."""
 
 from fractions import Fraction
 
@@ -16,7 +18,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from poset_builders import le
 
-from posetdeform.linalg import SparseMat, _eliminate, rank_kernel, solve_in_image
+from posetdeform import linalg
+from posetdeform.linalg import (
+    SparseMat,
+    _eliminate,
+    class_basis,
+    rank_kernel,
+    solve_in_image,
+)
 from posetdeform.posets import CycleDetected, Poset
 from posetdeform.simplicial import coboundary_matrix
 
@@ -49,7 +58,9 @@ def warshall_reference(labels, pairs):
     return leq
 
 
-def eliminate_reference(mat, rhs=None):
+def eliminate_reference(mat, rhs=None, pick=max):
+    """Gaussian elimination over Fraction, column by column, taking as
+    pivot the live row that pick chooses."""
     BCOL = mat.cols
     rowmap = {}
     colrows = {}
@@ -69,7 +80,7 @@ def eliminate_reference(mat, rhs=None):
         cand = [r for r in live if r not in pivoted]
         if not cand:
             continue
-        pr = min(cand)
+        pr = pick(cand)
         pivots.append((c, pr))
         pivoted.add(pr)
         prow = rowmap[pr]
@@ -185,9 +196,10 @@ def rational_matrices(draw):
 
 
 @st.composite
-def face_sum_matrices(draw):
-    """The weak or strict face-sum matrix of degree 0 to 2 of a poset on up
-    to six elements: entries +-1, rows that cancel and fill in."""
+def face_sum_complexes(draw):
+    """The weak or strict face-sum matrix d of degree 0 to 2 of a poset on
+    up to six elements, entries +-1, rows that cancel and fill in; and the
+    one of the degree below, prev (no columns below degree 0)."""
     n = draw(st.integers(1, 6))
     pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
     idx = draw(st.lists(pair, min_size=n, max_size=3 * n))
@@ -195,7 +207,14 @@ def face_sum_matrices(draw):
         ["e%d" % k for k in range(n)],
         [("e%d" % min(i, j), "e%d" % max(i, j)) for i, j in idx],
     )
-    return coboundary_matrix(p, draw(st.integers(0, 2)), draw(st.booleans()))
+    deg, strict = draw(st.integers(0, 2)), draw(st.booleans())
+    d = coboundary_matrix(p, deg, strict)
+    prev = coboundary_matrix(p, deg - 1, strict) if deg else SparseMat(d.cols, 0)
+    return d, prev
+
+
+def face_sum_matrices():
+    return face_sum_complexes().map(lambda dp: dp[0])
 
 
 @st.composite
@@ -254,3 +273,34 @@ def check_against_reference(mat, b):
     assert x == solve_reference(mat, b)
     for vec in kernel + ([x] if x is not None else []):
         assert all(type(v) is Fraction for v in vec)
+
+
+def answers(d, prev, b):
+    """Pivot columns, rank and kernel, a witness for b, and class_basis."""
+    cols = [c for c, _ in linalg._eliminate(d)[0]]
+    return cols, rank_kernel(d), solve_in_image(d, b), class_basis(d, prev)
+
+
+def check_pivot_row_free(d, prev, b):
+    """Every answer is the same when each pivot is the live row of smallest
+    index: the pivot columns are those independent of the columns before
+    them, and with the free coordinates fixed each solution is unique."""
+    got = answers(d, prev, b)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "_eliminate", lambda m: eliminate_reference(m, pick=min))
+        assert answers(d, prev, b) == got
+
+
+@SETTINGS
+@given(systems(rational_matrices()))
+def test_rational_answers_do_not_depend_on_the_pivot_row(system):
+    mat, b = system
+    check_pivot_row_free(mat, SparseMat(mat.cols, 0), b)
+
+
+@SETTINGS
+@given(face_sum_complexes(), st.data())
+def test_face_sum_answers_do_not_depend_on_the_pivot_row(complex_, data):
+    d, prev = complex_
+    _, b = data.draw(systems(st.just(d)))
+    check_pivot_row_free(d, prev, b)

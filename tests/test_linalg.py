@@ -133,13 +133,13 @@ def test_solve_in_image_refuses_float_rhs():
 
 
 def test_fill_budget_counts_the_entries_held(monkeypatch):
-    """Reducing the second row by the first drops its entry at column 0
-    and fills in columns 1 and 2: five entries held, which pass a budget
-    of 5 and not one of 4.  With a 1 at column 1 instead, that entry
-    cancels and only column 2 fills in: four held, within a budget of 4.
-    The identity never fills in."""
-    fills = from_rows([[1, 1, 1], [1, 0, 0]])
-    cancels = from_rows([[1, 1, 1], [1, 1, 0]])
+    """The pivot is the last live row.  Reducing the first row by the
+    second drops its entry at column 0 and fills in columns 1 and 2: five
+    entries held, which pass a budget of 5 and not one of 4.  With a 1 at
+    column 1 instead, that entry cancels and only column 2 fills in: four
+    held, within a budget of 4.  The identity never fills in."""
+    fills = from_rows([[1, 0, 0], [1, 1, 1]])
+    cancels = from_rows([[1, 1, 0], [1, 1, 1]])
     monkeypatch.setattr(linalg, "FILL_BUDGET", 5)
     assert rank(fills) == 2
     monkeypatch.setattr(linalg, "FILL_BUDGET", 4)
@@ -153,7 +153,7 @@ def test_fill_budget_counts_the_entries_held(monkeypatch):
 def test_fill_budget_bounds_every_elimination(monkeypatch):
     """The budget lives in the one elimination, so the solvers and
     class_basis refuse too, not only the ranks of cohomology."""
-    fills = from_rows([[1, 1, 1], [1, 0, 0]])
+    fills = from_rows([[1, 0, 0], [1, 1, 1]])
     monkeypatch.setattr(linalg, "FILL_BUDGET", 4)
     with pytest.raises(TooLarge):
         solve_in_image(fills, [1, 0])

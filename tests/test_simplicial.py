@@ -1,10 +1,12 @@
 """Simplicial cochains on poset nerves and their cohomology."""
 
+import inspect
 import random
 from fractions import Fraction
 
 import pytest
 
+from posetdeform import linalg, simplicial
 from posetdeform.hochschild import RelHochschildCarrier
 from posetdeform.linalg import rank
 from posetdeform.posets import Poset, UnknownElement, chain_poset
@@ -15,7 +17,15 @@ from posetdeform.simplicial import (
     coboundary_matrix,
     cohomology_dims,
 )
-from poset_builders import RP2_6, S3_5, TORUS7, face_poset, opposite_poset, subdivide
+from poset_builders import (
+    RP2_6,
+    S3_5,
+    TORUS7,
+    face_poset,
+    levels_poset,
+    opposite_poset,
+    subdivide,
+)
 
 
 def test_compose_on_two_element_chain(chain2):
@@ -163,6 +173,77 @@ def test_betti_numbers_of_triangulated_spaces(facets, n, betti, opposite):
     assert p.chains(top + 1, strict=True) == ()
     chi = sum((-1) ** k * len(p.chains(k, strict=True)) for k in range(top + 1))
     assert chi == sum((-1) ** k * b for k, b in enumerate(betti))
+
+
+@pytest.mark.parametrize("opposite", [False, True])
+def test_subdivided_3_sphere_fits_a_small_fill_budget(opposite, monkeypatch):
+    """Pivoting on the last live row, no elimination of the subdivided
+    3-sphere holds 50,000 entries in either orientation; pivoting on the
+    first, its strict d_2 held 80,648 and, on the opposite, 465,353."""
+    p = face_poset(subdivide(S3_5))
+    if opposite:
+        p = opposite_poset(p)
+    monkeypatch.setattr(linalg, "FILL_BUDGET", 50_000)
+    assert cohomology_dims(p, 3) == [1, 0, 0, 1]
+
+
+def test_four_levels_of_twelve_to_degree_2():
+    """The ordinal sum of four 12-element antichains is a wedge of 3-spheres,
+    so it has no H^1 and no H^2."""
+    assert cohomology_dims(levels_poset(4, 12), 2) == [1, 0, 0]
+
+
+def product(a, b):
+    """The entries of a * b, as a dict (row, col) -> value without zeros."""
+    rows = {}
+    for (r, c), v in b.entries.items():
+        rows.setdefault(r, []).append((c, v))
+    out = {}
+    for (r, k), v in a.entries.items():
+        for c, w in rows.get(k, ()):
+            out[(r, c)] = out.get((r, c), 0) + v * w
+    return {rc: v for rc, v in out.items() if v}
+
+
+def dropped_face_mutant(i):
+    """coboundary_matrix from its own source, with face position i left out
+    of every row."""
+    src = inspect.getsource(simplicial.coboundary_matrix)
+    loop = "for i, face in enumerate(faces):"
+    assert src.count(loop) == 1
+    ns = dict(vars(simplicial))
+    exec(src.replace(loop, loop + "\n        if i == %d:\n            continue" % i), ns)
+    return ns["coboundary_matrix"]
+
+
+@pytest.mark.parametrize(
+    "facets,betti",
+    [(TORUS7, [1, 2, 1]), (subdivide(S3_5), [1, 0, 0, 1])],
+    ids=["torus7", "sd-s3_5"],
+)
+def test_every_dropped_face_is_caught(facets, betti, monkeypatch):
+    """d_{n+1} d_n = 0 on the strict and the weak complex, n < top.  With
+    face position i >= 1 left out of every row, some such product is not
+    0.  Face 0 left out leaves the alternating sum of faces 1..n+1, which
+    still satisfy the simplicial identities among themselves, so it
+    squares to 0: the Betti numbers catch it."""
+    p = face_poset(facets)
+    top = len(betti) - 1
+
+    def squares(cob):
+        return (
+            product(cob(p, n + 1, strict), cob(p, n, strict))
+            for strict in (True, False)
+            for n in range(top)
+        )
+
+    assert not any(squares(coboundary_matrix))
+    for i in range(1, top + 1):
+        assert any(squares(dropped_face_mutant(i))), i
+    mutant = dropped_face_mutant(0)
+    assert not any(squares(mutant))
+    monkeypatch.setattr(simplicial, "coboundary_matrix", mutant)
+    assert cohomology_dims(p, top) != betti
 
 
 def test_weak_and_strict_dims_agree(chain2, chain3, diamond, cr4):
