@@ -33,9 +33,6 @@ from .hochschild import (
     hh_dims,
 )
 from .opcore import brace, bracket, circle, differential, dot, gamma
-
-# suites before gsiso: suites registers gsiso's verify_morphism as its
-# "iso" suite, and gsiso builds that suite on the helpers in suites
 from .suites import SUITES
 from .gsiso import phi, verify_morphism
 from .deform import MCElement, WittCochain, gauge_equivalent, mc_check, moduli, to_witt

@@ -1,12 +1,13 @@
 """Command-line front end.
 
 Seven verbs: validate, cohomology, hochschild, verify, deform,
-mc-check, gauge-equiv.  Posets and deformation elements are read from
-JSON files; reports go to standard output as a table (default) or as
-exactly one JSON document (--format json).  Exit status: 0 for success
-or a passing check, 1 for a negative mathematical answer (a failing
-suite, a non-MC element, inequivalent deformations, disagreeing
-complexes), 2 for usage or input problems.
+mc-check, gauge-equiv.  Each takes a poset file first, and main loads it
+before it runs the verb.  Posets and deformation elements are JSON
+files read through one loader, _load.  Reports go to standard output as
+a table (default) or as exactly one JSON document (--format json).  Exit
+status: 0 for success or a passing check, 1 for a negative mathematical
+answer (a failing suite, a non-MC element, inequivalent deformations,
+disagreeing complexes), 2 for usage or input problems.
 
 All sampling is driven by the --seed value through named generators, so
 a report is a pure function of argv plus file contents; --no-meta drops
@@ -24,7 +25,7 @@ from functools import cache
 from . import __version__
 from .deform import MAX_ORDER, MCElement, NotMC, gauge_equivalent, mc_check, moduli
 from .hochschild import hh_dims
-from .posets import Poset, PosetError, TooLarge
+from .posets import Poset, TooLarge
 from .simplicial import SimplicialCarrier, cohomology_dims
 from .suites import SUITES
 
@@ -67,20 +68,16 @@ def _load_json(path):
         ) from e
     except RecursionError as e:
         raise _InputError("%s: JSON nested too deeply" % path) from e
-
-
-def _load_poset(path):
-    data = _load_json(path)
-    try:
-        return Poset.from_dict(data)
-    except (PosetError, KeyError, TypeError, ValueError) as e:
+    except ValueError as e:  # an integer past sys.get_int_max_str_digits()
         raise _InputError("%s: %s" % (path, e)) from e
 
 
-def _load_mc(path, poset):
+def _load(path, read, *context):
+    """read(*context, data) on the JSON document at path; a document that
+    read refuses is an input error naming the file."""
     data = _load_json(path)
     try:
-        return MCElement.from_dict(poset, data)
+        return read(*context, data)
     except (KeyError, TypeError, ValueError) as e:
         raise _InputError("%s: %s" % (path, e)) from e
 
@@ -96,6 +93,7 @@ def _parser():
     sub = top.add_subparsers(dest="verb", required=True)
 
     common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("poset")
     common.add_argument("--format", choices=("table", "json"), default="table")
     common.add_argument(
         "--no-meta",
@@ -103,13 +101,11 @@ def _parser():
         help="omit the version/timestamp block for byte-stable output",
     )
 
-    v = sub.add_parser("validate", parents=[common], help="check a poset file")
-    v.add_argument("poset")
+    sub.add_parser("validate", parents=[common], help="check a poset file")
 
     c = sub.add_parser(
         "cohomology", parents=[common], help="betti numbers of the nerve"
     )
-    c.add_argument("poset")
     c.add_argument("--max-degree", type=int, default=2)
     c.add_argument(
         "--unnormalized",
@@ -122,13 +118,11 @@ def _parser():
         parents=[common],
         help="compare simplicial, relative, and full cohomology dimensions",
     )
-    h.add_argument("poset")
     h.add_argument("--max-degree", type=int, default=2)
 
     ver = sub.add_parser(
         "verify", parents=[common], help="run randomized verification suites"
     )
-    ver.add_argument("poset")
     ver.add_argument(
         "--suite",
         choices=(*SUITES, "all"),
@@ -141,27 +135,23 @@ def _parser():
     d = sub.add_parser(
         "deform", parents=[common], help="moduli of formal deformations"
     )
-    d.add_argument("poset")
     d.add_argument("--order", type=int, default=1)
 
     mc = sub.add_parser(
         "mc-check", parents=[common], help="test the Maurer-Cartan equation"
     )
-    mc.add_argument("poset")
     mc.add_argument("element")
 
     ge = sub.add_parser(
         "gauge-equiv", parents=[common], help="decide gauge equivalence"
     )
-    ge.add_argument("poset")
     ge.add_argument("element1")
     ge.add_argument("element2")
 
     return top
 
 
-def _run_validate(args):
-    p = _load_poset(args.poset)
+def _run_validate(args, p):
     report = {
         "verb": "validate",
         "poset": p.name,
@@ -172,8 +162,7 @@ def _run_validate(args):
     return report, 0
 
 
-def _run_cohomology(args):
-    p = _load_poset(args.poset)
+def _run_cohomology(args, p):
     if args.max_degree < 0:
         raise _InputError("--max-degree must be >= 0")
     strict = not args.unnormalized
@@ -188,14 +177,13 @@ def _run_cohomology(args):
     return report, 0
 
 
-def _run_hochschild(args):
-    p = _load_poset(args.poset)
+def _run_hochschild(args, p):
     n = args.max_degree
     if not 0 <= n <= 2:
         raise _InputError("--max-degree must lie in 0..2 (full-complex cap)")
+    full = hh_dims(p, n, "full")  # first: its cap refuses a large poset at once
     simp = cohomology_dims(p, n, strict=True)
     relative = hh_dims(p, n, "relative")
-    full = hh_dims(p, n, "full")
     agree = simp == relative == full
     report = {
         "verb": "hochschild",
@@ -209,8 +197,7 @@ def _run_hochschild(args):
     return report, 0 if agree else 1
 
 
-def _run_verify(args):
-    p = _load_poset(args.poset)
+def _run_verify(args, p):
     if args.samples < 1:
         raise _InputError("--samples must be >= 1")
     if not 0 <= args.max_degree <= 3:
@@ -235,8 +222,7 @@ def _run_verify(args):
     return report, 0 if ok else 1
 
 
-def _run_deform(args):
-    p = _load_poset(args.poset)
+def _run_deform(args, p):
     if not 1 <= args.order <= MAX_ORDER:
         raise _InputError("--order must lie in 1..%d" % MAX_ORDER)
     dim, basis = moduli(p, args.order)
@@ -250,9 +236,8 @@ def _run_deform(args):
     return report, 0
 
 
-def _run_mc_check(args):
-    p = _load_poset(args.poset)
-    e = _load_mc(args.element, p)
+def _run_mc_check(args, p):
+    e = _load(args.element, MCElement.from_dict, p)
     ok, witness = mc_check(p, e)
     report = {
         "verb": "mc-check",
@@ -264,10 +249,9 @@ def _run_mc_check(args):
     return report, 0 if ok else 1
 
 
-def _run_gauge_equiv(args):
-    p = _load_poset(args.poset)
-    e1 = _load_mc(args.element1, p)
-    e2 = _load_mc(args.element2, p)
+def _run_gauge_equiv(args, p):
+    e1 = _load(args.element1, MCElement.from_dict, p)
+    e2 = _load(args.element2, MCElement.from_dict, p)
     try:
         wit = gauge_equivalent(p, e1, e2)
     except (NotMC, ValueError) as e:
@@ -345,7 +329,8 @@ def main(argv=None):
             return 0
         return code if isinstance(code, int) else 2
     try:
-        report, code = _HANDLERS[args.verb](args)
+        p = _load(args.poset, Poset.from_dict)
+        report, code = _HANDLERS[args.verb](args, p)
     except (_InputError, TooLarge) as e:
         print("error: %s" % e, file=sys.stderr)
         return 2

@@ -366,6 +366,7 @@ def hh_dims(poset, max_n, which="relative"):
     if which == "relative":
         if max_n > 4:
             raise TooLarge("relative complex capped at degree 4")
+        poset.chain_counts(max_n + 1)  # raises TooLarge past CHAIN_BUDGET
         car = RelHochschildCarrier(poset)
         keys = [poset.chains(n) for n in range(max_n + 2)]
         sizes, basis = [len(ks) for ks in keys], keys.__getitem__

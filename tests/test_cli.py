@@ -107,6 +107,26 @@ def test_hochschild_degree_cap(capsys):
     assert "0..2" in err
 
 
+def test_hochschild_refuses_past_the_full_cap_before_computing(
+    capsys, tmp_path, monkeypatch
+):
+    """Four levels of eight elements have 416 intervals, past the full
+    complex's cap at degree 2.  The full dimensions are asked for first,
+    so the refusal comes before the simplicial and relative ones are
+    computed: here computing them at all fails the test."""
+    path = tmp_path / "levels.json"
+    path.write_text(json.dumps(levels_poset(4, 8).to_dict()))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("cohomology_dims ran before the full-complex cap")
+
+    monkeypatch.setattr(cli, "cohomology_dims", refuse)
+    code, out, err = run(capsys, "hochschild", str(path), "--max-degree", "2")
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+
+
 def test_verify_single_suite(capsys):
     code, doc, _ = run_json(
         capsys,
@@ -507,6 +527,27 @@ def test_non_utf8_file_is_an_input_error(capsys, tmp_path, verb):
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("verb", ["validate", "mc-check"])
+def test_integer_past_the_digit_limit_is_an_input_error(capsys, tmp_path, verb):
+    """json.load raises a plain ValueError on an integer literal longer
+    than sys.get_int_max_str_digits(); that is bad input naming the file,
+    not a traceback."""
+    limit = sys.get_int_max_str_digits()
+    if not limit:
+        pytest.skip("integer string conversion is unlimited")
+    path = tmp_path / "long.json"
+    path.write_text('{"name": "n", "elements": [], "order": %s}' % ("9" * (limit + 1)))
+    if verb == "validate":
+        argv = [verb, str(path)]
+    else:
+        argv = [verb, poset_path("diamond"), str(path)]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert str(path) in lines[0] and "Traceback" not in err
 
 
 BAD_POSETS = {

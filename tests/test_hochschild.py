@@ -16,6 +16,7 @@ from posetdeform.hochschild import (
     hh_dims,
     rel_eval,
 )
+from posetdeform import posets
 from posetdeform.opcore import differential
 from posetdeform.posets import Poset, chain_poset
 from posetdeform.scalars import OrderMismatch, TruncSeries
@@ -244,6 +245,19 @@ def test_size_caps(sphere):
         hh_dims(sphere, 3, "full")
     with pytest.raises(TooLarge):
         hh_dims(sphere, 5, "relative")
+
+
+def test_relative_chains_are_counted_against_the_budget(sphere, monkeypatch):
+    """The relative complex to degree 2 is keyed by the weak chains to
+    degree 3, which sphere14 has 1,220 vertices' worth of; they are
+    counted against posets.CHAIN_BUDGET, as cohomology_dims counts them,
+    before any is enumerated."""
+    assert sum((k + 1) * c for k, c in enumerate(sphere.chain_counts(3))) == 1220
+    monkeypatch.setattr(posets, "CHAIN_BUDGET", 1219)
+    with pytest.raises(TooLarge):
+        hh_dims(sphere, 2, "relative")
+    monkeypatch.setattr(posets, "CHAIN_BUDGET", 1220)
+    assert hh_dims(sphere, 2, "relative") == [1, 0, 1]
 
 
 def test_dimension_tables(chain2, diamond):

@@ -1,5 +1,8 @@
 """Randomized law suites run green on both carriers and catch sabotage."""
 
+import ast
+from pathlib import Path
+
 import pytest
 
 from posetdeform.deform import mc_check, moduli
@@ -7,6 +10,7 @@ from posetdeform.gsiso import verify_morphism
 from posetdeform.hochschild import RelHochschildCarrier
 from posetdeform.opcore import SignFlip
 from posetdeform.simplicial import SimplicialCarrier
+from posetdeform import suites
 from posetdeform.suites import (
     SUITES,
     brace_suite,
@@ -24,6 +28,20 @@ def test_suite_registry():
     assert list(SUITES) == ["operad", "brace", "hga", "dgla", "iso"]
     assert SUITES["operad"] is operad_suite
     assert SUITES["iso"] is verify_morphism
+
+
+def test_suites_imports_nothing_from_gsiso():
+    """gsiso builds on suites and registers "iso" itself; an import the
+    other way round would make the two modules a cycle again."""
+    tree = ast.parse(Path(suites.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+            imported.update(a.name for a in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(a.name for a in node.names)
+    assert not [m for m in imported if "gsiso" in m.split(".")], imported
 
 
 @pytest.mark.parametrize("name", sorted(SUITES))
