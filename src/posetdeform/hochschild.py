@@ -29,9 +29,9 @@ algebra element.  Such cochains are never serialized: to_dict and
 from_dict are for chain-keyed cochains only.  The full carrier is the
 endomorphism operad of kP; its multiplication is the algebra product
 itself and d = [m, -] is the Hochschild differential.  The basis grows
-like (#intervals)**(n+1), so the list of all basis tuples of a degree
-(tuples) is capped, and so are hh_dims and random_elem, which walk it;
-exceeding the cap raises TooLarge.
+like (#intervals)**(n+1), so the basis tuples of a degree (tuples) are
+capped, and so are hh_dims and random_elem, which walk them; exceeding
+the cap raises TooLarge.
 
 Composition in either carrier (its kernel compose_into, see
 simplicial.Carrier) enumerates the pairs of entries of f and g that meet
@@ -255,25 +255,16 @@ class FullHochschildCarrier(Carrier):
 
     name = "full"
 
-    def __init__(self, poset):
-        super().__init__(poset)
-        self._tuples = {}
-
     slot = staticmethod(lambda j: (j - 1,))  # key position of slot j's interval x_j
     out = (-1,)  # key position of the output interval y
 
     def tuples(self, n):
-        """All basis tuples (x_1, ..., x_n) of intervals, capped."""
-        got = self._tuples.get(n)
-        if got is None:
-            ivs = self.poset.intervals()
-            if len(ivs) ** n > FULL_TABLE_LIMIT:
-                raise TooLarge(
-                    "%d**%d basis tuples exceeds the full-complex cap" % (len(ivs), n)
-                )
-            got = tuple(product(ivs, repeat=n))
-            self._tuples[n] = got
-        return got
+        """An iterator over all basis tuples (x_1, ..., x_n) of intervals,
+        lexicographic; past the cap TooLarge, before any is made."""
+        ivs = self.poset.intervals()
+        if len(ivs) ** n > FULL_TABLE_LIMIT:
+            raise TooLarge("%d**%d basis tuples exceeds the full-complex cap" % (len(ivs), n))
+        return product(ivs, repeat=n)
 
     def compose_at(self, f, j, g):
         """f o_j g of multilinear maps, the one-term compose_sum."""
@@ -375,8 +366,8 @@ def hh_dims(poset, max_n, which="relative"):
         if max_n > 2:
             raise TooLarge("full complex capped at degree 2")
         car = FullHochschildCarrier(poset)
-        for n in range(max_n + 2):
-            car.tuples(n)  # raises TooLarge past the cap
+        for n in range(max_n + 2):  # TooLarge names the first degree past the cap
+            car.tuples(n)
         ivs = poset.intervals()
         pos = {iv: i for i, iv in enumerate(ivs)}
         sizes = [len(ivs) ** (n + 1) for n in range(max_n + 2)]

@@ -27,10 +27,10 @@ live on the shifted side:
   (-1)**sum_p <x_p> * i_p, where i_p counts every input of the composite
   standing strictly before the block of x_p (inputs swallowed by earlier
   blocks included).  With a single argument this reduces to the circle
-  product f o g = sum_j (-1)**((j-1)<g>) f o_j g.  With more arguments
-  than slots the sum is empty: the brace is the zero element of the
-  arity the insertions would have had, clamped at 0.  Identities such
-  as the brace relation need that convention, and circle inherits it.
+  product f o g = sum_j (-1)**((j-1)<g>) f o_j g.  Its arity is
+  |x| + sum (|x_p| - 1) always: with more arguments than slots, or a
+  zero argument, the brace is the zero of that arity, negative
+  included, so every side of an identity has one degree.
 * dot:     x . y = (-1)**|x| m{x, y}, an associative product of degree 0.
 * d:       d x = m o x - (-1)**<x> x o m, the differential of the shifted
   complex; the classical alternating-face-sum differential is
@@ -74,14 +74,16 @@ def gamma(car, f, args):
 def brace(car, x, args):
     """x{x_1, ..., x_k}: the signed sum over order-preserving insertions.
 
-    x{} is x itself.  With more arguments than x has slots there is no
-    insertion, and the empty sum is the zero element of arity
-    max(arity(x) + sum(arity(x_i) - 1), 0), the arity the insertions
-    would have had, clamped at 0."""
+    x{} is x itself; otherwise the arity is arity(x) + sum(arity(x_i) - 1).
+    With more arguments than x has slots the sum is empty, and with a zero
+    argument the multilinear sum is zero: either way the zero of that
+    arity, negative included, and a zero argument is inserted nowhere."""
     args = list(args)
     if not args:
         return x
-    degree = max(x.degree + sum(a.degree - 1 for a in args), 0)
+    degree = x.degree + sum(a.degree - 1 for a in args)
+    if any(a.is_zero() for a in args):
+        return compose_sum(car, degree, [])
     return compose_sum(car, degree, _brace_terms(car, x, args))
 
 
@@ -139,10 +141,9 @@ def differential_unshifted(car, x):
 
 def bracket(car, f, g):
     """Graded bracket [f, g] = f o g - (-1)**(<f><g>) g o f on the shifted
-    complex, both circles in one sum.  Both have arity
-    max(|f| + |g| - 1, 0), zeros included, so they add directly."""
+    complex, both circles in one sum, of arity |f| + |g| - 1."""
     e = (f.degree - 1) * (g.degree - 1) + 1
-    return _circles(car, max(f.degree + g.degree - 1, 0), [(0, f, g), (e, g, f)])
+    return _circles(car, f.degree + g.degree - 1, [(0, f, g), (e, g, f)])
 
 
 def curvature(car, w):

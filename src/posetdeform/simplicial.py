@@ -74,7 +74,8 @@ class SimpCochain:
     scalars only; no caller in the package composes them (mc_check
     evaluates W at lam = 2**B), though the simplicial and relative kernels
     can.  The two kinds refuse to be added (TypeError), as do series of
-    different orders (scalars.OrderMismatch)."""
+    different orders (scalars.OrderMismatch).  A zero of negative degree
+    (opcore.brace) is made only through _of; the constructor refuses it."""
 
     __slots__ = ("degree", "values", "den", "_ix", "_vec")
 
@@ -363,17 +364,20 @@ class SimplicialCarrier(Carrier):
         super().__init__(poset)
         self._levels, self._plans = {}, {}
 
-    def _level(self, n):  # poset.chains(n), fetched once per carrier
-        return self._levels.get(n) or self._levels.setdefault(n, self.poset.chains(n))
+    def _level(self, n):  # poset.chains(n) once per carrier, counted first (TooLarge)
+        got = self._levels.get(n)
+        if got is None:
+            self.poset.chain_counts(n)
+            got = self._levels[n] = self.poset.chains(n)
+        return got
 
     def vector(self, x):
         """x's numerators as a list indexed like poset.chains(x.degree) if x
         is dense: int-valued and nonzero on at least half those chains;
-        else None.  Kept on x against the chain list it indexes (diamond
-        and cr4 share element indices, not chains).  A key of a dense x
-        that is not a chain raises ValueError."""
-        chains = self._levels.get(x.degree) or self._level(x.degree)
-        if 2 * len(x.values) < len(chains):
+        else None, at once for a zero.  Kept on x against the chain list
+        it indexes (diamond and cr4 share element indices, not chains).  A
+        key of a dense x that is not a chain raises ValueError."""
+        if not x.values or 2 * len(x.values) < len(chains := self._level(x.degree)):
             return None
         got = x._vec
         if got is None or got[0] is not chains:

@@ -9,7 +9,8 @@ graded Lie laws derived from the circle product (dgla_suite), and the
 isomorphism with the relative Hochschild operad (gsiso.verify_morphism,
 which adds itself to SUITES as "iso").  SUITES registers all five under
 one signature, suite(car, samples, seed, max_degree).  All comparisons
-are exact and all go through SuiteReport.same (two sides agree) or
+are exact and all go through SuiteReport.same (two sides are ==, degree
+included: every opcore operation gives its formula degree, zeros too) or
 SuiteReport.vanishes (one side is zero); a mismatch is recorded as a
 Failure with the first differing chain.
 
@@ -89,14 +90,14 @@ class SuiteReport:
         return ok
 
     def same(self, car, name, degrees, lhs, rhs):
-        """Check that lhs equals rhs on car (zeros of any arity agree)."""
+        """Check that lhs equals rhs on car, degree included."""
         return self.check(name, degrees, agree(car, lhs, rhs),
-                          partial(_witness, car, lhs, rhs))
+                          partial(car.diff_witness, lhs, rhs))
 
     def vanishes(self, car, name, degrees, x):
         """Check that x is zero on car."""
         return self.check(name, degrees, x.is_zero(),
-                          partial(_witness, car, x, SimpCochain(x.degree)))
+                          partial(car.diff_witness, x, SimpCochain._of(x.degree, {})))
 
     @property
     def ok(self):
@@ -116,26 +117,13 @@ class SuiteReport:
 
 
 def agree(car, a, b):
-    """Equality that tolerates differently-clamped arities of zero."""
-    if a.degree != b.degree:
-        return a.is_zero() and b.is_zero()
+    """a == b: every operation gives its formula degree, zeros included."""
     return a == b
 
 
-def _witness(car, a, b):
-    if a.degree != b.degree:
-        return "arity %d vs %d" % (a.degree, b.degree)
-    return car.diff_witness(a, b)
-
-
-def _zsum(terms):
-    """Sum skipping zeros, so clamped-arity zeros never poison add."""
-    acc = None
-    for t in terms:
-        if t.is_zero():
-            continue
-        acc = t if acc is None else acc + t
-    return SimpCochain(0) if acc is None else acc
+def _signed_sum(terms):
+    """The sum of (-1)**e x over nonempty terms (e, x), all x of one degree."""
+    return SimpCochain.lincomb(terms[0][1].degree, terms)
 
 
 def operad_suite(car, samples=25, seed=0, max_degree=3):
@@ -197,7 +185,7 @@ def _brace_rhs(car, x, xs, ys):
     def place(p, start, args, eps):
         if p == len(xs):
             args = args + ys[start:]
-            terms.append(signed(eps, brace(car, x, args)))
+            terms.append((eps, brace(car, x, args)))
             return
         for i in range(start, n + 1):
             e = eps + (xs[p].degree - 1) * sum(sy[:i])
@@ -206,7 +194,7 @@ def _brace_rhs(car, x, xs, ys):
                 place(p + 1, j, args + ys[start:i] + [inner], e)
 
     place(0, 0, [], 0)
-    return _zsum(terms)
+    return _signed_sum(terms)
 
 
 def brace_suite(car, samples=25, seed=0, max_degree=3):
@@ -255,15 +243,15 @@ def hga_suite(car, samples=25, seed=0, max_degree=3):
         terms = []
         for i in range(n_ct + 1):
             t = dot(car, brace(car, x, ys[:i]), brace(car, y, ys[i:]))
-            terms.append(signed(y.degree * sum(sy[:i]), t))
+            terms.append((y.degree * sum(sy[:i]), t))
         rep.same(car, "dot-brace[n=%d]" % n_ct, (p, q),
-                 lhs, _zsum(terms))
+                 lhs, _signed_sum(terms))
 
         rep.vanishes(car, "d-squared", (p,), differential(car, dx))
 
         lhs = differential_unshifted(car, xy)
-        right = signed(x.degree, dot(car, x, differential_unshifted(car, y)))
-        rhs = _zsum([dot(car, -dx, y), right])
+        right = dot(car, x, differential_unshifted(car, y))
+        rhs = _signed_sum([(1, dot(car, dx, y)), (x.degree, right)])
         rep.same(car, "leibniz-dot", (p, q), lhs, rhs)
     return rep
 
@@ -284,21 +272,21 @@ def dgla_suite(car, samples=25, seed=0, max_degree=3):
         sp, sq, sr = p - 1, q - 1, r - 1
 
         fg = bracket(car, f, g)
-        gf = signed(sp * sq, bracket(car, g, f))
-        rep.vanishes(car, "antisymmetry", (p, q), _zsum([fg, gf]))
+        gf = bracket(car, g, f)
+        rep.vanishes(car, "antisymmetry", (p, q), _signed_sum([(0, fg), (sp * sq, gf)]))
 
         lhs = _associator(car, f, g, h)
         rhs = signed(sq * sr, _associator(car, f, h, g))
         rep.same(car, "prelie-symmetry", (p, q, r), lhs, rhs)
 
-        t1 = signed(sp * sr, bracket(car, fg, h))
-        t2 = signed(sq * sp, bracket(car, bracket(car, g, h), f))
-        t3 = signed(sr * sq, bracket(car, bracket(car, h, f), g))
-        rep.vanishes(car, "jacobi", (p, q, r), _zsum([t1, t2, t3]))
+        t1 = (sp * sr, bracket(car, fg, h))
+        t2 = (sq * sp, bracket(car, bracket(car, g, h), f))
+        t3 = (sr * sq, bracket(car, bracket(car, h, f), g))
+        rep.vanishes(car, "jacobi", (p, q, r), _signed_sum([t1, t2, t3]))
 
         lhs = differential(car, fg)
-        right = signed(sp, bracket(car, f, differential(car, g)))
-        rhs = _zsum([bracket(car, differential(car, f), g), right])
+        right = bracket(car, f, differential(car, g))
+        rhs = _signed_sum([(0, bracket(car, differential(car, f), g)), (sp, right)])
         rep.same(car, "leibniz-bracket", (p, q), lhs, rhs)
     return rep
 
@@ -306,7 +294,7 @@ def dgla_suite(car, samples=25, seed=0, max_degree=3):
 def _associator(car, f, g, h):
     left = circle(car, f, circle(car, g, h))
     right = circle(car, circle(car, f, g), h)
-    return _zsum([left, -right])
+    return _signed_sum([(0, left), (1, right)])
 
 
 SUITES = {

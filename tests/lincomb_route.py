@@ -15,7 +15,7 @@ def brace(car, x, args):
         return x
     m = x.degree
     if len(args) > m:
-        return SimpCochain(max(m + sum(a.degree - 1 for a in args), 0))
+        return SimpCochain._of(m + sum(a.degree - 1 for a in args), {})
     return _brace_sum(car, x, m, args)
 
 

@@ -13,7 +13,7 @@ jsonschema = pytest.importorskip("jsonschema")
 
 from poset_builders import levels_poset
 
-from posetdeform import cli, linalg
+from posetdeform import cli, linalg, posets
 from posetdeform.deform import MAX_ORDER, MCElement, moduli
 from posetdeform.posets import CHAIN_BUDGET, sphere_poset
 from posetdeform.simplicial import SimpCochain
@@ -463,6 +463,22 @@ def test_weak_degree_over_the_chain_budget_is_an_input_error(capsys, degree):
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
     assert str(CHAIN_BUDGET) in lines[0]
+
+
+def test_verify_past_the_chain_budget_is_an_input_error(capsys, monkeypatch):
+    """sphere14's weak chains to degree 3 hold 1,220 vertices.  With that
+    as the budget, the operad suite's compositions up to degree 6 are
+    refused before their chains are enumerated: exit 2 and one line that
+    names the budget.  At --max-degree 1 every level stays within it."""
+    monkeypatch.setattr(posets, "CHAIN_BUDGET", 1220)
+    argv = ["verify", poset_path("sphere14"), "--suite", "operad", "--samples", "1"]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert "1220" in lines[0]
+    code, _, err = run(capsys, *argv, "--max-degree", "1")
+    assert code == 0 and err == ""
 
 
 def test_fill_past_the_budget_is_an_input_error(capsys, tmp_path, monkeypatch):

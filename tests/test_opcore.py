@@ -19,6 +19,7 @@ from posetdeform.opcore import (
     dot,
     gamma,
 )
+from posetdeform.hochschild import FullHochschildCarrier, RelHochschildCarrier
 from posetdeform.simplicial import SimpCochain, SimplicialCarrier
 
 import lincomb_route
@@ -90,13 +91,50 @@ def test_brace_with_no_arguments(car):
 
 def test_brace_overflow(car):
     """More arguments than slots is the empty sum: zero at the arity the
-    insertions would have had, clamped at 0."""
+    insertions would have had, negative included."""
     x = rnd(car, 1, "bo")
     a, b = rnd(car, 1, "boa"), rnd(car, 2, "bob")
     out = brace(car, x, [a, b])
     assert out.is_zero() and out.degree == 2
     z = rnd(car, 0, "boz")
-    assert brace(car, z, [z]).is_zero() and brace(car, z, [z]).degree == 0
+    assert brace(car, z, [z]).is_zero() and brace(car, z, [z]).degree == -1
+
+
+@pytest.mark.parametrize(
+    "kind", [SimplicialCarrier, RelHochschildCarrier, FullHochschildCarrier]
+)
+def test_brace_and_bracket_have_the_formula_degree(diamond, kind):
+    """A brace has arity |x| + sum(|x_i| - 1) and a bracket |f| + |g| - 1
+    on every carrier, negative included: with more arguments than slots,
+    with a zero argument, and for two arguments of arity 0.  A zero of
+    negative arity composes like any other zero."""
+    car = kind(diamond)
+    rng = random.Random("formula")
+
+    def nonzero(n):
+        while (x := car.random_elem(n, rng)).is_zero():
+            pass
+        return x
+
+    x0, y0, x1, x2 = nonzero(0), nonzero(0), nonzero(1), nonzero(2)
+    zero = SimpCochain(2)
+    neg = brace(car, x0, [y0])
+    cases = [
+        (brace(car, x1, [x2, x0]), 1),
+        (brace(car, x0, [y0]), -1),
+        (brace(car, x0, [x1, y0]), -1),
+        (brace(car, x2, [zero]), 3),
+        (brace(car, x2, [x1, zero]), 3),
+        (brace(car, x2, [neg]), 0),
+        (bracket(car, x0, y0), -1),
+        (bracket(car, x2, zero), 3),
+        (bracket(car, x0, zero), 1),
+        (bracket(car, x2, neg), 0),
+        (bracket(car, neg, neg), -3),
+        (differential(car, neg), 0),
+    ]
+    for got, degree in cases:
+        assert got == SimpCochain._of(degree, {})
 
 
 def test_circle_is_signed_sum_of_insertions(car):

@@ -60,6 +60,18 @@ def test_sign_sabotage_is_detected(diamond, name):
         assert rep.failed >= 1
 
 
+@pytest.mark.parametrize("name", sorted(SUITES))
+def test_sign_sabotage_witnesses_name_a_chain(diamond, name):
+    """The two sides of every law have one degree, zeros included, so each
+    failure recorded under SignFlip names the first chain where they
+    differ, never a mismatch of arity."""
+    for car in carriers(diamond):
+        rep = SUITES[name](SignFlip(car), samples=3, seed=1)
+        assert rep.failures
+        for f in rep.failures:
+            assert f.witness.startswith("("), (f.check, f.degrees, f.witness)
+
+
 class SlotOneFlip:
     """A mutant carrier, kept out of the package: it negates every
     insertion into slot 1, through compose_at and the kernel alike."""
