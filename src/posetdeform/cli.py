@@ -14,8 +14,6 @@ a report is a pure function of argv plus file contents; --no-meta drops
 the generation timestamp to make that reproducibility byte-exact.
 """
 
-from __future__ import annotations
-
 import argparse
 import json
 import sys
@@ -202,6 +200,9 @@ def _run_verify(args, p):
         raise _InputError("--samples must be >= 1")
     if not 0 <= args.max_degree <= 3:
         raise _InputError("--max-degree must lie in 0..3")
+    # each suite's last trial composes two cochains of degree max, so its
+    # chains reach degree 2 max - 1: count them before the first trial
+    p.chain_counts(2 * args.max_degree - 1)
     car = SimplicialCarrier(p)
     reports = [
         SUITES[name](

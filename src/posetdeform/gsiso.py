@@ -19,8 +19,6 @@ opcore.SignFlip(car), it compares a doctored simplicial side against the
 undoctored relative carrier, and a sound suite must report failures.
 """
 
-from __future__ import annotations
-
 from .hochschild import RelHochschildCarrier
 from .opcore import brace, bracket, differential, dot, gamma
 from .suites import SUITES, SuiteReport

@@ -50,8 +50,6 @@ numerators and divides by its den once at the end; the structure table
 is evaluated on int basis elements, so it holds ints.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 from functools import reduce
 from itertools import product

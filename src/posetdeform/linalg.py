@@ -28,8 +28,6 @@ one pass that clears before it eliminates (the twist of Chen and Kerber,
 columns of one differential index rows the next one need not have.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 from math import gcd, lcm
 

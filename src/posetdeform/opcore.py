@@ -1,21 +1,10 @@
 """Carrier-generic operad operations.
 
-A *carrier* is an operad with multiplication on simplicial.SimpCochain:
-its kernel ``compose_into(out, s, f, j, g)`` (add s f o_j g to a dict of
-numerators, or to a list indexed like the chains of the output degree
-when compose_sum finds every factor dense: int-valued and nonzero on at
-least half the chains of its degree), ``compose_at(f, j, g)``,
-``identity()`` and ``mult()`` (a fixed associative arity-2 element with
-m o m = 0) are all this module reads of it: each signed sum of
-insertions is one simplicial.compose_sum, and gamma and a brace's inner
-levels use compose_at.  The arithmetic (degree, +, unary -, == and
-is_zero()) is SimpCochain's own.  The suites also read ``poset``,
-``random_elem(n, rng)`` and ``diff_witness(x, y)``.  SimplicialCarrier
-keys cochains by weak chains and composes by face restriction; the relative Hochschild carrier inherits all of it but the
-composition; the full Hochschild carrier keys them by argument
-intervals and an output interval (x_1, ..., x_n, y) and composes them as
-multilinear maps.  Everything in this module is written once against
-that interface, so all carriers share one set of sign conventions by
+The carrier interface is stated once, on simplicial.Carrier; this module
+reads compose_at, identity() and mult() of it, and the kernel
+compose_into through simplicial.compose_sum, which makes each signed sum
+of insertions in one pass.  Everything here is written once against that
+interface, so all carriers share one set of sign conventions by
 construction.
 
 Degree bookkeeping.  For an element x of arity n we write |x| = n for its
@@ -44,8 +33,6 @@ insertion into slot 2 (compose_at and kernel alike), and each harness
 (the law suites, the iso suite, mc_check) takes it in place of car to
 show that it reports failures.
 """
-
-from __future__ import annotations
 
 from itertools import combinations
 

@@ -11,8 +11,6 @@ Conventions used throughout the package:
   order, so every downstream matrix and report is reproducible.
 """
 
-from __future__ import annotations
-
 from operator import sub
 
 # Most vertices, summed over all chains of degrees 0..n, that one chain

@@ -16,8 +16,6 @@ and read them, for output and for the right-hand sides of linear systems.
 No floats anywhere: every operation is exact, and a float input is refused.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul

@@ -26,8 +26,6 @@ classical alternating face-sum coboundary on either the weak or the
 strict chain basis.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 from itertools import compress, count, filterfalse, repeat
 from math import gcd, lcm
@@ -282,17 +280,19 @@ class SimpCochain:
 
 
 class Carrier:
-    """What every carrier shares, whatever the keys of its SimpCochains
-    mean.  A carrier is an operad with multiplication: from the subclass,
-    the kernel compose_into(out, s, f, j, g), adding s f o_j g to a dict of
-    numerators over f.den * g.den (or to a list indexed like the chains,
-    see compose_sum), and compose_at(f, j, g), the one-term
-    compose_sum; identity() and mult(), built once by its _build(n) and
-    shared, since no operation changes a cochain in place, with their
-    grouping by each slot (grouped(self.slot(j))), the f side of the
-    kernel.  The arithmetic is SimpCochain's own; every caller composes
-    int numerators (deform.mc_check evaluates W at lam = 2**B first).
-    The suites also read poset, random_elem(n, rng) and diff_witness(x, y)."""
+    """The carrier interface: what every carrier shares, whatever the keys
+    of its SimpCochains mean.  A carrier is an operad with multiplication:
+    from the subclass, the kernel compose_into(out, s, f, j, g), adding
+    s f o_j g to a dict of numerators over f.den * g.den (or to a list
+    indexed like the chains, see compose_sum), and compose_at(f, j, g),
+    the one-term compose_sum; identity() and mult() (a fixed associative
+    arity-2 element, m o m = 0), built once by its _build(n) and shared,
+    since no operation changes a cochain in place, with their grouping by
+    each slot (grouped(self.slot(j))), the f side of the kernel.  The
+    arithmetic (degree, +, unary -, == and is_zero()) is SimpCochain's
+    own; every caller composes int numerators (deform.mc_check evaluates
+    W at lam = 2**B first).  The suites also read poset,
+    random_elem(n, rng) and diff_witness(x, y)."""
 
     def __init__(self, poset):
         self.poset = poset

@@ -11,8 +11,9 @@ which adds itself to SUITES as "iso").  SUITES registers all five under
 one signature, suite(car, samples, seed, max_degree).  All comparisons
 are exact and all go through SuiteReport.same (two sides are ==, degree
 included: every opcore operation gives its formula degree, zeros too) or
-SuiteReport.vanishes (one side is zero); a mismatch is recorded as a
-Failure with the first differing chain.
+SuiteReport.vanishes (one side is zero); a mismatch is recorded as the
+{check, degrees, witness} dict that SuiteReport.to_dict reports, its
+witness naming the first differing chain.
 
 Every suite draws its trials from SuiteReport.trials, which splits the
 generator per degree pair as Random("seed:suite:p:q"), so reports are
@@ -22,10 +23,7 @@ which flips the sign of every insertion into slot 2, a sound suite must
 report failures (sensitivity check).
 """
 
-from __future__ import annotations
-
 import random
-from dataclasses import dataclass, field
 from functools import partial
 
 from .opcore import (
@@ -43,29 +41,15 @@ from .simplicial import SimpCochain
 MAX_RECORDED_FAILURES = 25
 
 
-@dataclass
-class Failure:
-    check: str
-    degrees: tuple
-    witness: str
-
-    def to_dict(self):
-        return {
-            "check": self.check,
-            "degrees": list(self.degrees),
-            "witness": self.witness,
-        }
-
-
-@dataclass
 class SuiteReport:
-    suite: str
-    poset: str
-    samples: int
-    seed: int
-    checks: int = 0
-    failed: int = 0
-    failures: list = field(default_factory=list)
+    """The tally of one suite run on one poset.  failures holds the first
+    MAX_RECORDED_FAILURES misses as the dicts that to_dict reports,
+    {"check": name, "degrees": [...], "witness": text}."""
+
+    def __init__(self, suite, poset, samples, seed):
+        self.suite, self.poset, self.samples, self.seed = suite, poset, samples, seed
+        self.checks = self.failed = 0
+        self.failures = []
 
     def trials(self, max_degree):
         """(p, q, rng) once per sample for each degree pair, p-major, with
@@ -77,7 +61,7 @@ class SuiteReport:
                     yield p, q, rng
 
     def check(self, name, degrees, ok, witness):
-        """Count one comparison; record a Failure when it missed.
+        """Count one comparison; record a failure when it missed.
 
         witness is a thunk that names where the two sides differ; it is
         only called for a recorded failure, so locating the differing
@@ -86,7 +70,9 @@ class SuiteReport:
         if not ok:
             self.failed += 1
             if len(self.failures) < MAX_RECORDED_FAILURES:
-                self.failures.append(Failure(name, tuple(degrees), witness()))
+                self.failures.append(
+                    {"check": name, "degrees": list(degrees), "witness": witness()}
+                )
         return ok
 
     def same(self, car, name, degrees, lhs, rhs):
@@ -112,7 +98,7 @@ class SuiteReport:
             "checks": self.checks,
             "failed": self.failed,
             "ok": self.ok,
-            "failures": [f.to_dict() for f in self.failures],
+            "failures": [dict(f) for f in self.failures],
         }
 
 

@@ -13,7 +13,7 @@ jsonschema = pytest.importorskip("jsonschema")
 
 from poset_builders import levels_poset
 
-from posetdeform import cli, linalg, posets
+from posetdeform import cli, deform, linalg, posets, simplicial
 from posetdeform.deform import MAX_ORDER, MCElement, moduli
 from posetdeform.posets import CHAIN_BUDGET, sphere_poset
 from posetdeform.simplicial import SimpCochain
@@ -481,6 +481,41 @@ def test_verify_past_the_chain_budget_is_an_input_error(capsys, monkeypatch):
     assert code == 0 and err == ""
 
 
+def test_verify_counts_its_top_level_before_it_samples(capsys, monkeypatch):
+    """The last trial at --max-degree 3 composes two cochains of degree 3,
+    so its chains reach degree 5, past a budget of 1,220 vertices on
+    sphere14: verify refuses with exit 2 before it draws one element."""
+    def no_sampling(*args):
+        raise AssertionError("random_elem called past the chain budget")
+
+    monkeypatch.setattr(posets, "CHAIN_BUDGET", 1220)
+    monkeypatch.setattr(simplicial.SimplicialCarrier, "random_elem", no_sampling)
+    code, out, err = run(
+        capsys, "verify", poset_path("sphere14"), "--suite", "operad", "--samples", "1"
+    )
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert "1220" in lines[0]
+
+
+def test_deform_past_the_chain_budget_is_an_input_error(capsys, monkeypatch):
+    """sphere14's strict chains to degree 2 hold 14 + 36*2 + 24*3 = 158
+    vertices.  With one fewer as the budget, deform counts the strict
+    chains its coboundaries read and exits 2 with one line naming them,
+    before any elimination."""
+    def no_elimination(*args):
+        raise AssertionError("class_basis called past the chain budget")
+
+    monkeypatch.setattr(posets, "CHAIN_BUDGET", 157)
+    monkeypatch.setattr(deform, "class_basis", no_elimination)
+    code, out, err = run(capsys, "deform", poset_path("sphere14"), "--order", "1")
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert "strict chains" in lines[0] and "157" in lines[0]
+
+
 def test_fill_past_the_budget_is_an_input_error(capsys, tmp_path, monkeypatch):
     """Four levels of twenty elements have few enough chains for the chain
     budget, but eliminating their d_2 fills in heavily.  With the fill
@@ -634,3 +669,17 @@ def test_one_parser_per_process_prints_what_a_fresh_process_prints(capsys):
         assert run(capsys, *argv) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
     assert [run(capsys, *argv)[0] for argv in cases] == [2, 0, 0]
     assert cli._parser() is cli._parser()
+
+
+def test_the_cli_imports_no_dataclasses():
+    """import posetdeform.cli in an isolated interpreter (no site, no
+    PYTHONPATH) leaves dataclasses, and the inspect, ast and dis it
+    loads, out of sys.modules."""
+    code = (
+        "import sys; sys.path.insert(0, 'src'); import posetdeform.cli; "
+        "sys.exit('dataclasses' in sys.modules)"
+    )
+    fresh = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True, cwd=ROOT
+    )
+    assert fresh.returncode == 0, fresh.stderr

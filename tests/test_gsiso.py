@@ -81,4 +81,4 @@ def test_verifier_transcript_is_deterministic(chain2):
 def test_verifier_catches_mutation(chain2):
     rep = verify_morphism(SignFlip(SimplicialCarrier(chain2)), samples=5, seed=0)
     assert not rep.ok and rep.failed >= 1
-    assert rep.failures and rep.failures[0].check
+    assert rep.failures and rep.failures[0]["check"]
