@@ -15,10 +15,11 @@ chain (i0, ..., in) means the cochain sends the basis tuple
 (E[i0, i1], ..., E[i_{n-1}, i_n]) to v * E[i0, i_n] and kills
 non-composable tuples.  Degree 0 is the diagonal of kP, one scalar per
 element (as_element).  The relative carrier shares everything with the
-simplicial one except composition, which here is computed *natively* --
-by multilinear evaluation in the algebra and re-extraction of
-coefficients -- not by face restriction; the isomorphism between the two
-operads is then a checkable statement, not a tautology.
+simplicial one but the structure constant k of each output chain of a
+composition, which it computes *natively* -- by multilinear evaluation
+in the algebra and re-extraction of coefficients -- not by face
+restriction; the isomorphism between the two operads is then a
+checkable statement, not a tautology.
 
 *Full* cochains are arbitrary multilinear maps (kP)**n -> kP.  They are
 SimpCochains too, with one scalar per key (x_1, ..., x_n, y): the n
@@ -37,11 +38,11 @@ Composition in either carrier (its kernel compose_into, see
 simplicial.Carrier) enumerates the pairs of entries of f and g that meet
 in slot j (grouped by the interval there), never all tuples of the
 output degree, and needs no cap; only for dense relative f and g does it
-take every chain of the output degree (the simplicial carrier's plan),
-with one structure constant per chain.  The groupings are cached on the
-cochains (SimpCochain.grouped), identity() and mult() have theirs from
-the start (the full ones also by output interval), so m o_j x and
-x o_j m for a unit x cost one probe plus a step per pair.
+take every chain of the output degree (the simplicial carrier's plan).
+The groupings are cached on the cochains (SimpCochain.grouped),
+identity() and mult() have theirs from the start (the full ones also by
+output interval), so m o_j x and x o_j m for a unit x cost one probe
+plus a step per pair.
 
 IncElem and rel_eval use nothing of their scalars but +, * and the zero
 test, so they work over ints, Fractions and truncated series alike (the
@@ -58,7 +59,7 @@ from operator import add, mul
 from .linalg import SparseMat, chain_ranks, dims_from_ranks
 from .opcore import ArityMismatch, differential
 from .posets import TooLarge
-from .simplicial import Carrier, SimpCochain, SimplicialCarrier, compose_sum, slot_walk
+from .simplicial import Carrier, SimpCochain, SimplicialCarrier, compose_sum
 
 FULL_TABLE_LIMIT = 10_000
 
@@ -163,86 +164,70 @@ def rel_eval(f, args):
 
 
 class RelHochschildCarrier(SimplicialCarrier):
-    """Operad carrier of relative Hochschild cochains, with composition
-    computed by evaluation in the incidence algebra.  Everything else --
-    the cochains, their arithmetic, identity (the identity map of kP) and
-    mult (the algebra product) -- is the simplicial carrier's."""
+    """Operad carrier of relative Hochschild cochains.  Everything but
+    the structure constants is the simplicial carrier's: the cochains,
+    their arithmetic, identity (the identity map of kP), mult (the
+    algebra product), and the pair walk and gluing of composition.  A
+    relative cochain is bilinear over the diagonal, so delta_b fills slot
+    j of delta_a only where a has b's end points, and then
+    delta_a o_j delta_b is k delta_c for the chain c that face
+    restriction glues from a and b.  This carrier derives k by evaluation
+    in kP (_structure), never by face restriction, so iso compares two
+    independently derived rules.  One table, keyed by (j, q) and then c,
+    keeps each k from the first time c is met for as long as the carrier."""
 
     name = "relative"
 
     def __init__(self, poset):
         super().__init__(poset)
-        self._bargs, self._tables, self._consts = {}, {}, {}
+        self._units, self._tables, self._consts = {}, {}, {}
 
-    def _basis_args(self, chain):
-        # shared immutable IncElems with the int 1 as coefficient; cached
-        # since compose_at revisits chains
-        got = self._bargs.get(chain)
-        if got is None:
-            got = [IncElem._of({(chain[t], chain[t + 1]): 1}) for t in range(len(chain) - 1)]
-            self._bargs[chain] = got
-        return got
+    def _structure(self, j, q, c):
+        """k with delta_a o_j delta_b = k delta_c for the one pair that
+        glues c in slot j, a = c[:j] + c[j+q-1:] and b = c[j-1:j+q], by
+        evaluation in kP on c's basis tuple u: delta_b on b's part of it,
+        u[j-1:j-1+q] (for q = 0, the diagonal E[x, x]), fills slot j among
+        the rest of u, delta_a is evaluated there, and k is read at
+        (c[0], c[-1]).  Each E[x, y] is made once per carrier, with the int
+        1 as coefficient, and shared."""
+        units = self._units
+        u = [units.get(xy) or units.setdefault(xy, IncElem._of({xy: 1})) for xy in zip(c, c[1:])]
+        delta_b = SimpCochain._of(q, {c[j - 1 : j + q]: 1})
+        inner = rel_eval(delta_b, u[j - 1 : j - 1 + q]) if q else as_element(delta_b)
+        delta_a = SimpCochain._of(len(c) - q, {c[:j] + c[j + q - 1 :]: 1})
+        got = rel_eval(delta_a, u[: j - 1] + [inner] + u[j - 1 + q :])
+        return got.terms.get((c[0], c[-1]), 0)
 
-    def _structure(self, j, a, b):
-        """k with delta_a o_j delta_b = k delta_c, c = a[:j-1] + b + a[j+1:],
-        by evaluation in kP: delta_b on b's basis tuple (for b = (x,), the
-        diagonal E[x, x]) fills slot j of a's basis tuple, delta_a is
-        evaluated there, and k is read at (a[0], a[-1])."""
-        delta_b = SimpCochain._of(len(b) - 1, {b: 1})
-        inner = as_element(delta_b) if len(b) == 1 else rel_eval(delta_b, self._basis_args(b))
-        args = self._basis_args(a[:j]) + [inner] + self._basis_args(a[j:])
-        got = rel_eval(SimpCochain._of(len(a) - 1, {a: 1}), args)
-        return got.terms.get((a[0], a[-1]), 0)
+    def _table(self, j, q, chains):
+        """The structure constants of slot j and g-degree q on chains, in
+        order; each chain not met before is evaluated (_structure)."""
+        row = self._tables.setdefault((j, q), {})
+        return [row[c] if c in row else row.setdefault(c, self._structure(j, q, c))
+                for c in chains]
 
     def compose_at(self, f, j, g):
-        """f o_j g by evaluation in kP, the one-term compose_sum."""
+        """f o_j g with constants from kP, the one-term compose_sum."""
         return compose_sum(self, f.degree + g.degree - 1, [(0, f, j, g)])
 
-    def _shape_constants(self, p, j, q):
-        """The k of each pair (a, b) of the plan of shape (p, j, q), from the
-        structure table: every pair not met before is evaluated."""
-        got = self._consts.get((p, j, q))
-        if got is None:
-            ca, cb, table, got = self._level(p), self._level(q), self._tables.setdefault(j, {}), []
-            for x, y in zip(*self._plan(p, j, q)):
-                a, b = ca[x], cb[y]
-                row = table.setdefault(a, {})
-                got.append(row[b] if b in row else row.setdefault(b, self._structure(j, a, b)))
-            self._consts[p, j, q] = got
-        return got
-
     def compose_into(self, out, s, f, j, g):
-        """Add s (f o_j g) into out through a structure table.  A relative
-        cochain is bilinear over the diagonal, so delta_b fills slot j of
-        delta_a only where a has b's end points: the pairs are the
-        simplicial carrier's (slot_walk).  Each adds k f(a) g(b) on
-        c = a[:j-1] + b + a[j+1:], with k = self._tables[j][a][b] filled by
-        _structure, evaluation in kP, when the pair first meets and kept as
-        long as the carrier: iso compares two independently derived rules.
-        A list out, from compose_sum, adds all pairs at once (_products)."""
+        """Add s (f o_j g) into out: the simplicial kernel's s f(a) g(b)
+        on each output chain c, times its k.  A list out, from compose_sum,
+        takes every chain of the shape at once, with the constants of the
+        shape listed once per carrier."""
+        p, q = f.degree, g.degree
         if type(out) is list:
-            ks = self._shape_constants(f.degree, j, g.degree)
+            ks = self._consts.get((p, j, q))
+            if ks is None:
+                ks = self._consts[p, j, q] = self._table(j, q, self._level(p + q - 1))
             out[:] = map(add, out, map(mul, ks, self._products(s, f, j, g)))
             return
-        entries, by_ends = slot_walk(f, j, g)
-        table, get = self._tables.setdefault(j, {}), out.get
-        for a, x in entries:
-            group = by_ends.get(a[j - 1 : j + 1])
-            if group:
-                row = table.get(a)
-                if row is None:
-                    row = table[a] = {}
-                if s != 1:
-                    x = -x if s == -1 else x * s
-                head, tail = a[: j - 1], a[j + 1 :]
-                for b, y in group:
-                    k = row.get(b)
-                    if k is None:
-                        k = row[b] = self._structure(j, a, b)
-                    if k:
-                        c, v = head + b + tail, k * x * y
-                        cur = get(c)
-                        out[c] = v if cur is None else cur + v
+        term, get = {}, out.get
+        super().compose_into(term, s, f, j, g)
+        for c, k, v in zip(term, self._table(j, q, term), term.values()):
+            if k:
+                v = k * v
+                cur = get(c)
+                out[c] = v if cur is None else cur + v
 
 
 class FullHochschildCarrier(Carrier):

@@ -338,23 +338,11 @@ def compose_sum(car, degree, terms):
     return SimpCochain._reduced(degree, {k: v for k, v in out.items() if v}, den)
 
 
-def slot_walk(f, j, g):
-    """The entries (a, x) of f to walk, and g's entries grouped by their
-    ends (b[0], b[-1]) ((x,) has ends (x, x)), each a's to meet at
-    (a[j-1], a[j]).  Those of f are read off its slot index when it has one
-    (the constants do) and g has fewer groups than f has entries: only the
-    ones on g's intervals; else they are all of f's."""
-    by_ends = g.grouped((0, -1))
-    by_slot = f._ix and f._ix.get((j - 1, j))
-    if by_slot is not None and len(by_ends) < len(f.values):
-        return [ax for ends in by_ends for ax in by_slot.get(ends, ())], by_ends
-    return f.values.items(), by_ends
-
-
 class SimplicialCarrier(Carrier):
     """Operad carrier of simplicial cochains on one poset, composing by
     face restriction.  hochschild.RelHochschildCarrier inherits everything
-    here but compose_at and compose_into."""
+    here but compose_at and compose_into, and its kernel is this one's
+    times a structure constant per output chain."""
 
     name = "simplicial"
 
@@ -425,15 +413,21 @@ class SimplicialCarrier(Carrier):
         c = a[:j-1] + b + a[j+1:] glues f's chain a and g's chain b, which
         fills a's slot-j interval: it runs from a[j-1] to a[j].  So each
         entry of f meets only g's group of chains with those ends
-        (slot_walk), and each pair adds one product: (f/D) o_j (g/E) =
-        (f o_j g)/(DE), so numerators multiply as they are.  s scales each
-        value of f once, if not 1 (-1 negates: no gcd for a series).  A
-        list out, from compose_sum, adds all pairs at once (_products)."""
+        (grouped by their ends (b[0], b[-1]); (x,) has ends (x, x)), and
+        each pair adds one product: (f/D) o_j (g/E) = (f o_j g)/(DE), so
+        numerators multiply as they are.  The entries of f walked are read
+        off its slot index when it has one (the constants do) and g has
+        fewer groups than f has entries: only the ones on g's intervals;
+        else they are all of f's.  s scales each value of f once, if not 1
+        (-1 negates: no gcd for a series).  A list out, from compose_sum,
+        adds all pairs at once (_products)."""
         if type(out) is list:
             out[:] = map(add, out, self._products(s, f, j, g))
             return
-        entries, by_ends = slot_walk(f, j, g)
-        get = out.get
+        by_ends, get = g.grouped((0, -1)), out.get
+        by_slot, entries = f._ix and f._ix.get((j - 1, j)), f.values.items()
+        if by_slot is not None and len(by_ends) < len(f.values):
+            entries = [ax for ends in by_ends for ax in by_slot.get(ends, ())]
         for a, x in entries:
             group = by_ends.get(a[j - 1 : j + 1])
             if group:

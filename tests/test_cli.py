@@ -1,21 +1,27 @@
 """Command line surface: exit codes, report shapes, schema, determinism."""
 
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 jsonschema = pytest.importorskip("jsonschema")
+hypothesis = pytest.importorskip("hypothesis")
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from poset_builders import levels_poset
 
 from posetdeform import cli, deform, linalg, posets, simplicial
 from posetdeform.deform import MAX_ORDER, MCElement, moduli
-from posetdeform.posets import CHAIN_BUDGET, sphere_poset
+from posetdeform.posets import CHAIN_BUDGET, diamond_poset, sphere_poset
 from posetdeform.simplicial import SimpCochain
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -683,3 +689,113 @@ def test_the_cli_imports_no_dataclasses():
         [sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True, cwd=ROOT
     )
     assert fresh.returncode == 0, fresh.stderr
+
+
+# Loader fuzzing: random JSON documents through every verb that reads a
+# poset or an element file.  A document is arbitrary nested JSON, or a
+# poset or an element built mostly right, each part of it wrong one time
+# in sixteen.  Objects are written from their (key, value) pairs, so a key
+# can be missing, repeated or unknown.
+
+
+class Obj(list):
+    """A JSON object as its (key, value) pairs, repeats allowed."""
+
+
+def dump(x):
+    if isinstance(x, dict):
+        x = Obj(x.items())
+    if isinstance(x, Obj):
+        return "{%s}" % ", ".join("%s: %s" % (json.dumps(k), dump(v)) for k, v in x)
+    if isinstance(x, list):
+        return "[%s]" % ", ".join(map(dump, x))
+    return json.dumps(x)
+
+
+def mostly(good, bad):
+    """good fifteen times in sixteen, else bad."""
+    return st.integers(0, 15).flatmap(lambda r: bad if r == 0 else good)
+
+
+@st.composite
+def objects(draw, fields):
+    """Objects with each of fields, (key, value strategy) pairs, once and
+    in order, mostly; a field may also be missing or repeated, and a key
+    no reader knows may follow."""
+    pairs = []
+    for key, value in fields:
+        pairs += [(key, draw(value)) for _ in range(draw(mostly(st.just(1), st.integers(0, 2))))]
+    if draw(mostly(st.just(False), st.just(True))):
+        pairs.append((draw(st.text(max_size=3)), draw(NESTED)))
+    return Obj(pairs)
+
+
+SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=4))
+NESTED = st.recursive(
+    SCALARS,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=10,
+)
+LABEL = mostly(st.sampled_from("abcde"), SCALARS | st.just("a\nb"))
+# pairs in label order: a relation list with no fault has no cycle
+RELATION = mostly(st.lists(st.sampled_from("abcde"), min_size=2, max_size=2).map(sorted),
+                  st.lists(LABEL, max_size=3) | NESTED)
+POSET_DOCS = mostly(objects([
+    ("elements", mostly(st.permutations("abcde"), st.lists(LABEL, max_size=6) | NESTED)),
+    ("relations", mostly(st.lists(RELATION, max_size=6), NESTED)),
+    ("name", mostly(st.text(max_size=4), NESTED)),
+]), NESTED)
+
+DIAMOND = diamond_poset()
+DIAMOND_2_CHAINS = [list(DIAMOND.chain_labels(c)) for c in DIAMOND.chains(2)]
+VALUE = mostly(st.sampled_from(["1", "-1/2", "2", 3, -1, "0"]),
+               st.sampled_from(["1/0", "1.5", "x", " 1", "", 1.5, True]) | SCALARS)
+CHAIN = mostly(st.sampled_from(DIAMOND_2_CHAINS),
+               st.lists(st.sampled_from(["bot", "a", "b", "top"]) | LABEL, max_size=4) | NESTED)
+COCHAIN = objects([
+    ("degree", mostly(st.just(2), st.integers(-1, 4) | SCALARS)),
+    ("entries", mostly(st.lists(objects([("chain", CHAIN), ("value", VALUE)]), max_size=4,
+                                unique_by=str), NESTED)),
+])
+LAYER = mostly(st.sampled_from(["1", "2", "3"]),
+               st.sampled_from(["01", "0", "-1", "101", "x", " 1"]) | st.text(max_size=2))
+ELEMENT_DOCS = mostly(objects([
+    ("order", mostly(st.integers(1, 3), st.integers(-1, 102) | st.sampled_from(["1", 1.0]) | SCALARS)),
+    ("terms", mostly(st.lists(st.tuples(LAYER, mostly(COCHAIN, NESTED)), max_size=3,
+                              unique_by=lambda t: t[0]).map(Obj), NESTED)),
+]), NESTED)
+
+
+def check_exit(*argv):
+    """cli.main on argv raises nothing and exits 0, 1 or 2; exit 2 writes
+    exactly one line to stderr, starting with "error: ", and 0 or 1 none."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(list(argv))
+    err = err.getvalue()
+    assert code in (0, 1, 2), (argv, code)
+    if code == 2:
+        assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"), err
+    else:
+        assert err == "", err
+
+
+@pytest.fixture(scope="module")
+def fuzz_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "doc.json"
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(POSET_DOCS)
+def test_fuzzed_poset_documents_exit_cleanly(fuzz_path, doc):
+    fuzz_path.write_text(dump(doc))
+    for argv in (["validate"], ["cohomology"], ["hochschild", "--max-degree", "1"]):
+        check_exit(argv[0], str(fuzz_path), *argv[1:])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(ELEMENT_DOCS)
+def test_fuzzed_element_documents_exit_cleanly(fuzz_path, doc):
+    fuzz_path.write_text(dump(doc))
+    check_exit("mc-check", poset_path("diamond"), str(fuzz_path))
+    check_exit("gauge-equiv", poset_path("diamond"), str(fuzz_path), str(fuzz_path))

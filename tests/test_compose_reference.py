@@ -13,6 +13,7 @@ import pytest
 from posetdeform import hochschild
 from posetdeform.hochschild import (
     FullHochschildCarrier,
+    IncElem,
     RelHochschildCarrier,
     TooLarge,
     as_element,
@@ -41,6 +42,11 @@ def simplicial_reference(car, f, j, g):
     return SimpCochain(p + q - 1, out)
 
 
+def unit_args(chain):
+    """The basis tuple (E[chain[0], chain[1]], ...) of a chain."""
+    return [IncElem._of({iv: 1}) for iv in zip(chain, chain[1:])]
+
+
 def relative_reference(car, f, j, g):
     p, q = f.degree, g.degree
     out = {}
@@ -49,10 +55,10 @@ def relative_reference(car, f, j, g):
         if q == 0:
             inner = g_elem
         else:
-            inner = rel_eval(g, car._basis_args(c[j - 1 : j + q]))
+            inner = rel_eval(g, unit_args(c[j - 1 : j + q]))
             if inner.is_zero():
                 continue
-        args = car._basis_args(c[:j]) + [inner] + car._basis_args(c[j + q - 1 :])
+        args = unit_args(c[:j]) + [inner] + unit_args(c[j + q - 1 :])
         coeff = rel_eval(f, args).terms.get((c[0], c[-1]))
         if coeff is not None:
             out[c] = coeff
@@ -221,8 +227,10 @@ def test_an_index_is_not_part_of_the_cochain(diamond):
 # for many compositions, so most pairs are found in the table, and counts
 # the rel_eval calls compose_at makes: two for each (j, a, b) that first
 # meets in that carrier (one for a degree-0 b), none for a pair met before.
-# A composition of two dense cochains (compose_sum's list path) meets
-# every pair of its shape; any other meets the pairs of entries that glue.
+# The table is keyed by (j, q) and the output chain c, which determines
+# the pair: a = c[:j] + c[j+q-1:] and b = c[j-1:j+q].  A composition of
+# two dense cochains (compose_sum's list path) meets every pair of its
+# shape; any other meets the pairs of entries that glue.
 
 
 def dense(poset, x):

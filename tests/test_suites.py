@@ -1,10 +1,12 @@
 """Randomized law suites run green on both carriers and catch sabotage."""
 
 import ast
+import inspect
 from pathlib import Path
 
 import pytest
 
+from posetdeform import opcore
 from posetdeform.deform import mc_check, moduli
 from posetdeform.gsiso import verify_morphism
 from posetdeform.hochschild import RelHochschildCarrier
@@ -153,3 +155,29 @@ def test_brace_suite_runs_on_crown(cr4):
     for car in carriers(cr4):
         rep = brace_suite(car, samples=3, seed=2)
         assert rep.ok
+
+
+BRACE_SIGN = "eps += shifted[p] * i_p"
+
+
+@pytest.mark.parametrize(
+    "mutant", ["eps += shifted[p] * (i_p + 1)", "eps += arities[p] * i_p"]
+)
+def test_an_off_by_one_brace_sign_is_killed(diamond, cr4, sphere, monkeypatch, mutant):
+    """opcore._brace_terms with its insertion sign off by one, in the
+    count of inputs before a block or in the degree of the block: the
+    brace, hga and dgla suites report failures on every poset.  iso
+    reports none, and cannot: both of its sides build their braces,
+    circles and differentials from the same opcore, so the mutant changes
+    them alike."""
+    src = inspect.getsource(opcore._brace_terms)
+    assert src.count(BRACE_SIGN) == 1
+    ns = dict(vars(opcore))
+    exec(src.replace(BRACE_SIGN, mutant), ns)
+    monkeypatch.setattr(opcore, "_brace_terms", ns["_brace_terms"])
+    for poset in (diamond, cr4, sphere):
+        car = SimplicialCarrier(poset)
+        for name in ("brace", "hga", "dgla"):
+            rep = SUITES[name](car, samples=2, seed=0, max_degree=2)
+            assert rep.failed >= 1, (poset.name, name)
+        assert SUITES["iso"](car, samples=2, seed=0, max_degree=2).ok, poset.name
