@@ -52,8 +52,7 @@ is evaluated on int basis elements, so it holds ints.
 """
 
 from fractions import Fraction
-from functools import reduce
-from itertools import product
+from itertools import islice, product
 from operator import add, mul
 
 from .linalg import SparseMat, chain_ranks, dims_from_ranks
@@ -62,6 +61,9 @@ from .posets import TooLarge
 from .simplicial import Carrier, SimpCochain, SimplicialCarrier, compose_sum
 
 FULL_TABLE_LIMIT = 10_000
+# unit keys packed into one differential by hh_dims: each of its values
+# is at most PACK_BLOCK slots of b <= 4 bits
+PACK_BLOCK = 256
 
 
 def _accumulate(acc, key, v):
@@ -328,20 +330,46 @@ def hh_dims(poset, max_n, which="relative"):
     keyed by weak chains; which='full' uses the full endomorphism complex
     (max_n <= 2, table growth), keyed by basis tuples and an output
     interval, whose row is the mixed-radix index of the key over
-    poset.intervals(), so no list of keys is built.  Both build each
-    matrix the same way: row k of the transpose of d_n is d = [m, -] of
-    the k-th unit cochain of degree n.  The ranks come bottom-up from one
-    chain_ranks pass over these transposes, which clears: d_{n+1} d_n = 0
-    and the rows of the transpose of d_{n+1} are the columns of the
-    transpose of d_n, so a unit key of degree n + 1 at a pivot column of
-    the transpose of d_n is never differentiated, and the rank stays the
-    same.
+    poset.intervals(), so no list of keys is built.
+
+    Row k of the transpose of d_n is d = [m, -] of the k-th unit cochain
+    of degree n, each carrier deriving it its own way, and PACK_BLOCK rows
+    come from one differential (Kronecker substitution, as in
+    deform.mc_check): that of x, worth lam**i on the i-th unit key of the
+    block, at lam = 2**b.  Every kernel only adds and multiplies, and x
+    and m have den 1, so on each output key the value is the sum of
+    e_i 2**(b i), e_i row i's entry there.  A unit cochain meets at most
+    one entry of m per output key, and m's numerators are 1, so e_i sums
+    at most n + 2 circle terms (two slots of m o x, n of x o m), each
+    +-k: k is the relative structure constant, 0 or 1, or 1 in the full
+    carrier.  Thus |e_i| <= n + 2 < 2**(b-1) for b = (n + 2).bit_length()
+    + 1, and the e_i are the signed base-2**b digits of the value, read
+    at its nonzero slots only.  Each relative k is checked as it is
+    derived: one other than 0 or 1 would break the bound, and raises
+    ValueError before any slot is read.
+
+    The ranks come bottom-up from one chain_ranks pass over these
+    transposes, which clears: d_{n+1} d_n = 0 and the rows of the
+    transpose of d_{n+1} are the columns of the transpose of d_n, so a
+    unit key of degree n + 1 at a pivot column of the transpose of d_n is
+    packed into no block, and the rank stays the same.
     """
+    if max_n < 0:
+        raise ValueError("max_n must be >= 0")
     if which == "relative":
         if max_n > 4:
             raise TooLarge("relative complex capped at degree 4")
         poset.chain_counts(max_n + 1)  # raises TooLarge past CHAIN_BUDGET
         car = RelHochschildCarrier(poset)
+        derive = car._structure
+
+        def structure(j, q, c):  # the slot width holds k in {0, 1} only
+            k = derive(j, q, c)
+            if k not in (0, 1):
+                raise ValueError("structure constant %r would overflow a slot" % (k,))
+            return k
+
+        car._structure = structure
         keys = [poset.chains(n) for n in range(max_n + 2)]
         sizes, basis = [len(ks) for ks in keys], keys.__getitem__
         row = {key: r for ks in keys for r, key in enumerate(ks)}.__getitem__
@@ -359,20 +387,27 @@ def hh_dims(poset, max_n, which="relative"):
             return product(ivs, repeat=n + 1)
 
         def row(key):  # the mixed-radix index of key over ivs
-            return reduce(lambda r, iv: r * len(ivs) + pos[iv], key, 0)
+            r = 0
+            for iv in key:
+                r = r * len(ivs) + pos[iv]
+            return r
 
     else:
         raise ValueError("which must be 'relative' or 'full'")
 
     def transpose(n, skip):
-        m = SparseMat(sizes[n], sizes[n + 1])
-        for k, key in enumerate(basis(n)):
-            if k in skip:
-                continue
-            # numerators only: a row's scale df.den (always 1) keeps the rank
-            df = differential(car, SimpCochain._of(n, {key: 1}))
-            for out, v in df.values.items():
-                m.set(k, row(out), v)
+        m, b = SparseMat(sizes[n], sizes[n + 1]), (n + 2).bit_length() + 1
+        half, mask, entries = 1 << (b - 1), (1 << b) - 1, m.entries
+        live = ((k, key) for k, key in enumerate(basis(n)) if k not in skip)
+        for block in iter(lambda: list(islice(live, PACK_BLOCK)), []):
+            x = SimpCochain._of(n, {key: 1 << b * i for i, (_, key) in enumerate(block)})
+            for out, v in differential(car, x).values.items():
+                col = row(out)
+                while v:  # the lowest set bit left lies in the next nonzero digit
+                    i = ((v & -v).bit_length() - 1) // b
+                    e = ((v >> b * i) + half & mask) - half
+                    entries[block[i][0], col] = e
+                    v -= e << b * i
         return m
 
     return dims_from_ranks(sizes[: max_n + 1], chain_ranks(max_n + 1, transpose))

@@ -24,7 +24,8 @@ live on the shifted side:
 * d:       d x = m o x - (-1)**<x> x o m, the differential of the shifted
   complex; the classical alternating-face-sum differential is
   (-1)**(|x|+1) times it, so kernels and images agree degreewise.  The
-  unshifted differential -d is also provided.
+  unshifted differential is -d, by d(sx) = -s(dx): (-1)**|x| times the
+  alternating face sum.
 * bracket: [f, g] = f o g - (-1)**(<f><g>) g o f.
 * curvature: dw + w o w, zero exactly for a Maurer-Cartan w of arity 2.
 
@@ -118,12 +119,6 @@ def differential(car, x):
     both circles in one sum.  Raises arity by one and squares to zero."""
     m = car.mult()
     return _circles(car, x.degree + 1, [(0, m, x), (x.degree, x, m)])
-
-
-def differential_unshifted(car, x):
-    """The classical-complex differential, recovered from the shifted one
-    by d(sx) = -s(dx); equals (-1)**|x| times the alternating face sum."""
-    return -differential(car, x)
 
 
 def bracket(car, f, g):

@@ -31,7 +31,6 @@ from .opcore import (
     bracket,
     circle,
     differential,
-    differential_unshifted,
     dot,
     gamma,
     signed,
@@ -235,8 +234,8 @@ def hga_suite(car, samples=25, seed=0, max_degree=3):
 
         rep.vanishes(car, "d-squared", (p,), differential(car, dx))
 
-        lhs = differential_unshifted(car, xy)
-        right = dot(car, x, differential_unshifted(car, y))
+        lhs = -differential(car, xy)  # the unshifted differential
+        right = dot(car, x, -differential(car, y))
         rhs = _signed_sum([(1, dot(car, dx, y)), (x.degree, right)])
         rep.same(car, "leibniz-dot", (p, q), lhs, rhs)
     return rep

@@ -2,13 +2,13 @@
 
 The order complex of P x Q is homeomorphic to the product of the order
 complexes of P and Q (J. W. Walker, Europ. J. Combin. 9, 1988), so its
-Betti numbers follow by Kunneth; P and P^op have the same nerve; the
-nerve of a disjoint union is the disjoint union of the nerves.  The
-face poset of a simplicial complex, given by its facets, has the
-complex's barycentric subdivision as its nerve, so the facet lists
-TORUS7, S3_5 and RP2_6 give posets with known Betti numbers.  These
-constructors, and the order test le, stay out of the package: only the
-tests need them."""
+Betti numbers follow by Kunneth; P and P^op have the same nerve, and
+the subdivision sd(P) a homeomorphic one; the nerve of a disjoint union
+is the disjoint union of the nerves.  The face poset of a simplicial
+complex, given by its facets, has the complex's barycentric subdivision
+as its nerve, so the facet lists TORUS7, S3_5 and RP2_6 give posets with
+known Betti numbers.  These constructors, and the order test le, stay out
+of the package: only the tests need them."""
 
 from itertools import combinations, permutations
 
@@ -55,6 +55,24 @@ def opposite_poset(p):
     """P^op: the same elements with the order reversed."""
     pairs = [(p.labels[j], p.labels[i]) for i in range(p.n) for j in p.up[i] if j != i]
     return Poset.from_relations(p.labels, pairs, name=p.name + "^op")
+
+
+def subdivision(p):
+    """sd(P): the strict chains of P ordered by inclusion, given by covers
+    (each chain over its faces one element shorter).  Its nerve is the
+    barycentric subdivision of P's nerve; chain c is labelled by the
+    tuple of its labels."""
+    chains, n = [], 0
+    while level := p.chains(n, strict=True):
+        chains += level
+        n += 1
+
+    def label(c):
+        return str(tuple(p.chain_labels(c)))
+
+    pairs = [(label(c[:i] + c[i + 1 :]), label(c)) for c in chains if len(c) > 1
+             for i in range(len(c))]
+    return Poset.from_relations(map(label, chains), pairs, name="sd(%s)" % p.name)
 
 
 def disjoint_union(*ps):

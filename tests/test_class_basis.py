@@ -25,7 +25,6 @@ from posetdeform.linalg import (
 )
 from posetdeform.opcore import circle, differential
 from posetdeform.posets import (
-    Poset,
     chain_poset,
     crown_poset,
     diamond_poset,
@@ -36,7 +35,7 @@ from poset_builders import disjoint_union, opposite_poset, product_poset
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings
-from hypothesis import strategies as st
+from poset_strategies import level_posets
 
 
 def greedy_reference(d, prev):
@@ -113,27 +112,6 @@ def test_class_basis_matches_the_greedy_loop_on_unions_of_spheres(copies):
     p = disjoint_union(*[SPHERE] * copies)
     for strict in (True, False):
         assert [same_basis(p, n, strict) for n in (1, 2)] == [0, copies]
-
-
-@st.composite
-def level_posets(draw):
-    """Two to four levels of two or three elements, each element above at
-    least two elements of the level below, listed in a drawn order: such
-    posets often have H^1 and sometimes H^2."""
-    sizes = draw(st.lists(st.integers(2, 3), min_size=2, max_size=4))
-    levels, k = [], 0
-    for s in sizes:
-        levels.append(list(range(k, k + s)))
-        k += s
-    pairs = [
-        (a, b)
-        for lo, hi in zip(levels, levels[1:])
-        for b in hi
-        for a in draw(st.lists(st.sampled_from(lo), min_size=2, unique=True))
-    ]
-    order = draw(st.permutations(range(k)))
-    labels = ["e%d" % i for i in order]
-    return Poset.from_relations(labels, [("e%d" % a, "e%d" % b) for a, b in pairs])
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)

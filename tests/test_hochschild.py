@@ -260,6 +260,15 @@ def test_relative_chains_are_counted_against_the_budget(sphere, monkeypatch):
     assert hh_dims(sphere, 2, "relative") == [1, 0, 1]
 
 
+@pytest.mark.parametrize("which", ["relative", "full"])
+def test_a_negative_degree_is_refused_as_cohomology_dims_refuses_it(diamond, which):
+    with pytest.raises(ValueError, match="max_n must be >= 0"):
+        cohomology_dims(diamond, -1)
+    with pytest.raises(ValueError, match="max_n must be >= 0"):
+        hh_dims(diamond, -1, which)
+    assert hh_dims(diamond, 0, which) == [1]
+
+
 def test_dimension_tables(chain2, diamond):
     assert hh_dims(chain2, 2, "relative") == [1, 0, 0]
     assert hh_dims(chain2, 2, "full") == [1, 0, 0]

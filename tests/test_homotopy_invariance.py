@@ -1,0 +1,38 @@
+"""Homotopy invariance as ground truth for the cohomology and the
+relative Hochschild dimensions.
+
+P, its opposite P^op and its subdivision sd(P), the poset of P's strict
+chains under inclusion, have homeomorphic nerves, so the same nerve
+cohomology.  kP, kP^op and k sd(P) are different algebras, so that their
+relative HH agrees too follows from Gerstenhaber-Schack plus homotopy
+invariance; it is not a restatement of either."""
+
+import pytest
+
+from posetdeform.hochschild import hh_dims
+from posetdeform.simplicial import cohomology_dims
+from poset_builders import opposite_poset, subdivision
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings
+from poset_strategies import level_posets
+
+
+def test_subdivision_of_the_bundled_posets(diamond, cr4, sphere):
+    """sd(P) has one element per strict chain of P."""
+    for p, n in ((diamond, 11), (cr4, 8), (sphere, 74)):
+        sd = subdivision(p)
+        assert sd.n == n
+        assert cohomology_dims(sd, 3) == cohomology_dims(p, 3)
+        assert hh_dims(sd, 2) == hh_dims(p, 2)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(level_posets())
+def test_op_and_subdivision_keep_cohomology_and_relative_hh(p):
+    dims = [
+        f(q, 2)
+        for q in (p, opposite_poset(p), subdivision(p))
+        for f in (cohomology_dims, hh_dims)
+    ]
+    assert dims == [dims[0]] * 6

@@ -15,7 +15,6 @@ from posetdeform.opcore import (
     bracket,
     circle,
     differential,
-    differential_unshifted,
     dot,
     gamma,
 )
@@ -28,6 +27,11 @@ import lincomb_route
 @pytest.fixture(scope="module")
 def car(diamond):
     return SimplicialCarrier(diamond)
+
+
+def differential_unshifted(car, x):
+    """The classical-complex differential, -d by d(sx) = -s(dx)."""
+    return -differential(car, x)
 
 
 def rnd(car, n, seed):
