@@ -19,7 +19,8 @@ simplicial one but the structure constant k of each output chain of a
 composition, which it computes *natively* -- by multilinear evaluation
 in the algebra and re-extraction of coefficients -- not by face
 restriction; the isomorphism between the two operads is then a
-checkable statement, not a tautology.
+checkable statement, not a tautology.  A carrier keeps each evaluation
+it makes, so every output chain that shares its arguments reads it again.
 
 *Full* cochains are arbitrary multilinear maps (kP)**n -> kP.  They are
 SimpCochains too, with one scalar per key (x_1, ..., x_n, y): the n
@@ -176,29 +177,52 @@ class RelHochschildCarrier(SimplicialCarrier):
     restriction glues from a and b.  This carrier derives k by evaluation
     in kP (_structure), never by face restriction, so iso compares two
     independently derived rules.  One table, keyed by (j, q) and then c,
-    keeps each k from the first time c is met for as long as the carrier."""
+    keeps each k from the first time c is met for as long as the carrier,
+    and under it _evals keeps the evaluations in kP that _structure makes,
+    one per inner chain b and one per (j, a, inner value)."""
 
     name = "relative"
 
     def __init__(self, poset):
         super().__init__(poset)
-        self._units, self._tables, self._consts = {}, {}, {}
+        self._units, self._tables, self._consts, self._evals = {}, {}, {}, {}
+
+    def _basis(self, chain):
+        """The basis tuple (E[chain[0], chain[1]], ...) of chain; each
+        E[x, y] is made once per carrier, with the int 1 as coefficient,
+        and shared."""
+        units = self._units
+        return [units.get(xy) or units.setdefault(xy, IncElem._of({xy: 1}))
+                for xy in zip(chain, chain[1:])]
 
     def _structure(self, j, q, c):
         """k with delta_a o_j delta_b = k delta_c for the one pair that
         glues c in slot j, a = c[:j] + c[j+q-1:] and b = c[j-1:j+q], by
-        evaluation in kP on c's basis tuple u: delta_b on b's part of it,
-        u[j-1:j-1+q] (for q = 0, the diagonal E[x, x]), fills slot j among
-        the rest of u, delta_a is evaluated there, and k is read at
-        (c[0], c[-1]).  Each E[x, y] is made once per carrier, with the int
-        1 as coefficient, and shared."""
-        units = self._units
-        u = [units.get(xy) or units.setdefault(xy, IncElem._of({xy: 1})) for xy in zip(c, c[1:])]
-        delta_b = SimpCochain._of(q, {c[j - 1 : j + q]: 1})
-        inner = rel_eval(delta_b, u[j - 1 : j - 1 + q]) if q else as_element(delta_b)
-        delta_a = SimpCochain._of(len(c) - q, {c[:j] + c[j + q - 1 :]: 1})
-        got = rel_eval(delta_a, u[: j - 1] + [inner] + u[j - 1 + q :])
-        return got.terms.get((c[0], c[-1]), 0)
+        evaluation in kP: delta_b on b's basis tuple (for q = 0, the
+        diagonal E[x, x]) fills slot j of a's basis tuple, delta_a is
+        evaluated there, and k is read at (a[0], a[-1]) = (c[0], c[-1]).
+
+        The inner arguments are a function of b and the outer ones of
+        (j, a, the inner value), so _evals keeps both evaluations for as
+        long as the carrier: the inner value and its terms under b, the
+        outer k, an int, under (j, a, those terms).  An outer key holds a
+        tuple and a chain only ints, so the two kinds never collide.  This
+        reuses rel_eval's answers on equal arguments only: every k is
+        still read off an evaluation in kP, never face restriction."""
+        evals, a, b = self._evals, c[:j] + c[j + q - 1 :], c[j - 1 : j + q]
+        inner = evals.get(b)
+        if inner is None:
+            delta_b = SimpCochain._of(q, {b: 1})
+            got = rel_eval(delta_b, self._basis(b)) if q else as_element(delta_b)
+            inner = evals[b] = got, tuple(got.terms.items())
+        key = j, a, inner[1]
+        k = evals.get(key)
+        if k is None:
+            args = self._basis(a)
+            args[j - 1] = inner[0]
+            got = rel_eval(SimpCochain._of(len(a) - 1, {a: 1}), args)
+            k = evals[key] = got.terms.get((a[0], a[-1]), 0)
+        return k
 
     def _table(self, j, q, chains):
         """The structure constants of slot j and g-degree q on chains, in

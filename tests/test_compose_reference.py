@@ -225,12 +225,16 @@ def test_an_index_is_not_part_of_the_cochain(diamond):
 
 # The relative carrier's structure table.  Each test keeps one carrier
 # for many compositions, so most pairs are found in the table, and counts
-# the rel_eval calls compose_at makes: two for each (j, a, b) that first
-# meets in that carrier (one for a degree-0 b), none for a pair met before.
-# The table is keyed by (j, q) and the output chain c, which determines
-# the pair: a = c[:j] + c[j+q-1:] and b = c[j-1:j+q].  A composition of
-# two dense cochains (compose_sum's list path) meets every pair of its
-# shape; any other meets the pairs of entries that glue.
+# the rel_eval calls compose_at makes.  The table is keyed by (j, q) and
+# the output chain c, which determines the pair: a = c[:j] + c[j+q-1:]
+# and b = c[j-1:j+q].  Under it, the carrier keeps each evaluation it
+# makes: delta_b on b's basis tuple, keyed by b, and delta_a with that
+# value in slot j, keyed by (j, a, the value).  So a composition owes one
+# call for each inner chain b with q >= 1 and one for each (j, a, inner
+# value) that the carrier has not evaluated before, and none for a pair
+# met before.  A composition of two dense cochains (compose_sum's list
+# path) meets every pair of its shape; any other meets the pairs of
+# entries that glue.
 
 
 def dense(poset, x):
@@ -242,11 +246,12 @@ def dense(poset, x):
 
 
 class Ledger:
-    """The rel_eval calls a carrier on poset owes, from the pairs it has met."""
+    """The rel_eval calls a carrier on poset owes, from the evaluations it
+    has made: seen holds each inner chain b and each (j, a, inner terms)."""
 
     def __init__(self, poset):
         self.poset = poset
-        self.pairs = set()
+        self.seen = set()
 
     def owed(self, f, j, g):
         q = g.degree
@@ -258,9 +263,16 @@ class Ledger:
                    if (b[0], b[-1]) == a[j - 1 : j + 1]]
         n = 0
         for a, b in met:
-            if (j, a, b) not in self.pairs:
-                self.pairs.add((j, a, b))
-                n += 1 if len(b) == 1 else 2
+            delta_b = SimpCochain(q, {b: 1})
+            if q == 0:
+                inner = as_element(delta_b)
+            else:
+                inner = rel_eval(delta_b, unit_args(b))
+                n += b not in self.seen
+                self.seen.add(b)
+            key = (j, a, frozenset(inner.terms.items()))
+            n += key not in self.seen
+            self.seen.add(key)
         return n
 
 
@@ -318,7 +330,7 @@ def test_relative_tables_of_two_posets(diamond, cr4, rel_eval_calls):
         for car, ledger in zip(cars, ledgers):
             f, g = car.random_elem(p, rng), car.random_elem(q, rng)
             check_relative(car, ledger, rel_eval_calls, f, j, g)
-    assert ledgers[0].pairs & ledgers[1].pairs
+    assert ledgers[0].seen & ledgers[1].seen
 
 
 def test_relative_table_with_series_values(diamond, rel_eval_calls):

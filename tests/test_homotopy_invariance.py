@@ -1,14 +1,17 @@
-"""Homotopy invariance as ground truth for the cohomology and the
-relative Hochschild dimensions.
+"""Homotopy invariance as ground truth for the cohomology, the relative
+Hochschild dimensions and the moduli dimension.
 
 P, its opposite P^op and its subdivision sd(P), the poset of P's strict
 chains under inclusion, have homeomorphic nerves, so the same nerve
 cohomology.  kP, kP^op and k sd(P) are different algebras, so that their
 relative HH agrees too follows from Gerstenhaber-Schack plus homotopy
-invariance; it is not a restatement of either."""
+invariance; it is not a restatement of either.  The moduli of order-n
+deformations have dimension n dim H^2, computed from each poset's own
+strict H^2 representatives, so it agrees on all three as well."""
 
 import pytest
 
+from posetdeform.deform import moduli
 from posetdeform.hochschild import hh_dims
 from posetdeform.simplicial import cohomology_dims
 from poset_builders import opposite_poset, subdivision
@@ -36,3 +39,21 @@ def test_op_and_subdivision_keep_cohomology_and_relative_hh(p):
         for f in (cohomology_dims, hh_dims)
     ]
     assert dims == [dims[0]] * 6
+
+
+# dim of the order-2 moduli: twice b_2 of the nerve
+MODULI_2 = {"chain2": 0, "chain3": 0, "diamond": 0, "cr4": 0, "sphere": 2}
+
+
+@pytest.mark.parametrize("poset_name", sorted(MODULI_2))
+def test_op_and_subdivision_keep_the_moduli_dimension(request, poset_name):
+    p = request.getfixturevalue(poset_name)
+    dims = [moduli(q, 2)[0] for q in (p, opposite_poset(p), subdivision(p))]
+    assert dims == [MODULI_2[poset_name]] * 3
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(level_posets())
+def test_op_and_subdivision_keep_the_moduli_dimension_on_level_posets(p):
+    dims = [moduli(q, 2)[0] for q in (p, opposite_poset(p), subdivision(p))]
+    assert dims == [dims[0]] * 3 == [2 * cohomology_dims(p, 2)[2]] * 3
