@@ -12,12 +12,7 @@ three complexes.
 import random
 
 from posetdeform.gsiso import phi, verify_morphism
-from posetdeform.hochschild import (
-    IncElem,
-    RelHochschildCarrier,
-    hh_dims,
-    rel_eval,
-)
+from posetdeform.hochschild import RelHochschildCarrier, hh_dims, rel_eval
 from posetdeform.posets import chain_poset, diamond_poset
 from posetdeform.simplicial import SimplicialCarrier, cohomology_dims
 
@@ -25,11 +20,11 @@ p = diamond_poset()
 simp = SimplicialCarrier(p)
 rel = RelHochschildCarrier(p)
 
-# phi sends the constant 2-cochain to the algebra multiplication
+# phi sends the constant 2-cochain to the algebra multiplication; an
+# element of kP is its coefficient dict on the intervals E[i, j]
 m_rel = phi(simp.mult())
-a = IncElem.basis(p.index("bot"), p.index("a"))
-b = IncElem.basis(p.index("a"), p.index("top"))
-bot_top = IncElem.basis(p.index("bot"), p.index("top"))
+bot, mid, top = p.index("bot"), p.index("a"), p.index("top")
+a, b, bot_top = {(bot, mid): 1}, {(mid, top): 1}, {(bot, top): 1}
 print("phi(m) multiplies:", rel_eval(m_rel, [a, b]) == bot_top)
 
 # it is the identity on data; the two sides differ only in how they compose

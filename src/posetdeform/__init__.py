@@ -26,12 +26,7 @@ __version__ = "0.1.0"
 
 from .posets import Poset, chain_poset, crown_poset, diamond_poset, sphere_poset
 from .simplicial import SimpCochain, SimplicialCarrier, cohomology_dims
-from .hochschild import (
-    FullHochschildCarrier,
-    IncElem,
-    RelHochschildCarrier,
-    hh_dims,
-)
+from .hochschild import FullHochschildCarrier, RelHochschildCarrier, hh_dims
 from .opcore import brace, bracket, circle, differential, dot, gamma
 from .suites import SUITES
 from .gsiso import phi, verify_morphism
@@ -47,7 +42,6 @@ __all__ = [
     "SimpCochain",
     "SimplicialCarrier",
     "cohomology_dims",
-    "IncElem",
     "RelHochschildCarrier",
     "FullHochschildCarrier",
     "hh_dims",

@@ -154,7 +154,7 @@ def _run_validate(args, p):
         "verb": "validate",
         "poset": p.name,
         "elements": p.n,
-        "intervals": len(p.intervals()),
+        "intervals": sum(map(len, p.up)),  # counted, not enumerated
         "status": "ok",
     }
     return report, 0

@@ -24,7 +24,7 @@ solves of gauge_equivalent and in JSON output.
 
 from math import lcm
 
-from .hochschild import IncElem, rel_eval
+from .hochschild import rel_eval
 from .linalg import class_basis, solve_columns
 from .opcore import curvature
 from .scalars import DomainError, TruncSeries, digits, kronecker
@@ -469,11 +469,12 @@ def deformation_product(p, e):
 def associativity_witness(p, e):
     """First weak 3-chain where the deformed product fails to be
     associative, or None; agrees with mc_check by the central
-    equivalence and is computed on the algebra side via rel_eval."""
+    equivalence and is computed on the algebra side via rel_eval, on
+    the basis elements {(x, y): 1} of kP over series."""
     one = TruncSeries.one(e.order)
     F = deformation_product(p, e)
     for ch in p.chains(3):
-        a, b, c = (IncElem({(ch[t], ch[t + 1]): one}) for t in range(3))
+        a, b, c = ({(ch[t], ch[t + 1]): one} for t in range(3))
         left = rel_eval(F, [rel_eval(F, [a, b]), c])
         right = rel_eval(F, [a, rel_eval(F, [b, c])])
         if left != right:

@@ -45,11 +45,11 @@ identity() and mult() have theirs from the start (the full ones also by
 output interval), so m o_j x and x o_j m for a unit x cost one probe
 plus a step per pair.
 
-IncElem and rel_eval use nothing of their scalars but +, * and the zero
-test, so they work over ints, Fractions and truncated series alike (the
-last for deform.associativity_witness).  rel_eval reads a cochain's int
-numerators and divides by its den once at the end; the structure table
-is evaluated on int basis elements, so it holds ints.
+An element of kP is its coefficient dict {(i, j): nonzero scalar} on
+the intervals i <= j.  rel_eval applies E[i, j] E[j, k] = E[i, k] itself
+and needs nothing of the scalars but +, * and a truth test, so ints,
+Fractions and truncated series all serve (the last for
+deform.associativity_witness).
 """
 
 from fractions import Fraction
@@ -78,66 +78,31 @@ def _accumulate(acc, key, v):
         acc.pop(key, None)
 
 
-class IncElem:
-    """Element of the incidence algebra: terms maps intervals (i, j) with
-    i <= j to nonzero scalars."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=()):
-        items = terms.items() if isinstance(terms, dict) else terms
-        self.terms = {tuple(ij): v for ij, v in items if v}
-
-    @classmethod
-    def _of(cls, terms):
-        e = cls.__new__(cls)
-        e.terms = terms
-        return e
-
-    @classmethod
-    def basis(cls, i, j):
-        return cls._of({(i, j): Fraction(1)})
-
-    def is_zero(self):
-        return not self.terms
-
-    def scale(self, c):
-        return IncElem._of({ij: nv for ij, v in self.terms.items() if (nv := c * v)})
-
-    def mul(self, other):
-        """Algebra product: E[i,j] * E[j,k] = E[i,k], zero otherwise."""
-        out = {}
-        for (i, j), a in self.terms.items():
-            for (jj, k), b in other.terms.items():
-                if j == jj:
-                    _accumulate(out, (i, k), a * b)
-        return IncElem._of(out)
-
-    def __eq__(self, other):
-        return isinstance(other, IncElem) and self.terms == other.terms
-
-    __hash__ = None
-
-    def __repr__(self):
-        return "IncElem(%d terms)" % len(self.terms)
-
-
 def _over(elem, den):  # elem / den
-    return elem if den == 1 else elem.scale(Fraction(1, den))
+    if den == 1:
+        return elem
+    r = Fraction(1, den)
+    return {ij: r * v for ij, v in elem.items()}
 
 
 def as_element(f):
     """A degree-0 relative cochain as the diagonal algebra element it is."""
     if f.degree != 0:
         raise ArityMismatch("only degree-0 cochains are algebra elements")
-    return _over(IncElem._of({(x, x): v for (x,), v in f.values.items()}), f.den)
+    return _over({(x, x): v for (x,), v in f.values.items()}, f.den)
 
 
 def rel_eval(f, args):
-    """Multilinear evaluation of a relative cochain on algebra elements.
+    """Multilinear evaluation of a relative cochain on elements of kP,
+    coefficient dicts {(i, j): nonzero scalar}, into one.
 
-    Expands over the basis terms of the arguments, keeps the composable
-    paths, and weighs each by f's coefficient on the resulting chain."""
+    Expands over the terms of the arguments, keeps the composable paths
+    (E[i, j] E[j, k] = E[i, k]), and weighs each by f's coefficient on
+    the resulting chain.  The scalars, f's and the arguments', need only
+    +, * and a truth test (zero is false): ints, Fractions and
+    scalars.TruncSeries all serve, the last for
+    deform.associativity_witness.  f's den divides the result once at
+    the end, so a den-1 cochain on int arguments gives ints."""
     n = f.degree
     if n < 1:
         raise ArityMismatch("rel_eval needs degree >= 1")
@@ -148,7 +113,7 @@ def rel_eval(f, args):
     for a in args:
         nxt = []
         for chain, s in paths:
-            for (lo, hi), c in a.terms.items():
+            for (lo, hi), c in a.items():
                 if chain:
                     if chain[-1] != lo:
                         continue
@@ -163,7 +128,7 @@ def rel_eval(f, args):
         coeff = f.values.get(chain)
         if coeff is not None:
             _accumulate(acc, (chain[0], chain[-1]), coeff * s)
-    return _over(IncElem._of(acc), f.den)
+    return _over(acc, f.den)
 
 
 class RelHochschildCarrier(SimplicialCarrier):
@@ -189,10 +154,10 @@ class RelHochschildCarrier(SimplicialCarrier):
 
     def _basis(self, chain):
         """The basis tuple (E[chain[0], chain[1]], ...) of chain; each
-        E[x, y] is made once per carrier, with the int 1 as coefficient,
-        and shared."""
+        E[x, y], the dict {(x, y): 1}, is made once per carrier and
+        shared."""
         units = self._units
-        return [units.get(xy) or units.setdefault(xy, IncElem._of({xy: 1}))
+        return [units.get(xy) or units.setdefault(xy, {xy: 1})
                 for xy in zip(chain, chain[1:])]
 
     def _structure(self, j, q, c):
@@ -214,14 +179,14 @@ class RelHochschildCarrier(SimplicialCarrier):
         if inner is None:
             delta_b = SimpCochain._of(q, {b: 1})
             got = rel_eval(delta_b, self._basis(b)) if q else as_element(delta_b)
-            inner = evals[b] = got, tuple(got.terms.items())
+            inner = evals[b] = got, tuple(got.items())
         key = j, a, inner[1]
         k = evals.get(key)
         if k is None:
             args = self._basis(a)
             args[j - 1] = inner[0]
             got = rel_eval(SimpCochain._of(len(a) - 1, {a: 1}), args)
-            k = evals[key] = got.terms.get((a[0], a[-1]), 0)
+            k = evals[key] = got.get((a[0], a[-1]), 0)
         return k
 
     def _table(self, j, q, chains):
@@ -269,11 +234,12 @@ class FullHochschildCarrier(Carrier):
 
     def tuples(self, n):
         """An iterator over all basis tuples (x_1, ..., x_n) of intervals,
-        lexicographic; past the cap TooLarge, before any is made."""
-        ivs = self.poset.intervals()
-        if len(ivs) ** n > FULL_TABLE_LIMIT:
-            raise TooLarge("%d**%d basis tuples exceeds the full-complex cap" % (len(ivs), n))
-        return product(ivs, repeat=n)
+        lexicographic; past the cap TooLarge, before any is made: the
+        intervals are counted from the up-sets and built only after."""
+        count = sum(map(len, self.poset.up))
+        if count ** n > FULL_TABLE_LIMIT:
+            raise TooLarge("%d**%d basis tuples exceeds the full-complex cap" % (count, n))
+        return product(self.poset.intervals(), repeat=n)
 
     def compose_at(self, f, j, g):
         """f o_j g of multilinear maps, the one-term compose_sum."""
@@ -401,7 +367,9 @@ def hh_dims(poset, max_n, which="relative"):
         if max_n > 2:
             raise TooLarge("full complex capped at degree 2")
         car = FullHochschildCarrier(poset)
-        for n in range(max_n + 2):  # TooLarge names the first degree past the cap
+        # TooLarge names the first degree past the cap; degree 0, one
+        # empty tuple, never is, and is skipped so that no interval is built
+        for n in range(1, max_n + 2):
             car.tuples(n)
         ivs = poset.intervals()
         pos = {iv: i for i, iv in enumerate(ivs)}

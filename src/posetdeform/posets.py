@@ -166,9 +166,6 @@ class Poset:
     def chain_labels(self, chain):
         return tuple(self.labels[i] for i in chain)
 
-    def chain_indices(self, labels):
-        return tuple(self.index(lab) for lab in labels)
-
     def __repr__(self):
         return "Poset(%r, n=%d)" % (self.name, self.n)
 

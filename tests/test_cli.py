@@ -77,6 +77,23 @@ def test_validate_reports_counts(capsys):
     assert doc["intervals"] == 8
 
 
+def test_validate_counts_intervals_without_enumerating_them(capsys, tmp_path, monkeypatch):
+    """chain150 has 11,325 intervals; validate counts them from the
+    up-sets, and here enumerating any weak 1-chain fails the test."""
+    path = tmp_path / "chain150.json"
+    path.write_text(json.dumps(posets.chain_poset(150).to_dict()))
+    chains = posets.Poset.chains
+
+    def no_intervals(self, n, strict=False):
+        if n >= 1:
+            raise AssertionError("validate enumerated the %d-chains" % n)
+        return chains(self, n, strict)
+
+    monkeypatch.setattr(posets.Poset, "chains", no_intervals)
+    code, doc, _ = run_json(capsys, "validate", str(path))
+    assert code == 0 and doc["intervals"] == 11325
+
+
 def test_validate_table_output(capsys):
     code, out, _ = run(capsys, "validate", poset_path("cr4"))
     assert code == 0

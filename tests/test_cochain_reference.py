@@ -252,7 +252,7 @@ def reference_from_dict(poset, d):
     Fraction."""
     vals = {}
     for e in d["entries"]:
-        ch = poset.chain_indices(e["chain"])
+        ch = tuple(map(poset.index, e["chain"]))
         if not all(le(poset, a, b) for a, b in zip(ch, ch[1:])):
             raise ValueError("%r is not a chain" % (e["chain"],))
         if ch in vals:

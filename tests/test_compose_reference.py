@@ -13,7 +13,6 @@ import pytest
 from posetdeform import hochschild
 from posetdeform.hochschild import (
     FullHochschildCarrier,
-    IncElem,
     RelHochschildCarrier,
     TooLarge,
     as_element,
@@ -44,7 +43,7 @@ def simplicial_reference(car, f, j, g):
 
 def unit_args(chain):
     """The basis tuple (E[chain[0], chain[1]], ...) of a chain."""
-    return [IncElem._of({iv: 1}) for iv in zip(chain, chain[1:])]
+    return [{iv: 1} for iv in zip(chain, chain[1:])]
 
 
 def relative_reference(car, f, j, g):
@@ -56,10 +55,10 @@ def relative_reference(car, f, j, g):
             inner = g_elem
         else:
             inner = rel_eval(g, unit_args(c[j - 1 : j + q]))
-            if inner.is_zero():
+            if not inner:
                 continue
         args = unit_args(c[:j]) + [inner] + unit_args(c[j + q - 1 :])
-        coeff = rel_eval(f, args).terms.get((c[0], c[-1]))
+        coeff = rel_eval(f, args).get((c[0], c[-1]))
         if coeff is not None:
             out[c] = coeff
     return SimpCochain(p + q - 1, out)
@@ -270,7 +269,7 @@ class Ledger:
                 inner = rel_eval(delta_b, unit_args(b))
                 n += b not in self.seen
                 self.seen.add(b)
-            key = (j, a, frozenset(inner.terms.items()))
+            key = (j, a, frozenset(inner.items()))
             n += key not in self.seen
             self.seen.add(key)
         return n

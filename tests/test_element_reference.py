@@ -233,5 +233,5 @@ def test_the_fixed_cases_reach_every_kind_of_outcome():
             seen.add(type(got).__name__ if isinstance(got, MCElement) else got[0].__name__)
     assert seen == {"MCElement", "ValueError", "UnknownElement", "TypeError"}
     e = MCElement.from_dict(DIAMOND, CASES["values over unreduced dens"])
-    assert e.term(1).value(DIAMOND.chain_indices(BA)) == Fraction(1, 2)
-    assert e.term(2).value(DIAMOND.chain_indices(BA)) == 2
+    assert e.term(1).value(tuple(map(DIAMOND.index, BA))) == Fraction(1, 2)
+    assert e.term(2).value(tuple(map(DIAMOND.index, BA))) == 2

@@ -6,12 +6,7 @@ from fractions import Fraction
 import pytest
 
 from posetdeform import gsiso
-from posetdeform.hochschild import (
-    IncElem,
-    RelHochschildCarrier,
-    as_element,
-    rel_eval,
-)
+from posetdeform.hochschild import RelHochschildCarrier, as_element, rel_eval
 from posetdeform.gsiso import phi, verify_morphism
 from posetdeform.opcore import SignFlip
 from posetdeform.simplicial import SimpCochain, SimplicialCarrier
@@ -51,16 +46,14 @@ def test_coefficients_become_evaluations(chain2):
     i0, i1 = chain2.index("0"), chain2.index("1")
     x = SimpCochain(1, {(i0, i1): Fraction(5)})
     f = phi(x)
-    assert rel_eval(f, [IncElem.basis(i0, i1)]) == IncElem.basis(i0, i1).scale(
-        Fraction(5)
-    )
+    assert rel_eval(f, [{(i0, i1): 1}]) == {(i0, i1): Fraction(5)}
 
 
 def test_degree_zero_lands_on_the_diagonal(diamond):
     car = SimplicialCarrier(diamond)
     x = car.random_elem(0, random.Random("iso:d0"))
     e = as_element(phi(x))
-    assert e == IncElem({(i, i): x.value((i,)) for i in range(diamond.n)})
+    assert e == {(i, i): v for i in range(diamond.n) if (v := x.value((i,)))}
 
 
 def test_verifier_passes_on_two_element_chain(chain2):

@@ -101,7 +101,7 @@ class Doubled:
     def rel_eval(self, f, args):
         got = rel_eval(f, args)
         if list(f.values) == [self.chain] and self.outer == any(id(x) in self.made for x in args):
-            got = got.scale(2)
+            got = {xy: 2 * v for xy, v in got.items()}
             self.doubled += 1
         return self.keep(got)
 

@@ -16,7 +16,6 @@ two fresh rel_eval calls for every output chain."""
 from itertools import product
 
 from posetdeform import hochschild
-from posetdeform.hochschild import IncElem
 from posetdeform.linalg import SparseMat
 from posetdeform.opcore import differential
 from posetdeform.simplicial import SimpCochain
@@ -49,7 +48,7 @@ def structure(j, q, c):
     delta_a is evaluated there, and k is read at (c[0], c[-1]).  It calls
     rel_eval and as_element through hochschild's module globals, so a
     doctored one reaches it as it reaches the carrier."""
-    u = [IncElem._of({xy: 1}) for xy in zip(c, c[1:])]
+    u = [{xy: 1} for xy in zip(c, c[1:])]
     delta_b = SimpCochain._of(q, {c[j - 1 : j + q]: 1})
     if q:
         inner = hochschild.rel_eval(delta_b, u[j - 1 : j - 1 + q])
@@ -57,4 +56,4 @@ def structure(j, q, c):
         inner = hochschild.as_element(delta_b)
     delta_a = SimpCochain._of(len(c) - q, {c[:j] + c[j + q - 1 :]: 1})
     got = hochschild.rel_eval(delta_a, u[: j - 1] + [inner] + u[j - 1 + q :])
-    return got.terms.get((c[0], c[-1]), 0)
+    return got.get((c[0], c[-1]), 0)
