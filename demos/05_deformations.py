@@ -34,13 +34,13 @@ for order in (1, 2, 3):
 
 # a representative 2-cocycle z on the sphere deforms the product
 z = moduli(sphere, 1)[1][0].term(1)
-e = MCElement.single(1, 1, z)
+e = MCElement(1, {1: z})
 print("\nmc_check(lam z):", mc_check(sphere, e)[0])
 print("witt cocycle:   ", is_witt_cocycle(sphere, to_witt(e)))
 print("associative:    ", associativity_witness(sphere, e) is None)
 
 # scaling the class gives an inequivalent deformation
-e2 = MCElement.single(1, 1, z.scale(Fraction(2)))
+e2 = MCElement(1, {1: z.scale(Fraction(2))})
 print("lam z ~ 2 lam z:", gauge_equivalent(sphere, e, e2) is not None)
 
 # a value on a degenerate chain of cr4 that is not a cocycle

@@ -58,14 +58,6 @@ class MCElement:
         self.order = order
         self.w = SimpCochain._of(2, _series(_rows(layers), order))
 
-    @classmethod
-    def zero(cls, order):
-        return cls(order)
-
-    @classmethod
-    def single(cls, order, n, cochain):
-        return cls(order, {n: cochain})
-
     @property
     def terms(self):
         """The nonzero layers {n: the lam^n coefficient of w}, read off w."""
@@ -364,7 +356,7 @@ def is_witt_cocycle(p, c):
     return witt_coboundary(p, c).is_one()
 
 
-def witt_exp(p, degree, order, layers):
+def witt_exp(degree, order, layers):
     """Pointwise exponential of additive layers: layers[n] (1-indexed)
     are cochains of the given degree; missing layers are zero."""
     vals = {ch: s.exp() for ch, s in _series(_rows(layers), order).items()}
@@ -407,7 +399,7 @@ def gauge_equivalent(p, e1, e2):
     cols = p.chains(1)
     psi = {n: SimpCochain(1, zip(cols, x)) for n, x in zip(target, sols)}
 
-    phi = witt_exp(p, 1, e1.order, psi)
+    phi = witt_exp(1, e1.order, psi)
     if witt_coboundary(p, phi) * w2 != w1:
         raise AssertionError("gauge witness failed the exact re-check")
     return phi
@@ -444,10 +436,10 @@ def moduli(p, order):
     basis = []
     for z in reps:
         for j in range(1, order + 1):
-            e = MCElement.single(order, j, z)
+            e = MCElement(order, {j: z})
             ok, _ = mc_check(p, e, car)
             if not ok:
-                w = witt_exp(p, 2, order, {j: z})
+                w = witt_exp(2, order, {j: z})
                 e = from_witt(w)
                 ok, wit = mc_check(p, e, car)
                 if not ok:

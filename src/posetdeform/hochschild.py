@@ -41,9 +41,8 @@ in slot j (grouped by the interval there), never all tuples of the
 output degree, and needs no cap; only for dense relative f and g does it
 take every chain of the output degree (the simplicial carrier's plan).
 The groupings are cached on the cochains (SimpCochain.grouped),
-identity() and mult() have theirs from the start (the full ones also by
-output interval), so m o_j x and x o_j m for a unit x cost one probe
-plus a step per pair.
+identity() and mult() have theirs from the start, so m o_j x and
+x o_j m for a unit x cost one probe plus a step per pair.
 
 An element of kP is its coefficient dict {(i, j): nonzero scalar} on
 the intervals i <= j.  rel_eval applies E[i, j] E[j, k] = E[i, k] itself
@@ -230,7 +229,6 @@ class FullHochschildCarrier(Carrier):
     name = "full"
 
     slot = staticmethod(lambda j: (j - 1,))  # key position of slot j's interval x_j
-    out = (-1,)  # key position of the output interval y
 
     def tuples(self, n):
         """An iterator over all basis tuples (x_1, ..., x_n) of intervals,
@@ -251,45 +249,28 @@ class FullHochschildCarrier(Carrier):
         (f o_j g)(t) = f(t[:j-1] + (g(u),) + t[j-1+q:]) with u the q
         arguments in slots j..j+q-1.  An entry u + (K,) of g, the
         coefficient of E[K] in g(u), meets only the keys a of f with K in
-        slot j and adds the product of the two values, s times the walked
-        one, to the output key a[:j-1] + u + a[j:] (K is not part of it).
-        When g has its grouping by output interval (identity() and mult()
-        do) and f has fewer entries than g, each entry of f probes g's
-        group there; else each entry of g probes f's grouping by slot j
-        (cached on f).  No list of all tuples is built: no TooLarge here."""
-        by_out, get = g._ix and g._ix.get(self.out), out.get
-        if by_out is not None and len(f.values) < len(g.values):
-            for a, x in f.values.items():
-                if s != 1:
-                    x = -x if s == -1 else x * s
-                head, tail = a[: j - 1], a[j:]
-                for b, y in by_out.get(a[j - 1], ()):
-                    key, v = head + b[:-1] + tail, x * y
-                    cur = get(key)
-                    out[key] = v if cur is None else cur + v
-        else:
-            by_slot = f.grouped(self.slot(j))
-            for b, y in g.values.items():
-                if s != 1:
-                    y = -y if s == -1 else y * s
-                u = b[:-1]
-                for a, x in by_slot.get(b[-1], ()):
-                    key, v = a[: j - 1] + u + a[j:], x * y
-                    cur = get(key)
-                    out[key] = v if cur is None else cur + v
+        slot j, read off f's grouping by slot j (cached on f), and adds
+        the product of the two values, s times g's, to the output key
+        a[:j-1] + u + a[j:] (K is not part of it).  No list of all tuples
+        is built: no TooLarge here."""
+        by_slot, get = f.grouped(self.slot(j)), out.get
+        for b, y in g.values.items():
+            if s != 1:
+                y = -y if s == -1 else y * s
+            u = b[:-1]
+            for a, x in by_slot.get(b[-1], ()):
+                key, v = a[: j - 1] + u + a[j:], x * y
+                cur = get(key)
+                out[key] = v if cur is None else cur + v
 
     def _build(self, n):
-        """The identity map of kP (n = 1) or its product (n = 2), grouped
-        by output interval for compose_at."""
+        """The identity map of kP (n = 1) or its product (n = 2)."""
         ivs = self.poset.intervals()
         if n == 1:
-            got = SimpCochain._of(1, {(x, x): 1 for x in ivs})
-        else:
-            got = SimpCochain._of(
-                2, {(x, y, (x[0], y[1])): 1 for x in ivs for y in ivs if x[1] == y[0]}
-            )
-        got.grouped(self.out)
-        return got
+            return SimpCochain._of(1, {(x, x): 1 for x in ivs})
+        return SimpCochain._of(
+            2, {(x, y, (x[0], y[1])): 1 for x in ivs for y in ivs if x[1] == y[0]}
+        )
 
     def random_elem(self, n, rng):
         # each basis tuple, with probability 1/2, goes to c E[y] for a random

@@ -11,6 +11,7 @@ Conventions used throughout the package:
   order, so every downstream matrix and report is reproducible.
 """
 
+from itertools import islice
 from operator import sub
 
 # Most vertices, summed over all chains of degrees 0..n, that one chain
@@ -170,12 +171,22 @@ class Poset:
         return "Poset(%r, n=%d)" % (self.name, self.n)
 
     def to_dict(self):
-        rels = [
-            [self.labels[i], self.labels[j]]
-            for i, js in enumerate(self.up)
-            for j in js
-            if i != j
-        ]
+        """The cover relations i < j, nothing between them, lexicographic.
+        Each up-set is walked in a linear extension (a larger up-set
+        first), from just after i: an element left over is minimal above
+        i, a cover, and takes its own up-set out of what is left."""
+        ups, covers = self.upsets, [[] for _ in self.labels]
+        ext = sorted(range(self.n), key=lambda i: -ups[i].bit_count())
+        for at, i in enumerate(ext):
+            left = ups[i] ^ 1 << i
+            for j in islice(ext, at + 1, None):
+                if not left:
+                    break
+                if left >> j & 1:
+                    covers[i].append(j)
+                    left &= ~ups[j]
+        rels = [[self.labels[i], self.labels[j]]
+                for i, js in enumerate(covers) for j in sorted(js)]
         return {"name": self.name, "elements": list(self.labels), "relations": rels}
 
     @classmethod

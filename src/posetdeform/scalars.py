@@ -10,8 +10,8 @@ deform.WittCochain checks the constant term of each value it holds.
 A series is stored as int numerators over one reduced positive
 denominator, the form simplicial.SimpCochain uses, so its arithmetic runs
 on ints.  Fractions remain only at the boundary: the constructor takes
-them (or ints, or strings), and coeffs, to_strings and from_strings give
-and read them, for output and for the right-hand sides of linear systems.
+them (or ints, or strings), and coeffs and to_strings give them, for
+output and for the right-hand sides of linear systems.
 
 No floats anywhere: every operation is exact, and a float input is refused.
 """
@@ -150,25 +150,12 @@ class TruncSeries:
         return cls._of(order, tuple(num), den)
 
     @classmethod
-    def zero(cls, order):
-        return cls(order)
-
-    @classmethod
     def one(cls, order):
         return cls(order, (1,))
-
-    @classmethod
-    def lam(cls, order):
-        if order < 1:
-            return cls(order)
-        return cls(order, (0, 1))
 
     @property
     def coeffs(self):
         return tuple([Fraction(a, self.den) for a in self.num])
-
-    def is_zero(self):
-        return not any(self.num)
 
     def __bool__(self):
         return any(self.num)
@@ -285,8 +272,4 @@ class TruncSeries:
 
     def to_strings(self):
         return [format_rat(c) for c in self.coeffs]
-
-    @classmethod
-    def from_strings(cls, strings):
-        return cls(len(strings) - 1, strings)
 

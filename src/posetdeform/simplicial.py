@@ -439,8 +439,8 @@ class SimplicialCarrier(Carrier):
                     cur = get(c)
                     out[c] = v if cur is None else cur + v
 
-    def constant(self, n, value=1):
-        return SimpCochain(n, {c: value for c in self.poset.chains(n)})
+    def constant(self, n):
+        return SimpCochain(n, {c: 1 for c in self.poset.chains(n)})
 
     _build = constant
 

@@ -139,7 +139,7 @@ def test_criterion_4_witt_equivalence(capsys, diamond, cr4):
                         n: face_sum(p, car.random_elem(1, rng))
                         for n in range(1, order + 1)
                     }
-                    e = from_witt(witt_exp(p, 2, order, layers))
+                    e = from_witt(witt_exp(2, order, layers))
                 elif kind == 1:
                     e = MCElement(1, {1: face_sum(p, car.random_elem(1, rng))})
                 else:
@@ -174,11 +174,11 @@ def test_criterion_5_moduli(capsys, cr4, sphere):
             for e in basis:
                 assert mc_check(sphere, e)[0]
         z = moduli(sphere, 1)[1][0].term(1)
-        e1 = MCElement.single(1, 1, z)
-        e2 = MCElement.single(1, 1, z.scale(Fraction(2)))
+        e1 = MCElement(1, {1: z})
+        e2 = MCElement(1, {1: z.scale(Fraction(2))})
         assert gauge_equivalent(sphere, e1, e2) is None
         psi = SimplicialCarrier(sphere).random_elem(1, random.Random("acc:c5"))
-        e3 = MCElement.single(1, 1, z.add(face_sum(sphere, psi)))
+        e3 = MCElement(1, {1: z.add(face_sum(sphere, psi))})
         w = gauge_equivalent(sphere, e1, e3)
         assert w is not None
         assert witt_coboundary(sphere, w) * to_witt(e3) == to_witt(e1)

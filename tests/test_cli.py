@@ -61,7 +61,7 @@ def sphere_z(tmp_path_factory):
         ("z", z),
         ("2z", z.scale(Fraction(2))),
     ):
-        e = MCElement.single(1, 1, cochain)
+        e = MCElement(1, {1: cochain})
         path = d / ("%s.json" % name)
         path.write_text(json.dumps(e.to_dict(p)))
         paths[name] = str(path)
@@ -239,7 +239,7 @@ def test_gauge_equiv_rejects_non_mc(capsys, tmp_path, cr4):
     e = MCElement(
         1, {1: SimpCochain(2, {(cr4.index("a"), cr4.index("a"), cr4.index("c")): 1})}
     )
-    z = MCElement.zero(1)
+    z = MCElement(1)
     p1 = tmp_path / "e.json"
     p2 = tmp_path / "z.json"
     p1.write_text(json.dumps(e.to_dict(cr4)))

@@ -171,11 +171,12 @@ def test_closure_matches_warshall(rel):
     assert p.intervals() == tuple(
         (i, j) for i in range(n) for j in range(n) if leq[i][j]
     )
+    lt = [[i != j and leq[i][j] for j in range(n)] for i in range(n)]
     assert p.to_dict()["relations"] == [
         [labels[i], labels[j]]
         for i in range(n)
         for j in range(n)
-        if i != j and leq[i][j]
+        if lt[i][j] and not any(lt[i][k] and lt[k][j] for k in range(n))
     ]
 
 

@@ -154,7 +154,7 @@ def test_lincomb_matches_the_fold_of_add_and_scale(data):
 def test_lincomb_of_series_cochains():
     """Series values (den 1, never reduced): the same sum as the fold, no
     entry that is a zero series, and zero when the terms cancel."""
-    zero = TruncSeries.zero(2)
+    zero = TruncSeries(2)
     values = [
         TruncSeries(2, cs)
         for cs in ((1,), (0, 1), (2, -1, 3), (0, 0, -1), (Fraction(1, 2), 1), (-1,))

@@ -104,7 +104,8 @@ def full_inputs(car, n, rng):
     """As simp_inputs, on basis tuples.  random_elem gives each tuple a
     one-term value; the second dense cochain gives every tuple up to
     three terms, so that several terms of g(u) can land on one output
-    tuple and have to be summed there."""
+    tuple and have to be summed there.  In degrees 1 and 2 the carrier's
+    identity() and mult() come too, with their groupings built."""
     ivs = car.poset.intervals()
     multi = SimpCochain(n, {
         t + (iv,): Fraction(rng.randint(-3, 3))
@@ -116,7 +117,8 @@ def full_inputs(car, n, rng):
         t = tuple(rng.choice(ivs) for _ in range(n))
         iv = rng.choice(ivs)
         basis.append(SimpCochain(n, {t + (iv,): 1}))
-    return [car.random_elem(n, rng), multi] + basis + [SimpCochain(n)]
+    units = {1: [car.identity()], 2: [car.mult()]}.get(n, [])
+    return [car.random_elem(n, rng), multi] + basis + units + [SimpCochain(n)]
 
 
 CASES = [
@@ -348,7 +350,7 @@ def test_relative_table_with_series_values(diamond, rel_eval_calls):
         if p + q > 4:
             continue
         check_relative(car, ledger, rel_eval_calls, series_elem(p), j, series_elem(q))
-    m = car.constant(2, TruncSeries.one(1))
+    m = SimpCochain(2, {c: TruncSeries.one(1) for c in car.poset.chains(2)})
     for j in (1, 2):
         check_relative(car, ledger, rel_eval_calls, m, j, m)
 

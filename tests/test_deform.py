@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from poset_builders import product_poset
 
 from posetdeform import deform, linalg
 from posetdeform.deform import (
@@ -180,7 +181,7 @@ def test_mc_element_round_trip(sphere):
 
 
 def test_zero_element_is_mc(diamond):
-    ok, witness = mc_check(diamond, MCElement.zero(2))
+    ok, witness = mc_check(diamond, MCElement(2))
     assert ok and witness is None
 
 
@@ -191,7 +192,7 @@ def test_coboundary_is_mc(diamond):
 
 
 def test_cocycle_rep_is_mc(sphere):
-    e = MCElement.single(1, 1, closed_2_rep(sphere))
+    e = MCElement(1, {1: closed_2_rep(sphere)})
     assert mc_check(sphere, e)[0]
     assert is_witt_cocycle(sphere, to_witt(e))
 
@@ -260,7 +261,7 @@ def test_coboundary_of_coboundary_is_trivial(diamond):
     car = SimplicialCarrier(diamond)
     rng = random.Random("witt:dd")
     layers = {1: car.random_elem(1, rng), 2: car.random_elem(1, rng)}
-    w = witt_exp(diamond, 1, 2, layers)
+    w = witt_exp(1, 2, layers)
     assert is_witt_cocycle(diamond, witt_coboundary(diamond, w))
 
 
@@ -271,10 +272,8 @@ def test_log_transport(diamond):
     rng = random.Random("witt:log")
     order = 3
     layers = {n: car.random_elem(1, rng) for n in range(1, order + 1)}
-    lhs = witt_coboundary(diamond, witt_exp(diamond, 1, order, layers))
-    rhs = witt_exp(
-        diamond, 2, order, {n: face_sum(diamond, c) for n, c in layers.items()}
-    )
+    lhs = witt_coboundary(diamond, witt_exp(1, order, layers))
+    rhs = witt_exp(2, order, {n: face_sum(diamond, c) for n, c in layers.items()})
     assert lhs == rhs
 
 
@@ -282,7 +281,7 @@ def test_exp_log_layers_round_trip(diamond):
     car = SimplicialCarrier(diamond)
     rng = random.Random("witt:el")
     layers = {1: car.random_elem(2, rng), 2: car.random_elem(2, rng)}
-    w = witt_exp(diamond, 2, 2, layers)
+    w = witt_exp(2, 2, layers)
     back = witt_log_layers(w)
     assert back[1] == layers[1] and back[2] == layers[2]
 
@@ -290,7 +289,7 @@ def test_exp_log_layers_round_trip(diamond):
 def exp_coboundary(p, order, j, psi):
     """exp(d(psi) lam**j) on p, an MC element: on chain4, which has strict
     3-chains, its linear term cancels a nonzero quadratic one."""
-    return from_witt(witt_exp(p, 2, order, {j: differential(SimplicialCarrier(p), psi)}))
+    return from_witt(witt_exp(2, order, {j: differential(SimplicialCarrier(p), psi)}))
 
 
 def mc_witt_agreement(diamond, cr4):
@@ -362,8 +361,8 @@ def test_every_parity_flipped_is_killed_by_the_gauge_recheck(
     d(phi) * w2 = w1 does see it."""
     z = closed_2_rep(sphere)
     psi = SimplicialCarrier(sphere).random_elem(1, random.Random("mc:parity"))
-    e1 = MCElement.single(1, 1, z)
-    e2 = MCElement.single(1, 1, z.add(face_sum(sphere, psi)))
+    e1 = MCElement(1, {1: z})
+    e2 = MCElement(1, {1: z.add(face_sum(sphere, psi))})
     assert gauge_equivalent(sphere, e1, e2) is not None
     witt_coboundary_mutant(monkeypatch, "i % 2 == 0")
     assert mc_witt_agreement(diamond, cr4)[1] == 0
@@ -372,7 +371,7 @@ def test_every_parity_flipped_is_killed_by_the_gauge_recheck(
 
 
 def test_gauge_reflexive(sphere):
-    e = MCElement.single(1, 1, closed_2_rep(sphere))
+    e = MCElement(1, {1: closed_2_rep(sphere)})
     w = gauge_equivalent(sphere, e, e)
     assert w is not None
     assert witt_coboundary(sphere, w) * to_witt(e) == to_witt(e)
@@ -380,16 +379,16 @@ def test_gauge_reflexive(sphere):
 
 def test_gauge_distinguishes_scalings(sphere):
     z = closed_2_rep(sphere)
-    e1 = MCElement.single(1, 1, z)
-    e2 = MCElement.single(1, 1, z.scale(Fraction(2)))
+    e1 = MCElement(1, {1: z})
+    e2 = MCElement(1, {1: z.scale(Fraction(2))})
     assert gauge_equivalent(sphere, e1, e2) is None
 
 
 def test_gauge_absorbs_coboundaries(sphere):
     z = closed_2_rep(sphere)
     psi = SimplicialCarrier(sphere).random_elem(1, random.Random("gauge:cob"))
-    e1 = MCElement.single(1, 1, z)
-    e2 = MCElement.single(1, 1, z.add(face_sum(sphere, psi)))
+    e1 = MCElement(1, {1: z})
+    e2 = MCElement(1, {1: z.add(face_sum(sphere, psi))})
     w = gauge_equivalent(sphere, e1, e2)
     assert w is not None
     assert witt_coboundary(sphere, w) * to_witt(e2) == to_witt(e1)
@@ -397,7 +396,7 @@ def test_gauge_absorbs_coboundaries(sphere):
 
 def twist(p, e, layers):
     """Gauge e by the exponential of the given 1-cochain layers."""
-    w = witt_exp(p, 1, e.order, layers)
+    w = witt_exp(1, e.order, layers)
     return from_witt(witt_coboundary(p, w).inverse() * to_witt(e))
 
 
@@ -427,14 +426,14 @@ def test_gauge_at_order_20(sphere):
     z = closed_2_rep(sphere)
     car = SimplicialCarrier(sphere)
     rng = random.Random("gauge:20")
-    e1 = from_witt(witt_exp(sphere, 2, 20, {1: z}))
+    e1 = from_witt(witt_exp(2, 20, {1: z}))
     e2 = twist(sphere, e1, {n: car.random_elem(1, rng) for n in (1, 5, 20)})
     assert e1.order == e2.order == 20 and e2 != e1
     assert mc_check(sphere, e1)[0] and mc_check(sphere, e2)[0]
     w = gauge_equivalent(sphere, e2, e1)
     assert w is not None and w.order == 20
     assert witt_coboundary(sphere, w) * to_witt(e1) == to_witt(e2)
-    e3 = from_witt(witt_exp(sphere, 2, 20, {1: z.scale(2)}))
+    e3 = from_witt(witt_exp(2, 20, {1: z.scale(2)}))
     assert mc_check(sphere, e3)[0]
     assert gauge_equivalent(sphere, e1, e3) is None
 
@@ -464,7 +463,7 @@ def gauge_reference(p, e1, e2):
         if not layer.is_zero():
             psi[n] = layer
 
-    phi = witt_exp(p, 1, order, psi)
+    phi = witt_exp(1, order, psi)
     if witt_coboundary(p, phi) * w2 != w1:
         raise AssertionError("gauge witness failed the exact re-check")
     return phi
@@ -478,9 +477,9 @@ def test_gauge_solves_every_layer_from_one_elimination(sphere, monkeypatch):
     z = closed_2_rep(sphere)
     car = SimplicialCarrier(sphere)
     rng = random.Random("gauge:one")
-    e1 = from_witt(witt_exp(sphere, 2, 20, {1: z, 3: z}))
+    e1 = from_witt(witt_exp(2, 20, {1: z, 3: z}))
     e2 = twist(sphere, e1, {n: car.random_elem(1, rng) for n in (1, 2, 7, 20)})
-    e3 = from_witt(witt_exp(sphere, 2, 20, {1: z, 3: z, 5: z}))
+    e3 = from_witt(witt_exp(2, 20, {1: z, 3: z, 5: z}))
     calls = []
     eliminate = linalg._eliminate
 
@@ -499,12 +498,12 @@ def test_gauge_solves_every_layer_from_one_elimination(sphere, monkeypatch):
 
 def test_gauge_preconditions(sphere, cr4):
     z = closed_2_rep(sphere)
-    e1 = MCElement.single(1, 1, z)
+    e1 = MCElement(1, {1: z})
     with pytest.raises(ValueError):
-        gauge_equivalent(sphere, e1, MCElement.zero(2))
+        gauge_equivalent(sphere, e1, MCElement(2))
     bad = crown_non_cocycle(cr4)
     with pytest.raises(NotMC):
-        gauge_equivalent(cr4, bad, MCElement.zero(1))
+        gauge_equivalent(cr4, bad, MCElement(1))
 
 
 def test_moduli_dimensions(cr4, diamond, sphere):
@@ -520,6 +519,34 @@ def test_moduli_dimensions(cr4, diamond, sphere):
         for e in basis:
             assert e.order == order
             assert mc_check(sphere, e)[0]
+
+
+def test_moduli_exp_corrects_a_representative_with_a_quadratic_term(
+    sphere, cr4, monkeypatch
+):
+    """On S^2 x S^1, w = z + d psi is an H^2 representative with w o w != 0,
+    so lam w fails MC and moduli replaces it by from_witt(exp(lam w)); lam^2 w
+    passes as it is at order 2.  Every basis element is then MC and a Witt
+    cocycle; without the correction the first would fail mc_check."""
+    p = product_poset(sphere, cr4)
+    (z,) = deform._strict_h2_reps(p)
+    rng = random.Random("deform:exp-correction")
+    psi = SimpCochain(1, {c: rng.randint(-2, 2) for c in p.chains(1, strict=True)})
+    w = z + face_sum(p, psi)
+    assert circle(SimplicialCarrier(p), w, w).values
+    monkeypatch.setattr(deform, "_strict_h2_reps", lambda q: [w])
+    corrected = []
+
+    def counted(degree, order, layers):
+        corrected.append(sorted(layers))
+        return witt_exp(degree, order, layers)
+
+    monkeypatch.setattr(deform, "witt_exp", counted)
+    dim, basis = moduli(p, 2)
+    assert dim == 2 and corrected == [[1]]
+    for e in basis:
+        assert mc_check(p, e) == (True, None)
+        assert is_witt_cocycle(p, to_witt(e))
 
 
 def test_moduli_skips_the_kernel_when_b2_is_zero(cr4, monkeypatch):
@@ -556,7 +583,7 @@ def test_moduli_basis_combinations_are_inequivalent(sphere):
                 layers[1] = z
             if b:
                 layers[2] = z
-            combos[(a, b)] = from_witt(witt_exp(sphere, 2, 2, layers))
+            combos[(a, b)] = from_witt(witt_exp(2, 2, layers))
     for k1, e1 in combos.items():
         assert mc_check(sphere, e1)[0]
         for k2, e2 in combos.items():
@@ -569,7 +596,7 @@ def test_moduli_basis_combinations_are_inequivalent(sphere):
 
 def test_deformed_product_series(sphere):
     z = closed_2_rep(sphere)
-    e = MCElement.single(2, 1, z)
+    e = MCElement(2, {1: z})
     F = deformation_product(sphere, e)
     ch = sphere.chains(2)[0]
     series = F.value(ch)
@@ -578,7 +605,7 @@ def test_deformed_product_series(sphere):
 
 
 def test_associativity_witness_matches_mc(sphere, cr4):
-    e = MCElement.single(1, 1, closed_2_rep(sphere))
+    e = MCElement(1, {1: closed_2_rep(sphere)})
     assert associativity_witness(sphere, e) is None
     bad = crown_non_cocycle(cr4)
     w = associativity_witness(cr4, bad)

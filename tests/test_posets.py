@@ -125,6 +125,15 @@ def test_json_round_trip(tmp_path, diamond):
         assert q.chains(n, strict=True) == diamond.chains(n, strict=True)
 
 
+def test_to_dict_writes_the_cover_relations():
+    """A chain of 300 is written as its 299 covers, not its 44,850
+    comparable pairs, and reads back to the same up-sets."""
+    p = chain_poset(300)
+    d = p.to_dict()
+    assert len(d["relations"]) == 299
+    assert Poset.from_dict(d).upsets == p.upsets
+
+
 def test_reflexivity_and_antisymmetry(cr4, diamond):
     for p in (cr4, diamond):
         for i in range(p.n):

@@ -37,8 +37,8 @@ def test_inverse_is_geometric_series():
 
 
 def test_zero_sum_is_zero():
-    z = TruncSeries.zero(1)
-    assert (z + z).is_zero()
+    z = TruncSeries(1)
+    assert not z + z
 
 
 def test_log_of_one_plus_x():
@@ -46,7 +46,7 @@ def test_log_of_one_plus_x():
 
 
 def test_exp_of_x():
-    assert TruncSeries.lam(2).exp() == series(2, 1, 1, Fraction(1, 2))
+    assert TruncSeries(2, (0, 1)).exp() == series(2, 1, 1, Fraction(1, 2))
 
 
 def test_log_exp_round_trip():
@@ -63,7 +63,7 @@ def test_order_mismatch_rejected():
 
 def test_inverse_needs_nonzero_constant():
     with pytest.raises(NotInvertible):
-        TruncSeries.lam(3).inverse()
+        TruncSeries(3, (0, 1)).inverse()
 
 
 def test_log_exp_domain_checks():
@@ -83,7 +83,7 @@ def test_ring_axioms_randomized():
         assert a * b == b * a
         assert (a * b) * c == a * (b * c)
         assert a * (b + c) == a * b + a * c
-        assert a - a == TruncSeries.zero(order)
+        assert a - a == TruncSeries(order)
 
 
 def test_witt_group_randomized():
@@ -109,7 +109,7 @@ def test_series_refuses_floats():
     with pytest.raises(TypeError):
         TruncSeries(0, [1.0])
     with pytest.raises(TypeError):
-        TruncSeries.from_strings(["1", 0.5])
+        TruncSeries(1, ["1", 0.5])
     s = TruncSeries(2, [1, "1/10", Fraction(-2, 3)])
     assert s == TruncSeries(2, [Fraction(1), Fraction(1, 10), "-2/3"])
     assert (s.num, s.den) == ((30, 3, -20), 30)
@@ -124,14 +124,14 @@ def test_rational_strings():
 
 def test_series_string_round_trip():
     x = series(2, 1, Fraction(-1, 2), 3)
-    assert TruncSeries.from_strings(x.to_strings()) == x
+    assert TruncSeries(2, x.to_strings()) == x
     assert x.to_strings() == ["1", "-1/2", "3"]
 
 
 def test_ring_handles():
     """Each scalar kind carries its own zero test and refuses the other."""
-    assert not TruncSeries.zero(2) and TruncSeries.zero(2).is_zero()
-    assert TruncSeries.one(2) and TruncSeries.lam(2)
+    assert not TruncSeries(2)
+    assert TruncSeries.one(2) and TruncSeries(2, (0, 1))
     assert not TruncSeries(2, [0, 0, 0]) and TruncSeries(2, [0, 0, 1])
     assert not Fraction(0) and Fraction(1, 3)
     with pytest.raises(TypeError):
