@@ -200,9 +200,12 @@ def _run_verify(args, p):
         raise _InputError("--samples must be >= 1")
     if not 0 <= args.max_degree <= 3:
         raise _InputError("--max-degree must lie in 0..3")
-    # each suite's last trial composes two cochains of degree max, so its
-    # chains reach degree 2 max - 1: count them before the first trial
-    p.chain_counts(2 * args.max_degree - 1)
+    # count, before the first trial, the top level any suite can read (a
+    # count, not a build: a sparse run may never build it).  That is hga's
+    # dot(dot(x, y), z), of degree p + q + r <= 2 max + min(2, max), r being
+    # drawn up to min(2, max), or m o m, of degree 3, in operad and dgla;
+    # the rest stay within it (iso's x{y, z}: p + q + r - 2 <= 3 max - 2)
+    p.chain_counts(max(3, 2 * args.max_degree + min(2, args.max_degree)))
     car = SimplicialCarrier(p)
     reports = [
         SUITES[name](

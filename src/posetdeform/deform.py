@@ -408,7 +408,7 @@ def gauge_equivalent(p, e1, e2):
 def _strict_h2_reps(p):
     """Representatives of a basis of H^2 on strict chains, as weak
     2-cochains supported on strict chains (extended by zero)."""
-    p.chain_counts(3, strict=True)  # d_2 reads 3-chains; TooLarge past CHAIN_BUDGET
+    p.chains(3, strict=True)  # d_2 reads 3-chains: all counted before any is built
     c2 = p.chains(2, strict=True)
     return [
         SimpCochain(2, {c2[i]: v for i, v in enumerate(z) if v})

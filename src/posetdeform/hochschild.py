@@ -149,15 +149,10 @@ class RelHochschildCarrier(SimplicialCarrier):
 
     def __init__(self, poset):
         super().__init__(poset)
-        self._units, self._tables, self._consts, self._evals = {}, {}, {}, {}
+        self._tables, self._consts, self._evals = {}, {}, {}
 
-    def _basis(self, chain):
-        """The basis tuple (E[chain[0], chain[1]], ...) of chain; each
-        E[x, y], the dict {(x, y): 1}, is made once per carrier and
-        shared."""
-        units = self._units
-        return [units.get(xy) or units.setdefault(xy, {xy: 1})
-                for xy in zip(chain, chain[1:])]
+    # the basis tuple (E[c[0], c[1]], ...) of a chain c, E[x, y] being {(x, y): 1}
+    _basis = staticmethod(lambda c: [{xy: 1} for xy in zip(c, c[1:])])
 
     def _structure(self, j, q, c):
         """k with delta_a o_j delta_b = k delta_c for the one pair that
@@ -208,7 +203,7 @@ class RelHochschildCarrier(SimplicialCarrier):
         if type(out) is list:
             ks = self._consts.get((p, j, q))
             if ks is None:
-                ks = self._consts[p, j, q] = self._table(j, q, self._level(p + q - 1))
+                ks = self._consts[p, j, q] = self._table(j, q, self.poset.chains(p + q - 1))
             out[:] = map(add, out, map(mul, ks, self._products(s, f, j, g)))
             return
         term, get = {}, out.get
@@ -298,10 +293,12 @@ def hh_dims(poset, max_n, which="relative"):
     """Hochschild cohomology dimensions [dim HH^0, ..., dim HH^max_n].
 
     which='relative' uses the diagonal-relative complex (max_n <= 4),
-    keyed by weak chains; which='full' uses the full endomorphism complex
-    (max_n <= 2, table growth), keyed by basis tuples and an output
-    interval, whose row is the mixed-radix index of the key over
-    poset.intervals(), so no list of keys is built.
+    keyed by weak chains: its top level, max_n + 1, is asked of
+    Poset.chains first, which counts every level up to it against
+    posets.CHAIN_BUDGET (TooLarge) before it builds any.  which='full'
+    uses the full endomorphism complex (max_n <= 2, table growth), keyed
+    by basis tuples and an output interval, whose row is the mixed-radix
+    index of the key over poset.intervals(), so no list of keys is built.
 
     Row k of the transpose of d_n is d = [m, -] of the k-th unit cochain
     of degree n, each carrier deriving it its own way, and PACK_BLOCK rows
@@ -330,7 +327,7 @@ def hh_dims(poset, max_n, which="relative"):
     if which == "relative":
         if max_n > 4:
             raise TooLarge("relative complex capped at degree 4")
-        poset.chain_counts(max_n + 1)  # raises TooLarge past CHAIN_BUDGET
+        poset.chains(max_n + 1)  # the top level first: no level is built past the budget
         car = RelHochschildCarrier(poset)
         derive = car._structure
 

@@ -14,10 +14,10 @@ Conventions used throughout the package:
 from itertools import islice
 from operator import sub
 
-# Most vertices, summed over all chains of degrees 0..n, that one chain
-# complex may enumerate (chain_counts).  The largest complex in the tests
-# and the benchmark holds 36,180.  The chains and the face-sum matrices on
-# them take about 150 MB per million vertices; the entries held while
+# Most vertices, summed over the chains of degrees 0..n, that Poset.chains
+# builds to degree n; it counts them first.  The largest complex in the
+# tests and the benchmark holds 36,180.  Chains and the face-sum matrices
+# on them take about 150 MB per million vertices; the entries held while
 # eliminating those matrices are bounded by linalg.FILL_BUDGET instead.
 CHAIN_BUDGET = 5_000_000
 
@@ -116,24 +116,25 @@ class Poset:
     def chains(self, n, strict=False):
         """All weak (default) or strict n-chains, lexicographic.
 
-        An n-chain has n+1 entries; chains(0) lists the singletons.  Level
-        n extends each cached (n-1)-chain by the up-set of its last entry,
-        less that entry itself for strict chains."""
-        if n < 0:
-            raise ValueError("chain degree must be >= 0")
-        key = (n, strict)
-        got = self._chains.get(key)
+        An n-chain has n+1 entries; chains(0) lists the singletons.  This
+        is the one place a level is counted and built, and each is built
+        once per poset: a level met before is one dict lookup.  For a new
+        one, degrees 0..n are counted first (chain_counts raises TooLarge
+        past CHAIN_BUDGET, before anything is built), then the missing
+        levels are built bottom-up, level k extending each (k-1)-chain by
+        the up-set of its last entry, less that entry for strict chains."""
+        got = self._chains.get((n, strict))
         if got is None:
-            if n == 0:
-                got = tuple((i,) for i in range(self.n))
-            else:
-                got = tuple(
-                    ch + (j,)
-                    for ch in self.chains(n - 1, strict)
-                    for j in self.up[ch[-1]]
-                    if not (strict and j == ch[-1])
-                )
-            self._chains[key] = got
+            if n < 0:
+                raise ValueError("chain degree must be >= 0")
+            self.chain_counts(n, strict)
+            for k in range(n + 1):
+                below, got = got, self._chains.get((k, strict))
+                if got is None:
+                    got = self._chains[k, strict] = tuple(
+                        ch + (j,) for ch in below for j in self.up[ch[-1]]
+                        if not (strict and j == ch[-1])
+                    ) if k else tuple((i,) for i in range(self.n))
         return got
 
     def chain_counts(self, n, strict=False):
@@ -144,7 +145,7 @@ class Poset:
         EC1 3.8).  Raises TooLarge as soon as the chains counted so far
         hold more than CHAIN_BUDGET vertices: that total only grows with
         the degree.  A strict count of 0 ends the list, since every later
-        one is 0 too."""
+        one is 0 too.  chains calls it before it builds a new level."""
         per_start, counts, total = [1] * self.n, [], 0
         for k in range(n + 1):
             counts.append(sum(per_start))

@@ -350,22 +350,19 @@ class SimplicialCarrier(Carrier):
 
     def __init__(self, poset):
         super().__init__(poset)
-        self._levels, self._plans = {}, {}
-
-    def _level(self, n):  # poset.chains(n) once per carrier, counted first (TooLarge)
-        got = self._levels.get(n)
-        if got is None:
-            self.poset.chain_counts(n)
-            got = self._levels[n] = self.poset.chains(n)
-        return got
+        self._plans = {}
 
     def vector(self, x):
         """x's numerators as a list indexed like poset.chains(x.degree) if x
         is dense: int-valued and nonzero on at least half those chains;
         else None, at once for a zero.  Kept on x against the chain list
         it indexes (diamond and cr4 share element indices, not chains).  A
-        key of a dense x that is not a chain raises ValueError."""
-        if not x.values or 2 * len(x.values) < len(chains := self._level(x.degree)):
+        key of a dense x that is not a chain raises ValueError, and a level
+        past posets.CHAIN_BUDGET TooLarge (Poset.chains counts it first)."""
+        if not x.values:
+            return None
+        chains = self.poset.chains(x.degree)
+        if 2 * len(x.values) < len(chains):
             return None
         got = x._vec
         if got is None or got[0] is not chains:
@@ -383,7 +380,7 @@ class SimplicialCarrier(Carrier):
         for _, f, _, g in terms:
             if self.vector(g) is None or self.vector(f) is None:
                 return None
-        return self._level(degree) if terms and degree >= 0 else None
+        return self.poset.chains(degree) if terms and degree >= 0 else None
 
     def _plan(self, p, j, q):
         """Positions A, B in chains(p), chains(q), once per shape: the i-th
@@ -391,8 +388,8 @@ class SimplicialCarrier(Carrier):
         a = c[:j] + c[j+q-1:] at A[i] and b = c[j-1:j+q] at B[i]."""
         got = self._plans.get((p, j, q))
         if got is None:
-            wa, wb = [dict(zip(self._level(n), count())) for n in (p, q)]
-            out = self._level(p + q - 1)
+            wa, wb = [dict(zip(self.poset.chains(n), count())) for n in (p, q)]
+            out = self.poset.chains(p + q - 1)
             got = self._plans[p, j, q] = (
                 [wa[c[:j] + c[j + q - 1 :]] for c in out], [wb[c[j - 1 : j + q]] for c in out])
         return got
@@ -447,7 +444,7 @@ class SimplicialCarrier(Carrier):
     def random_elem(self, n, rng):
         # a/b with a in -3..3 and b in 1..3, drawn a then b, as a * (6 // b)
         # over 6; rng.randint's draws, by Random._randbelow's getrandbits loop
-        bits, chains, vec = rng.getrandbits, self._level(n), []
+        bits, chains, vec = rng.getrandbits, self.poset.chains(n), []
         for _ in chains:
             a, b = 7, 3
             while a == 7:
@@ -518,16 +515,15 @@ def _odd_run_starts(eqs):
 def cohomology_dims(poset, max_n, strict=True):
     """Nerve cohomology dimensions [dim H^0, ..., dim H^max_n] over Q.
 
-    The chains are counted first (Poset.chain_counts raises TooLarge past
-    posets.CHAIN_BUDGET), then enumerated bottom-up, one cached level at a
-    time, so no call of Poset.chains recurses more than one level.  The
-    ranks come top-down, d_max_n first, from one chain_ranks pass that
-    clears: d_{n+1} d_n = 0 and the rows of d_n are the (n+1)-chains, the
-    columns of d_{n+1}, so the rows of d_n at the pivot columns of d_{n+1}
-    are never built, and the rank stays the same."""
+    The top level, max_n + 1, is asked for first: Poset.chains counts
+    every level up to it (TooLarge past posets.CHAIN_BUDGET) before it
+    builds any.  The ranks come top-down, d_max_n first, from one
+    chain_ranks pass that clears: d_{n+1} d_n = 0 and the rows of d_n are
+    the (n+1)-chains, the columns of d_{n+1}, so the rows of d_n at the
+    pivot columns of d_{n+1} are never built, and the rank stays the same."""
     if max_n < 0:
         raise ValueError("max_n must be >= 0")
-    poset.chain_counts(max_n + 1, strict=strict)
+    poset.chains(max_n + 1, strict=strict)
     sizes = [len(poset.chains(n, strict=strict)) for n in range(max_n + 2)]
     ranks = chain_ranks(
         max_n + 1, lambda t, skip: coboundary_matrix(poset, max_n - t, strict, skip)

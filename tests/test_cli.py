@@ -505,9 +505,10 @@ def test_verify_past_the_chain_budget_is_an_input_error(capsys, monkeypatch):
 
 
 def test_verify_counts_its_top_level_before_it_samples(capsys, monkeypatch):
-    """The last trial at --max-degree 3 composes two cochains of degree 3,
-    so its chains reach degree 5, past a budget of 1,220 vertices on
-    sphere14: verify refuses with exit 2 before it draws one element."""
+    """At --max-degree 3 the suites can read chains up to degree 8 (hga's
+    dot(dot(x, y), z)), far past a budget of 1,220 vertices on sphere14:
+    verify counts that top level first and refuses with exit 2 before it
+    draws one element."""
     def no_sampling(*args):
         raise AssertionError("random_elem called past the chain budget")
 
@@ -520,6 +521,76 @@ def test_verify_counts_its_top_level_before_it_samples(capsys, monkeypatch):
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
     assert "1220" in lines[0]
+
+
+def test_verify_on_a_long_chain_is_refused_before_it_samples(capsys, tmp_path, monkeypatch):
+    """chain20's weak chains to degree 5 hold 1,315,600 vertices, within
+    the budget, but hga at --max-degree 3 reads up to degree 8, and those
+    to degree 6 alone hold 5,920,200.  verify counts them first: exit 2,
+    one line, and no element drawn."""
+    def no_sampling(*args):
+        raise AssertionError("random_elem called past the chain budget")
+
+    path = tmp_path / "chain20.json"
+    path.write_text(json.dumps(posets.chain_poset(20).to_dict()))
+    monkeypatch.setattr(simplicial.SimplicialCarrier, "random_elem", no_sampling)
+    code, out, err = run(
+        capsys, "verify", str(path), "--suite", "hga", "--samples", "1", "--max-degree", "3"
+    )
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert "degrees 0..6" in lines[0] and str(CHAIN_BUDGET) in lines[0]
+
+
+@pytest.mark.parametrize("max_degree", [1, 2, 3])
+def test_verify_counts_every_level_its_suites_read(capsys, monkeypatch, max_degree):
+    """verify's one count of its own, before any trial, reaches every weak
+    level the five suites then read: 3, 6 and 8 at --max-degree 1, 2, 3."""
+    chains, chain_counts = posets.Poset.chains, posets.Poset.chain_counts
+    ahead, read, inside = [], [], []
+
+    def reading(self, n, strict=False):
+        read.append(n)
+        inside.append(n)
+        try:
+            return chains(self, n, strict)
+        finally:
+            inside.pop()
+
+    def counting(self, n, strict=False):
+        if not inside:
+            ahead.append(n)
+        return chain_counts(self, n, strict)
+
+    monkeypatch.setattr(posets.Poset, "chains", reading)
+    monkeypatch.setattr(posets.Poset, "chain_counts", counting)
+    code, _, _ = run(
+        capsys, "verify", poset_path("diamond"), "--samples", "2",
+        "--max-degree", str(max_degree),
+    )
+    assert code == 0
+    assert ahead == [{1: 3, 2: 6, 3: 8}[max_degree]]
+    assert max(read) <= ahead[0]
+
+
+@pytest.mark.parametrize("verb", ["mc-check", "gauge-equiv"])
+def test_mc_verbs_on_a_long_chain_are_input_errors(capsys, tmp_path, verb):
+    """chain450's weak 2-chains alone hold 45 million vertices.  mult(),
+    the constant 1 on them, is read from Poset.chains, which counts them
+    first: exit 2 and one line, where building them once ran out of
+    memory."""
+    n = [str(i) for i in range(450)]
+    poset = tmp_path / "chain450.json"
+    poset.write_text(json.dumps({"elements": n, "relations": [list(r) for r in zip(n, n[1:])]}))
+    elem = tmp_path / "zero.json"
+    elem.write_text(json.dumps({"order": 1, "terms": {}}))
+    elems = [str(elem)] * (2 if verb == "gauge-equiv" else 1)
+    code, out, err = run(capsys, verb, str(poset), *elems)
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert str(CHAIN_BUDGET) in lines[0]
 
 
 def test_deform_past_the_chain_budget_is_an_input_error(capsys, monkeypatch):

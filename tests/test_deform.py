@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 from poset_builders import product_poset
 
-from posetdeform import deform, linalg
+from posetdeform import deform, linalg, posets
 from posetdeform.deform import (
     MAX_ORDER,
     MCElement,
@@ -27,7 +27,7 @@ from posetdeform.deform import (
     witt_log_layers,
 )
 from posetdeform.opcore import SignFlip, circle, differential
-from posetdeform.posets import chain_poset
+from posetdeform.posets import TooLarge, chain_poset, diamond_poset
 from posetdeform.scalars import DomainError, TruncSeries
 from posetdeform.linalg import solve_in_image
 from posetdeform.simplicial import SimpCochain, SimplicialCarrier, coboundary_matrix
@@ -127,6 +127,17 @@ def test_mc_check_skips_layers_that_cannot_carry_a_defect(diamond, sphere):
                 seen[got[0]] += 1
                 seen["outside"] += not got[0] and got[1][0] not in terms
     assert seen[True] >= 1 and seen[False] >= 1 and seen["outside"] >= 1
+
+
+def test_mc_check_counts_the_2_chains_of_mult(monkeypatch):
+    """mult() is the constant 1 on the weak 2-chains, which diamond has 70
+    vertices' worth of, with its 0- and 1-chains.  Past a budget one lower,
+    mc_check raises TooLarge and builds no 2-chain."""
+    p = diamond_poset()
+    monkeypatch.setattr(posets, "CHAIN_BUDGET", 69)
+    with pytest.raises(TooLarge):
+        mc_check(p, MCElement(1, {}))
+    assert (2, False) not in p._chains
 
 
 def test_mc_check_is_one_curvature_sum(sphere, monkeypatch):

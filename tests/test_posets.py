@@ -7,10 +7,12 @@ from math import comb
 import pytest
 from poset_builders import le
 
+from posetdeform import posets
 from posetdeform.posets import (
     CycleDetected,
     DuplicateElement,
     Poset,
+    TooLarge,
     UnknownElement,
     chain_poset,
     crown_poset,
@@ -65,6 +67,27 @@ def test_chains_leave_no_cyclic_garbage():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_a_deep_level_is_built_without_recursion():
+    """Levels are built bottom-up in a loop, so degree 1500 of a
+    one-element poset is one chain of 1,501 entries, not a RecursionError."""
+    assert chain_poset(1).chains(1500) == ((0,) * 1501,)
+
+
+def test_a_refused_level_builds_nothing(monkeypatch):
+    """sphere14's weak chains to degree 3 hold 1,220 vertices.  Past a
+    budget one lower, chains(3) raises TooLarge and adds no level, not
+    even the ones below it that were not built yet."""
+    p = sphere_poset()
+    p.chains(1)
+    before = dict(p._chains)
+    monkeypatch.setattr(posets, "CHAIN_BUDGET", 1219)
+    with pytest.raises(TooLarge):
+        p.chains(3)
+    assert p._chains == before
+    monkeypatch.setattr(posets, "CHAIN_BUDGET", 1220)
+    assert len(p.chains(3)) == 194
 
 
 def test_weak_counts_from_strict_counts(chain3, diamond, cr4, sphere):
