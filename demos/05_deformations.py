@@ -3,8 +3,9 @@
 A deformation mod lam^(N+1) is one 2-cochain W valued in series
 lam*k[lam]/(lam^(N+1)); it deforms the product associatively exactly when
 it satisfies the Maurer-Cartan equation dW + W o W = 0, equivalently when
-1 + W is a multiplicative cocycle in the truncated Witt group.  Gauge classes are then counted by
-N copies of the degree-2 cohomology.
+1 + W is a multiplicative cocycle in the truncated Witt group (the same
+cochain W, read as 1 + W).  Gauge classes are then counted by N copies of
+the degree-2 cohomology.
 """
 
 import random
@@ -17,7 +18,6 @@ from posetdeform.deform import (
     is_witt_cocycle,
     mc_check,
     moduli,
-    to_witt,
 )
 from posetdeform.posets import crown_poset, sphere_poset
 from posetdeform.simplicial import SimpCochain, SimplicialCarrier
@@ -36,7 +36,7 @@ for order in (1, 2, 3):
 z = moduli(sphere, 1)[1][0].term(1)
 e = MCElement(1, {1: z})
 print("\nmc_check(lam z):", mc_check(sphere, e)[0])
-print("witt cocycle:   ", is_witt_cocycle(sphere, to_witt(e)))
+print("witt cocycle:   ", is_witt_cocycle(sphere, e.w))  # e.w read as 1 + W
 print("associative:    ", associativity_witness(sphere, e) is None)
 
 # scaling the class gives an inequivalent deformation

@@ -15,7 +15,8 @@ The package is organized bottom-up:
                  same cochain type, keyed by argument and output intervals)
 * ``suites``     randomized exact verification suites, one registry
 * ``gsiso``      the isomorphism phi between the two operads, the "iso" suite
-* ``deform``     Maurer-Cartan elements, Witt cocycles, gauge, moduli
+* ``deform``     Maurer-Cartan elements, Witt cocycles (the same series
+                 cochains read as 1 + value), gauge, moduli
 * ``cli``        command line interface over the whole stack
 
 Everything is computed exactly over Q; there is no floating point in the
@@ -30,7 +31,7 @@ from .hochschild import FullHochschildCarrier, RelHochschildCarrier, hh_dims
 from .opcore import brace, bracket, circle, differential, dot, gamma
 from .suites import SUITES
 from .gsiso import phi, verify_morphism
-from .deform import MCElement, WittCochain, gauge_equivalent, mc_check, moduli, to_witt
+from .deform import MCElement, gauge_equivalent, mc_check, moduli
 from .scalars import TruncSeries
 
 __all__ = [
@@ -55,9 +56,7 @@ __all__ = [
     "verify_morphism",
     "SUITES",
     "MCElement",
-    "WittCochain",
     "mc_check",
-    "to_witt",
     "gauge_equivalent",
     "moduli",
     "TruncSeries",

@@ -21,7 +21,9 @@ import time
 from functools import cache
 
 from . import __version__
-from .deform import MAX_ORDER, MCElement, NotMC, gauge_equivalent, mc_check, moduli
+from .deform import (
+    MAX_ORDER, MCElement, NotMC, gauge_equivalent, mc_check, moduli, witt_to_dict,
+)
 from .hochschild import hh_dims
 from .posets import Poset, TooLarge
 from .simplicial import SimplicialCarrier, cohomology_dims
@@ -265,7 +267,7 @@ def _run_gauge_equiv(args, p):
         "poset": p.name,
         "order": e1.order,
         "equivalent": wit is not None,
-        "witness": None if wit is None else wit.to_dict(p),
+        "witness": None if wit is None else witt_to_dict(p, wit, e1.order),
     }
     return report, 0 if wit is not None else 1
 

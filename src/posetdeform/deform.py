@@ -10,12 +10,17 @@ per chain (Kronecker substitution): no caller composes series any more.
 The layers omega_n are read off W only for JSON and the linear solves.
 
 The same data reads as a cochain valued in the truncated Witt group
-W_N = 1 + lam*k[lam]/(lam^{N+1}): pointwise 1 + W.  Under that reading
-the Maurer-Cartan equation becomes the multiplicative cocycle condition,
-coboundaries implement gauge equivalence, and log/exp turn every question
-into N independent linear problems over the rationals.  That is how
-gauge_equivalent and moduli are computed; mc_check stays on the DGLA
-side precisely so the equivalence of the two roads is testable.
+W_N = 1 + lam*k[lam]/(lam^{N+1}): pointwise 1 + W.  A Witt cochain is
+that series-valued SimpCochain itself, read as 1 + value (a chain absent
+from values reads 1), so the reading is the identity on data and only
+the rules differ: mc_check adds and composes W, and the Witt functions
+below multiply 1 + W pointwise (witt_mul, witt_inverse, witt_coboundary).
+Under that reading the Maurer-Cartan equation becomes the multiplicative
+cocycle condition, coboundaries implement gauge equivalence, and log/exp
+turn every question into N independent linear problems over the
+rationals.  That is how gauge_equivalent and moduli are computed;
+mc_check stays on the DGLA side precisely so the equivalence of the two
+roads is testable.
 
 Every series is a TruncSeries of int numerators over one denominator, so
 the whole Witt road runs on ints.  Fractions enter only at the linear
@@ -27,7 +32,7 @@ from math import lcm
 from .hochschild import rel_eval
 from .linalg import class_basis, solve_columns
 from .opcore import curvature
-from .scalars import DomainError, TruncSeries, digits, kronecker
+from .scalars import TruncSeries, digits, kronecker
 from .simplicial import SimpCochain, SimplicialCarrier, coboundary_matrix
 
 
@@ -41,7 +46,8 @@ class NotMC(ValueError):
 
 
 class UnsupportedDegree(ValueError):
-    """Witt coboundary is only defined in degrees 1 and 2."""
+    """A Witt cochain of a degree the operation does not take: witt_coboundary
+    takes degrees 1 and 2, MCElement.of degree 2."""
 
 
 class MCElement:
@@ -66,9 +72,6 @@ class MCElement:
     def term(self, n):
         """The lam^n coefficient of w; zero outside 1..order."""
         return _layer(2, self.w.values, n) if 1 <= n <= self.order else SimpCochain(2)
-
-    def is_zero(self):
-        return self.w.is_zero()
 
     def __eq__(self, other):
         return (
@@ -114,8 +117,17 @@ class MCElement:
                 if a:
                     rows.setdefault(ch, []).append((n, a, q))
         _check(order, degrees.items())
+        return cls.of(order, SimpCochain._of(2, _series(rows, order)))
+
+    @classmethod
+    def of(cls, order, w):
+        """The element whose series cochain is w (a Witt 2-cochain), wrapped
+        without copying or checking its values; UnsupportedDegree unless w
+        has degree 2."""
+        if w.degree != 2:
+            raise UnsupportedDegree("only degree-2 Witt cochains encode deformations")
         e = cls.__new__(cls)
-        e.order, e.w = order, SimpCochain._of(2, _series(rows, order))
+        e.order, e.w = order, w
         return e
 
 
@@ -169,97 +181,6 @@ def _defect(car, w, order):
             for ch, v in out.values.items() if (r := v * (big // out.den) & low)}
 
 
-class WittCochain:
-    """Cochain valued in the truncated Witt group: one multiplicative
-    series per weak chain, defaulting to 1.  Each value is a TruncSeries
-    with constant term 1 (a Witt unit); any other series raises
-    DomainError, and any other value TypeError."""
-
-    __slots__ = ("degree", "order", "values")
-
-    def __init__(self, degree, order, values=()):
-        self.degree = degree
-        self.order = order
-        one = TruncSeries.one(order)
-        out = {}
-        items = values.items() if isinstance(values, dict) else values
-        for ch, w in items:
-            if not isinstance(w, TruncSeries):
-                raise TypeError("Witt value %r is not a TruncSeries" % (w,))
-            if len(ch) != degree + 1:
-                raise ValueError(
-                    "chain %r has %d entries, expected %d" % (ch, len(ch), degree + 1)
-                )
-            if w.order != order:
-                raise ValueError("order mismatch in Witt values")
-            if w.num[0] != w.den:
-                raise DomainError("Witt unit needs constant term 1")
-            if w != one:
-                out[tuple(ch)] = w
-        self.values = out
-
-    def value(self, chain):
-        got = self.values.get(chain)
-        return TruncSeries.one(self.order) if got is None else got
-
-    def is_one(self):
-        return not self.values
-
-    def mul(self, other):
-        if self.degree != other.degree or self.order != other.order:
-            raise ValueError("degree/order mismatch in Witt product")
-        out = dict(self.values)
-        one = TruncSeries.one(self.order)
-        for ch, w in other.values.items():
-            nw = out.get(ch, one) * w
-            if nw == one:
-                out.pop(ch, None)
-            else:
-                out[ch] = nw
-        c = WittCochain.__new__(WittCochain)
-        c.degree = self.degree
-        c.order = self.order
-        c.values = out
-        return c
-
-    __mul__ = mul
-
-    def inverse(self):
-        c = WittCochain.__new__(WittCochain)
-        c.degree = self.degree
-        c.order = self.order
-        c.values = {ch: w.inverse() for ch, w in self.values.items()}
-        return c
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, WittCochain)
-            and self.degree == other.degree
-            and self.order == other.order
-            and self.values == other.values
-        )
-
-    __hash__ = None
-
-    def __repr__(self):
-        return "WittCochain(deg=%d, order=%d, %d nontrivial)" % (
-            self.degree,
-            self.order,
-            len(self.values),
-        )
-
-    def to_dict(self, poset):
-        entries = []
-        for ch, w in sorted(self.values.items()):
-            entries.append(
-                {
-                    "chain": list(poset.chain_labels(ch)),
-                    "series": w.to_strings(),
-                }
-            )
-        return {"degree": self.degree, "order": self.order, "entries": entries}
-
-
 def _check(order, degrees):
     """ValueError unless 1 <= order <= MAX_ORDER and then, for each layer
     (n, degree) in turn, 1 <= n <= order and degree == 2."""
@@ -303,42 +224,60 @@ def _layer(degree, series, n):
     return SimpCochain._reduced(degree, {ch: v * (den // d) for ch, v, d in col}, den)
 
 
-def to_witt(e):
-    """MCElement -> degree-2 Witt cochain, pointwise 1 + W."""
-    one = TruncSeries.one(e.order)
-    return WittCochain(2, e.order, {ch: one + s for ch, s in e.w.values.items()})
+def _plus(s, k):
+    """s + k for an int k: only the constant numerator moves, and the form
+    stays canonical, as gcd(den, num[0] + k den) = gcd(den, num[0])."""
+    return TruncSeries._of(s.order, (s.num[0] + k * s.den,) + s.num[1:], s.den)
 
 
-def from_witt(w):
-    """Inverse of to_witt: W = w - 1 pointwise."""
-    if w.degree != 2:
-        raise UnsupportedDegree("only degree-2 Witt cochains encode deformations")
-    one = TruncSeries.one(w.order)
-    e = MCElement(w.order)
-    e.w = SimpCochain._of(2, {ch: s - one for ch, s in w.values.items()})
-    return e
+def witt_mul(a, b):
+    """The pointwise Witt product of two cochains of one degree, each read
+    as 1 + value: (1 + a)(1 + b) - 1 on every chain, a chain whose result
+    is 0 (the unit 1) dropped."""
+    if a.degree != b.degree:
+        raise ValueError("degree mismatch in Witt product")
+    out = dict(a.values)
+    for ch, y in b.values.items():
+        x = out.get(ch)
+        if x is None:
+            out[ch] = y
+        elif s := x + y + x * y:
+            out[ch] = s
+        else:
+            del out[ch]
+    return SimpCochain._of(a.degree, out)
+
+
+def witt_inverse(a):
+    """The pointwise Witt inverse (1 + a)^-1 - 1, never 0 where a is not."""
+    return SimpCochain._of(
+        a.degree, {ch: _plus(_plus(x, 1).inverse(), -1) for ch, x in a.values.items()}
+    )
 
 
 def witt_coboundary(p, c):
-    """Multiplicative coboundary: alternating face product.
+    """Multiplicative coboundary: alternating face product, minus 1.
 
     Degree 1 -> 2: (d0 c)(d1 c)^-1 (d2 c).
     Degree 2 -> 3: (d0 c)(d1 c)^-1 (d2 c)(d3 c)^-1.
     A degree-2 cochain is a cocycle exactly when its coboundary is the
-    constant 1.  A face absent from c.values is 1 and is skipped, so only
-    present faces are multiplied, and each one is inverted at most once.
+    constant 1, that is, has no values.  A face absent from c.values is 1
+    and is skipped, so only present faces are multiplied; each one is
+    made a unit 1 + c(face) once and inverted at most once.
     """
     if c.degree not in (1, 2):
         raise UnsupportedDegree("witt coboundary defined in degrees 1 and 2")
     n = c.degree
-    inverses = {}
-    one = TruncSeries.one(c.order)
-    out = {}
+    units, inverses, out = {}, {}, {}
+    for ch, s in c.values.items():
+        if not isinstance(s, TruncSeries):
+            raise TypeError("Witt value %r is not a TruncSeries" % (c.value(ch),))
+        units[ch] = _plus(s, 1)
     for ch in p.chains(n + 1):
         acc = None
         for i in range(n + 2):
             face = ch[:i] + ch[i + 1 :]
-            f = c.values.get(face)
+            f = units.get(face)
             if f is None:
                 continue
             if i % 2:
@@ -347,31 +286,44 @@ def witt_coboundary(p, c):
                     inv = inverses[face] = f.inverse()
                 f = inv
             acc = f if acc is None else acc * f
-        if acc is not None and acc != one:
-            out[ch] = acc
-    return WittCochain(n + 1, c.order, out)
+        if acc is not None and (s := _plus(acc, -1)):
+            out[ch] = s
+    return SimpCochain._of(n + 1, out)
+
+
+def witt_to_dict(p, c, order):
+    """A Witt cochain of series of this order as JSON, each value written
+    as the unit 1 + value."""
+    entries = [
+        {"chain": list(p.chain_labels(ch)), "series": _plus(s, 1).to_strings()}
+        for ch, s in sorted(c.values.items())
+    ]
+    return {"degree": c.degree, "order": order, "entries": entries}
 
 
 def is_witt_cocycle(p, c):
-    return witt_coboundary(p, c).is_one()
+    return not witt_coboundary(p, c).values
 
 
 def witt_exp(degree, order, layers):
-    """Pointwise exponential of additive layers: layers[n] (1-indexed)
-    are cochains of the given degree; missing layers are zero."""
-    vals = {ch: s.exp() for ch, s in _series(_rows(layers), order).items()}
-    return WittCochain(degree, order, vals)
+    """Pointwise exponential of additive layers, as a Witt cochain:
+    exp(sum_n layers[n] lam^n) - 1, layers[n] (1-indexed) cochains of the
+    given degree; missing layers are zero."""
+    vals = {ch: _plus(s.exp(), -1) for ch, s in _series(_rows(layers), order).items()}
+    return SimpCochain._of(degree, vals)
 
 
-def witt_log_layers(c):
-    """Pointwise log, split into additive layer cochains (1-indexed)."""
-    logs = {ch: w.log() for ch, w in c.values.items()}
-    return {n: _layer(c.degree, logs, n) for n in range(1, c.order + 1)}
+def witt_log_layers(c, order):
+    """Pointwise log of 1 + c, split into the additive layer cochains
+    1..order, order that of c's series (an empty c carries none)."""
+    logs = {ch: _plus(s, 1).log() for ch, s in c.values.items()}
+    return {n: _layer(c.degree, logs, n) for n in range(1, order + 1)}
 
 
 def gauge_equivalent(p, e1, e2):
-    """Witness 1-cochain phi with to_witt(e1) = d(phi) * to_witt(e2),
-    or None when the two deformations are genuinely inequivalent.
+    """Witness Witt 1-cochain phi with e1.w = d(phi) * e2.w in the Witt
+    product (witt_mul), or None when the two deformations are genuinely
+    inequivalent.
 
     Both inputs must pass mc_check (NotMC otherwise).  The witness is
     found by taking log of the ratio, whose lam-layers L_1 ... L_N must
@@ -386,8 +338,8 @@ def gauge_equivalent(p, e1, e2):
         ok, wit = mc_check(p, e, car)
         if not ok:
             raise NotMC("input fails the Maurer-Cartan equation at %r" % (wit,))
-    w1, w2 = to_witt(e1), to_witt(e2)
-    target = witt_log_layers(w1 * w2.inverse())
+    w1, w2 = e1.w, e2.w
+    target = witt_log_layers(witt_mul(w1, witt_inverse(w2)), e1.order)
 
     rowof = {ch: k for k, ch in enumerate(p.chains(2))}
     sols = solve_columns(
@@ -400,7 +352,7 @@ def gauge_equivalent(p, e1, e2):
     psi = {n: SimpCochain(1, zip(cols, x)) for n, x in zip(target, sols)}
 
     phi = witt_exp(1, e1.order, psi)
-    if witt_coboundary(p, phi) * w2 != w1:
+    if witt_mul(witt_coboundary(p, phi), w2) != w1:
         raise AssertionError("gauge witness failed the exact re-check")
     return phi
 
@@ -439,8 +391,7 @@ def moduli(p, order):
             e = MCElement(order, {j: z})
             ok, _ = mc_check(p, e, car)
             if not ok:
-                w = witt_exp(2, order, {j: z})
-                e = from_witt(w)
+                e = MCElement.of(order, witt_exp(2, order, {j: z}))
                 ok, wit = mc_check(p, e, car)
                 if not ok:
                     raise AssertionError(
@@ -454,8 +405,10 @@ def deformation_product(p, e):
     """The deformed product as a relative 2-cochain over truncated
     series: coefficient 1 + sum omega_n(chain) lam^n on each weak
     2-chain.  Its den is 1 and it is never reduced."""
-    w = to_witt(e)
-    return SimpCochain(2, {ch: w.value(ch) for ch in p.chains(2)})
+    one, w = TruncSeries.one(e.order), e.w.values
+    return SimpCochain(
+        2, {ch: one if (s := w.get(ch)) is None else _plus(s, 1) for ch in p.chains(2)}
+    )
 
 
 def associativity_witness(p, e):

@@ -4,8 +4,9 @@ Two layers: arbitrary-precision rationals (``fractions.Fraction``, kept
 canonical by the stdlib) and truncated power series in a formal parameter
 ``lam`` with rational coefficients.  The series with constant term 1 are
 the "Witt units", a multiplicative group that log and exp carry exactly
-onto the series with constant term 0; they are plain TruncSeries, and
-deform.WittCochain checks the constant term of each value it holds.
+onto the series with constant term 0; they are plain TruncSeries.  A
+Witt cochain (deform) holds each unit u as the series u - 1, constant
+term 0, and log refuses a unit whose constant term is not 1.
 
 A series is stored as int numerators over one reduced positive
 denominator, the form simplicial.SimpCochain uses, so its arithmetic runs

@@ -67,7 +67,8 @@ class SimpCochain:
     one cochain can be shared, as the carriers share identity() and mult(),
     and grouped and SimplicialCarrier.vector can cache groupings of its
     values and its dense vector on it (neither in ==, repr, JSON).
-    Series values (scalars.TruncSeries: deform.MCElement.w and
+    Series values (scalars.TruncSeries: deform.MCElement.w, the Witt
+    cochains of deform, which are series cochains read as 1 + value, and
     deform.deformation_product) have den 1, are never reduced and take int
     scalars only; no caller in the package composes them (mc_check
     evaluates W at lam = 2**B), though the simplicial and relative kernels
@@ -122,15 +123,15 @@ class SimpCochain:
         return cls._of(degree, values, den)
 
     @classmethod
-    def _gathered(cls, degree, chains, vec, den):
+    def _gathered(cls, poset, degree, chains, vec, den):
         """Wrap int numerators over den > 0, given as a list indexed like
-        chains (zeros included), divided by their gcd; the cochain keeps
-        the list as its vector (SimplicialCarrier.vector)."""
+        chains, poset.chains(degree) (zeros included), divided by their gcd;
+        the cochain keeps the list as its vector (SimplicialCarrier.vector)."""
         g = gcd(den, *vec)
         if g != 1:
             den, vec = den // g, list(map(floordiv, vec, repeat(g)))
         c = cls._of(degree, dict(compress(zip(chains, vec), vec)), den)
-        c._vec = (chains, vec)
+        c._vec = (poset, vec)
         return c
 
     def value(self, chain):
@@ -334,7 +335,7 @@ def compose_sum(car, degree, terms):
         s = den // (f.den * g.den)
         car.compose_into(out, -s if e % 2 else s, f, j, g)
     if chains is not None:
-        return SimpCochain._gathered(degree, chains, out, den)
+        return SimpCochain._gathered(car.poset, degree, chains, out, den)
     return SimpCochain._reduced(degree, {k: v for k, v in out.items() if v}, den)
 
 
@@ -355,24 +356,26 @@ class SimplicialCarrier(Carrier):
     def vector(self, x):
         """x's numerators as a list indexed like poset.chains(x.degree) if x
         is dense: int-valued and nonzero on at least half those chains;
-        else None, at once for a zero.  Kept on x against the chain list
-        it indexes (diamond and cr4 share element indices, not chains).  A
-        key of a dense x that is not a chain raises ValueError, and a level
-        past posets.CHAIN_BUDGET TooLarge (Poset.chains counts it first)."""
+        else None, at once for a zero.  Kept on x against the poset whose
+        chains it indexes (diamond and cr4 share element indices, not
+        chains), and returned from there with no chains read.  A key of a
+        dense x that is not a chain raises ValueError, and a level past
+        posets.CHAIN_BUDGET TooLarge (Poset.chains counts it first)."""
+        got = x._vec
+        if got is not None and got[0] is self.poset:
+            return got[1]
         if not x.values:
             return None
         chains = self.poset.chains(x.degree)
         if 2 * len(x.values) < len(chains):
             return None
-        got = x._vec
-        if got is None or got[0] is not chains:
-            vals, vec = x.values, None
-            if {*map(type, vals.values())} == {int}:
-                vec = list(map(vals.get, chains, repeat(0)))
-                if len(vec) - vec.count(0) != len(vals):
-                    raise ValueError("a key of %r is not a chain of %s" % (x, self.poset.name))
-            got = x._vec = (chains, vec)
-        return got[1]
+        vals, vec = x.values, None
+        if {*map(type, vals.values())} == {int}:
+            vec = list(map(vals.get, chains, repeat(0)))
+            if len(vec) - vec.count(0) != len(vals):
+                raise ValueError("a key of %r is not a chain of %s" % (x, self.poset.name))
+        x._vec = (self.poset, vec)
+        return vec
 
     def dense_chains(self, degree, terms):
         """poset.chains(degree) if every f and g of terms has a vector; a
@@ -452,7 +455,7 @@ class SimplicialCarrier(Carrier):
             while b == 3:
                 b = bits(2)
             vec.append((a - 3) * (6, 3, 2)[b])
-        return SimpCochain._gathered(n, chains, vec, 6)
+        return SimpCochain._gathered(self.poset, n, chains, vec, 6)
 
     def diff_witness(self, x, y):
         """First basis chain where two same-degree cochains differ."""

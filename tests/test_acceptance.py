@@ -14,14 +14,13 @@ import pytest
 from posetdeform import cli
 from posetdeform.deform import (
     MCElement,
-    from_witt,
     gauge_equivalent,
     is_witt_cocycle,
     mc_check,
     moduli,
-    to_witt,
     witt_coboundary,
     witt_exp,
+    witt_mul,
 )
 from posetdeform.hochschild import RelHochschildCarrier, hh_dims
 from posetdeform.opcore import SignFlip
@@ -139,7 +138,7 @@ def test_criterion_4_witt_equivalence(capsys, diamond, cr4):
                         n: face_sum(p, car.random_elem(1, rng))
                         for n in range(1, order + 1)
                     }
-                    e = from_witt(witt_exp(2, order, layers))
+                    e = MCElement.of(order, witt_exp(2, order, layers))
                 elif kind == 1:
                     e = MCElement(1, {1: face_sum(p, car.random_elem(1, rng))})
                 else:
@@ -148,7 +147,7 @@ def test_criterion_4_witt_equivalence(capsys, diamond, cr4):
                     }
                     e = MCElement(order, terms)
                 ok = mc_check(p, e)[0]
-                assert ok == is_witt_cocycle(p, to_witt(e))
+                assert ok == is_witt_cocycle(p, e.w)
                 counts[ok] += 1
                 total += 1
         assert total >= 100
@@ -181,7 +180,7 @@ def test_criterion_5_moduli(capsys, cr4, sphere):
         e3 = MCElement(1, {1: z.add(face_sum(sphere, psi))})
         w = gauge_equivalent(sphere, e1, e3)
         assert w is not None
-        assert witt_coboundary(sphere, w) * to_witt(e3) == to_witt(e1)
+        assert witt_mul(witt_coboundary(sphere, w), e3.w) == e1.w
         assert time.monotonic() - start < 300.0
 
     verdict(
@@ -221,9 +220,7 @@ def test_criterion_7_mutation_sensitivity(capsys, diamond):
         disagreements = 0
         for _ in range(30):
             e = MCElement(1, {1: face_sum(diamond, car.random_elem(1, rng))})
-            if mc_check(diamond, e, carrier=bad)[0] != is_witt_cocycle(
-                diamond, to_witt(e)
-            ):
+            if mc_check(diamond, e, carrier=bad)[0] != is_witt_cocycle(diamond, e.w):
                 disagreements += 1
         assert disagreements >= 1
 

@@ -13,18 +13,17 @@ from posetdeform.deform import (
     MCElement,
     NotMC,
     UnsupportedDegree,
-    WittCochain,
     associativity_witness,
     deformation_product,
-    from_witt,
     gauge_equivalent,
     is_witt_cocycle,
     mc_check,
     moduli,
-    to_witt,
     witt_coboundary,
     witt_exp,
+    witt_inverse,
     witt_log_layers,
+    witt_mul,
 )
 from posetdeform.opcore import SignFlip, circle, differential
 from posetdeform.posets import TooLarge, chain_poset, diamond_poset
@@ -66,7 +65,7 @@ def test_mc_element_validation():
     with pytest.raises(ValueError):
         MCElement(1, {1: SimpCochain(1, {})})
     e = MCElement(2, {1: SimpCochain(2, {})})
-    assert e.is_zero() and e.term(1).is_zero()
+    assert e == MCElement(2) and e.term(1).is_zero()
     assert MCElement(MAX_ORDER).order == MAX_ORDER
     with pytest.raises(ValueError):
         MCElement(MAX_ORDER + 1, {})
@@ -205,7 +204,7 @@ def test_coboundary_is_mc(diamond):
 def test_cocycle_rep_is_mc(sphere):
     e = MCElement(1, {1: closed_2_rep(sphere)})
     assert mc_check(sphere, e)[0]
-    assert is_witt_cocycle(sphere, to_witt(e))
+    assert is_witt_cocycle(sphere, e.w)
 
 
 def test_degenerate_supported_non_cocycle(cr4):
@@ -215,19 +214,22 @@ def test_degenerate_supported_non_cocycle(cr4):
     layer, chain = witness
     assert layer == 1
     assert list(chain) == ["a", "a", "a", "c"]
-    assert not is_witt_cocycle(cr4, to_witt(e))
+    assert not is_witt_cocycle(cr4, e.w)
 
 
 def test_witt_round_trip(sphere):
+    """An element and its Witt cochain are one object: MCElement.of wraps
+    e.w without copying and gives back an equal element."""
     car = SimplicialCarrier(sphere)
     rng = random.Random("witt:rt")
     for order in (1, 2, 3):
         e = MCElement(
             order, {n: car.random_elem(2, rng) for n in range(1, order + 1)}
         )
-        w = to_witt(e)
-        assert w.degree == 2 and w.order == order
-        assert from_witt(w) == e
+        w = e.w
+        assert w.degree == 2 and {s.order for s in w.values.values()} == {order}
+        back = MCElement.of(order, w)
+        assert back == e and back.w is w
 
 
 def test_witt_cochain_group_ops(diamond):
@@ -235,37 +237,37 @@ def test_witt_cochain_group_ops(diamond):
     rng = random.Random("witt:grp")
     e1 = MCElement(2, {1: car.random_elem(2, rng), 2: car.random_elem(2, rng)})
     e2 = MCElement(2, {1: car.random_elem(2, rng)})
-    a, b = to_witt(e1), to_witt(e2)
-    assert (a * b) * b.inverse() == a
-    assert (a * a.inverse()).is_one()
+    a, b = e1.w, e2.w
+    assert witt_mul(witt_mul(a, b), witt_inverse(b)) == a
+    assert witt_mul(a, witt_inverse(a)) == SimpCochain(2)
 
 
 def test_witt_cochain_requires_unit_values():
-    """A Witt value is a series with constant term 1; any other is refused."""
+    """A Witt value v reads as the unit 1 + v, so v needs constant term 0
+    (the unit constant term 1); log refuses any other."""
     c = (0, 0, 0)
-    with pytest.raises(DomainError):
-        WittCochain(2, 1, {c: TruncSeries(1, [2, 1])})
-    with pytest.raises(DomainError):
-        WittCochain(2, 1, {c: TruncSeries(1, [0, 1])})
-    w = WittCochain(2, 1, {c: TruncSeries(1, [1, 1])})
-    assert w.value(c) == TruncSeries(1, [1, 1])
+    for bad in (TruncSeries(1, [1, 1]), TruncSeries(1, [-1, 1])):
+        with pytest.raises(DomainError):
+            witt_log_layers(SimpCochain(2, {c: bad}), 1)
+    logs = witt_log_layers(SimpCochain(2, {c: TruncSeries(1, [0, 1])}), 1)
+    assert logs == {1: SimpCochain(2, {c: 1})}
 
 
-def test_witt_cochain_names_a_value_that_is_not_a_series():
+def test_witt_cochain_names_a_value_that_is_not_a_series(diamond):
     with pytest.raises(TypeError, match="Fraction"):
-        WittCochain(1, 1, {(0, 0): Fraction(1)})
+        witt_coboundary(diamond, SimpCochain(1, {(0, 0): Fraction(1)}))
 
 
-def test_from_witt_needs_degree_two():
+def test_mc_element_of_needs_degree_two():
     with pytest.raises(UnsupportedDegree):
-        from_witt(WittCochain(1, 1, {}))
+        MCElement.of(1, SimpCochain(1))
 
 
 def test_witt_coboundary_degree_window(diamond):
     with pytest.raises(UnsupportedDegree):
-        witt_coboundary(diamond, WittCochain(3, 1, {}))
-    one = witt_coboundary(diamond, WittCochain(1, 2, {}))
-    assert one.is_one()
+        witt_coboundary(diamond, SimpCochain(3))
+    one = witt_coboundary(diamond, SimpCochain(1))
+    assert one == SimpCochain(2)
 
 
 def test_coboundary_of_coboundary_is_trivial(diamond):
@@ -293,14 +295,14 @@ def test_exp_log_layers_round_trip(diamond):
     rng = random.Random("witt:el")
     layers = {1: car.random_elem(2, rng), 2: car.random_elem(2, rng)}
     w = witt_exp(2, 2, layers)
-    back = witt_log_layers(w)
+    back = witt_log_layers(w, 2)
     assert back[1] == layers[1] and back[2] == layers[2]
 
 
 def exp_coboundary(p, order, j, psi):
     """exp(d(psi) lam**j) on p, an MC element: on chain4, which has strict
     3-chains, its linear term cancels a nonzero quadratic one."""
-    return from_witt(witt_exp(2, order, {j: differential(SimplicialCarrier(p), psi)}))
+    return MCElement.of(order, witt_exp(2, order, {j: differential(SimplicialCarrier(p), psi)}))
 
 
 def mc_witt_agreement(diamond, cr4):
@@ -330,7 +332,7 @@ def mc_witt_agreement(diamond, cr4):
         elements.append((chain4, car, e))
     for p, car, e in elements:
         ok = mc_check(p, e)[0]
-        disagreements += ok != is_witt_cocycle(p, to_witt(e))
+        disagreements += ok != is_witt_cocycle(p, e.w)
         seen[ok] += 1
         quadratic += ok and not circle(car, e.w, e.w).is_zero()
     return seen, disagreements, quadratic
@@ -369,7 +371,7 @@ def test_every_parity_flipped_is_killed_by_the_gauge_recheck(
     """Inverting the even faces instead of the odd ones gives the exact
     inverse of every coboundary, so no cocycle test can see it: the
     agreement above still holds.  gauge_equivalent's exact re-check of
-    d(phi) * w2 = w1 does see it."""
+    d(phi) * e2.w = e1.w does see it."""
     z = closed_2_rep(sphere)
     psi = SimplicialCarrier(sphere).random_elem(1, random.Random("mc:parity"))
     e1 = MCElement(1, {1: z})
@@ -385,7 +387,7 @@ def test_gauge_reflexive(sphere):
     e = MCElement(1, {1: closed_2_rep(sphere)})
     w = gauge_equivalent(sphere, e, e)
     assert w is not None
-    assert witt_coboundary(sphere, w) * to_witt(e) == to_witt(e)
+    assert witt_mul(witt_coboundary(sphere, w), e.w) == e.w
 
 
 def test_gauge_distinguishes_scalings(sphere):
@@ -402,13 +404,13 @@ def test_gauge_absorbs_coboundaries(sphere):
     e2 = MCElement(1, {1: z.add(face_sum(sphere, psi))})
     w = gauge_equivalent(sphere, e1, e2)
     assert w is not None
-    assert witt_coboundary(sphere, w) * to_witt(e2) == to_witt(e1)
+    assert witt_mul(witt_coboundary(sphere, w), e2.w) == e1.w
 
 
 def twist(p, e, layers):
     """Gauge e by the exponential of the given 1-cochain layers."""
     w = witt_exp(1, e.order, layers)
-    return from_witt(witt_coboundary(p, w).inverse() * to_witt(e))
+    return MCElement.of(e.order, witt_mul(witt_inverse(witt_coboundary(p, w)), e.w))
 
 
 def test_gauge_symmetric_and_transitive(sphere):
@@ -423,10 +425,10 @@ def test_gauge_symmetric_and_transitive(sphere):
     w21 = gauge_equivalent(sphere, e2, e1)
     w23 = gauge_equivalent(sphere, e2, e3)
     assert w12 is not None and w21 is not None and w23 is not None
-    assert witt_coboundary(sphere, w21) * to_witt(e1) == to_witt(e2)
+    assert witt_mul(witt_coboundary(sphere, w21), e1.w) == e2.w
     # composing the two witnesses witnesses the composite relation
-    w13 = w12 * w23
-    assert witt_coboundary(sphere, w13) * to_witt(e3) == to_witt(e1)
+    w13 = witt_mul(w12, w23)
+    assert witt_mul(witt_coboundary(sphere, w13), e3.w) == e1.w
     assert gauge_equivalent(sphere, e1, e3) is not None
 
 
@@ -437,14 +439,14 @@ def test_gauge_at_order_20(sphere):
     z = closed_2_rep(sphere)
     car = SimplicialCarrier(sphere)
     rng = random.Random("gauge:20")
-    e1 = from_witt(witt_exp(2, 20, {1: z}))
+    e1 = MCElement.of(20, witt_exp(2, 20, {1: z}))
     e2 = twist(sphere, e1, {n: car.random_elem(1, rng) for n in (1, 5, 20)})
     assert e1.order == e2.order == 20 and e2 != e1
     assert mc_check(sphere, e1)[0] and mc_check(sphere, e2)[0]
     w = gauge_equivalent(sphere, e2, e1)
-    assert w is not None and w.order == 20
-    assert witt_coboundary(sphere, w) * to_witt(e1) == to_witt(e2)
-    e3 = from_witt(witt_exp(2, 20, {1: z.scale(2)}))
+    assert w is not None and {s.order for s in w.values.values()} == {20}
+    assert witt_mul(witt_coboundary(sphere, w), e1.w) == e2.w
+    e3 = MCElement.of(20, witt_exp(2, 20, {1: z.scale(2)}))
     assert mc_check(sphere, e3)[0]
     assert gauge_equivalent(sphere, e1, e3) is None
 
@@ -453,9 +455,9 @@ def gauge_reference(p, e1, e2):
     """The per-layer loop of the former gauge_equivalent, verbatim after
     its MC checks: one solve_in_image per lam-layer."""
     order = e1.order
-    w1, w2 = to_witt(e1), to_witt(e2)
-    ratio = w1 * w2.inverse()
-    target = witt_log_layers(ratio)
+    w1, w2 = e1.w, e2.w
+    ratio = witt_mul(w1, witt_inverse(w2))
+    target = witt_log_layers(ratio, order)
 
     rows = p.chains(2)
     cols = p.chains(1)
@@ -475,7 +477,7 @@ def gauge_reference(p, e1, e2):
             psi[n] = layer
 
     phi = witt_exp(1, order, psi)
-    if witt_coboundary(p, phi) * w2 != w1:
+    if witt_mul(witt_coboundary(p, phi), w2) != w1:
         raise AssertionError("gauge witness failed the exact re-check")
     return phi
 
@@ -488,9 +490,9 @@ def test_gauge_solves_every_layer_from_one_elimination(sphere, monkeypatch):
     z = closed_2_rep(sphere)
     car = SimplicialCarrier(sphere)
     rng = random.Random("gauge:one")
-    e1 = from_witt(witt_exp(2, 20, {1: z, 3: z}))
+    e1 = MCElement.of(20, witt_exp(2, 20, {1: z, 3: z}))
     e2 = twist(sphere, e1, {n: car.random_elem(1, rng) for n in (1, 2, 7, 20)})
-    e3 = from_witt(witt_exp(2, 20, {1: z, 3: z, 5: z}))
+    e3 = MCElement.of(20, witt_exp(2, 20, {1: z, 3: z, 5: z}))
     calls = []
     eliminate = linalg._eliminate
 
@@ -536,7 +538,7 @@ def test_moduli_exp_corrects_a_representative_with_a_quadratic_term(
     sphere, cr4, monkeypatch
 ):
     """On S^2 x S^1, w = z + d psi is an H^2 representative with w o w != 0,
-    so lam w fails MC and moduli replaces it by from_witt(exp(lam w)); lam^2 w
+    so lam w fails MC and moduli replaces it by exp(lam w) - 1; lam^2 w
     passes as it is at order 2.  Every basis element is then MC and a Witt
     cocycle; without the correction the first would fail mc_check."""
     p = product_poset(sphere, cr4)
@@ -557,7 +559,7 @@ def test_moduli_exp_corrects_a_representative_with_a_quadratic_term(
     assert dim == 2 and corrected == [[1]]
     for e in basis:
         assert mc_check(p, e) == (True, None)
-        assert is_witt_cocycle(p, to_witt(e))
+        assert is_witt_cocycle(p, e.w)
 
 
 def test_moduli_skips_the_kernel_when_b2_is_zero(cr4, monkeypatch):
@@ -594,7 +596,7 @@ def test_moduli_basis_combinations_are_inequivalent(sphere):
                 layers[1] = z
             if b:
                 layers[2] = z
-            combos[(a, b)] = from_witt(witt_exp(2, 2, layers))
+            combos[(a, b)] = MCElement.of(2, witt_exp(2, 2, layers))
     for k1, e1 in combos.items():
         assert mc_check(sphere, e1)[0]
         for k2, e2 in combos.items():
@@ -638,8 +640,6 @@ def test_doctored_carrier_breaks_the_equivalence(diamond):
             e = MCElement(2, terms)
         else:
             e = MCElement(1, terms)
-        if mc_check(diamond, e, carrier=bad)[0] != is_witt_cocycle(
-            diamond, to_witt(e)
-        ):
+        if mc_check(diamond, e, carrier=bad)[0] != is_witt_cocycle(diamond, e.w):
             disagreements += 1
     assert disagreements >= 1

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from posetdeform.hochschild import RelHochschildCarrier
 from posetdeform.opcore import SignFlip
-from posetdeform.posets import crown_poset, diamond_poset
+from posetdeform.posets import Poset, crown_poset, diamond_poset
 from posetdeform.simplicial import SimpCochain, SimplicialCarrier, compose_sum
 from test_compose_reference import dense
 
@@ -98,9 +98,9 @@ def test_list_path_matches_the_dict_path(kind, data):
     listed = all(dense(DIAMOND, x) for _, f, _, g in terms for x in (f, g))
     assert (got._vec is not None) == listed
     if listed:
-        chains, vec = got._vec
-        assert chains is DIAMOND.chains(degree)
-        assert vec == [got.values.get(c, 0) for c in chains]
+        poset, vec = got._vec
+        assert poset is DIAMOND
+        assert vec == [got.values.get(c, 0) for c in DIAMOND.chains(degree)]
     if len(terms) == 2 and terms[1] == (terms[0][0] + 1,) + terms[0][1:]:
         assert got == SimpCochain(degree) and got.den == 1
 
@@ -125,8 +125,33 @@ def test_one_cochain_on_two_posets_in_turn():
                 for j in range(1, p + 1):
                     got = car.compose_at(f, j, g)
                     assert got == dict_sum(car, p + q - 1, [(0, f, j, g)])
-                    assert got._vec[0] is car.poset.chains(p + q - 1)
-                assert f._vec[0] is car.poset.chains(p)
+                    assert got._vec[0] is car.poset
+                    want = [got.values.get(c, 0) for c in car.poset.chains(p + q - 1)]
+                    assert got._vec[1] == want
+                assert f._vec[0] is car.poset
+
+
+def test_a_cached_vector_reads_no_chains(monkeypatch):
+    """A second vector(x) on one carrier returns the list kept on x without
+    calling Poset.chains; a vector kept for diamond is not returned on
+    cr4, which shares its element indices, and cr4's is built instead."""
+    cr4 = crown_poset()
+    shared = [c for c in DIAMOND.chains(1) if c in set(cr4.chains(1))]
+    x = SimpCochain(1, {c: 1 for c in shared})
+    on_diamond, on_cr4 = SimplicialCarrier(DIAMOND), SimplicialCarrier(cr4)
+    first = on_diamond.vector(x)
+    assert first == [x.values.get(c, 0) for c in DIAMOND.chains(1)]
+    calls, chains = [], Poset.chains
+
+    def counted(self, *args, **kwargs):
+        calls.append(self)
+        return chains(self, *args, **kwargs)
+
+    monkeypatch.setattr(Poset, "chains", counted)
+    assert on_diamond.vector(x) is first and calls == []
+    want = [x.values.get(c, 0) for c in chains(cr4, 1)]
+    assert want != first
+    assert on_cr4.vector(x) == want and calls == [cr4]
 
 
 def test_a_dense_cochain_off_the_chains_is_refused():
