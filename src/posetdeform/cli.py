@@ -202,18 +202,16 @@ def _run_verify(args, p):
         raise _InputError("--samples must be >= 1")
     if not 0 <= args.max_degree <= 3:
         raise _InputError("--max-degree must lie in 0..3")
-    # count, before the first trial, the top level any suite can read (a
-    # count, not a build: a sparse run may never build it).  That is hga's
-    # dot(dot(x, y), z), of degree p + q + r <= 2 max + min(2, max), r being
-    # drawn up to min(2, max), or m o m, of degree 3, in operad and dgla;
-    # the rest stay within it (iso's x{y, z}: p + q + r - 2 <= 3 max - 2)
-    p.chain_counts(max(3, 2 * args.max_degree + min(2, args.max_degree)))
+    suites = [*SUITES] if args.suite == "all" else [args.suite]
+    # count, before the first trial, the top level the suites run can read
+    # (a count, not a build: a sparse run may never build it)
+    p.chain_counts(max(SUITES[name].reads(args.max_degree) for name in suites))
     car = SimplicialCarrier(p)
     reports = [
         SUITES[name](
             car, samples=args.samples, seed=args.seed, max_degree=args.max_degree
         )
-        for name in (SUITES if args.suite == "all" else [args.suite])
+        for name in suites
     ]
     ok = all(r.ok for r in reports)
     if len(reports) == 1:

@@ -83,3 +83,4 @@ def verify_morphism(car, samples=25, seed=0, max_degree=3):
 
 
 SUITES["iso"] = verify_morphism
+verify_morphism.reads = lambda d: max(2, 2 * d, 3 * d - 2)  # mult, x . y, x{y, z}

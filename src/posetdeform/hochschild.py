@@ -20,7 +20,8 @@ composition, which it computes *natively* -- by multilinear evaluation
 in the algebra and re-extraction of coefficients -- not by face
 restriction; the isomorphism between the two operads is then a
 checkable statement, not a tautology.  A carrier keeps each evaluation
-it makes, so every output chain that shares its arguments reads it again.
+it makes for every output chain that shares its arguments.  hh_dims ranks
+by default the normalized subcomplex, one scalar per strict chain.
 
 *Full* cochains are arbitrary multilinear maps (kP)**n -> kP.  They are
 SimpCochains too, with one scalar per key (x_1, ..., x_n, y): the n
@@ -61,7 +62,7 @@ from .posets import TooLarge
 from .simplicial import Carrier, SimpCochain, SimplicialCarrier, compose_sum
 
 FULL_TABLE_LIMIT = 10_000
-# unit keys packed into one differential by hh_dims: each of its values
+# unit keys packed into one differential by packed_transpose: each of its values
 # is at most PACK_BLOCK slots of b <= 4 bits
 PACK_BLOCK = 256
 
@@ -289,35 +290,62 @@ class FullHochschildCarrier(Carrier):
         return ""
 
 
-def hh_dims(poset, max_n, which="relative"):
-    """Hochschild cohomology dimensions [dim HH^0, ..., dim HH^max_n].
+def packed_transpose(car, n, keys, shape, row, skip=frozenset()):
+    """The transpose of d_n on car, of the given shape: row k is d = [m, -]
+    of the unit cochain on the k-th of keys, the unit keys of degree n,
+    each carrier deriving it its own way, with its entry at an output key
+    in column row(key).  The rows in skip stay empty (chain_ranks).  An
+    output key that row does not know raises ValueError naming it.
 
-    which='relative' uses the diagonal-relative complex (max_n <= 4),
-    keyed by weak chains: its top level, max_n + 1, is asked of
-    Poset.chains first, which counts every level up to it against
-    posets.CHAIN_BUDGET (TooLarge) before it builds any.  which='full'
-    uses the full endomorphism complex (max_n <= 2, table growth), keyed
-    by basis tuples and an output interval, whose row is the mixed-radix
-    index of the key over poset.intervals(), so no list of keys is built.
-
-    Row k of the transpose of d_n is d = [m, -] of the k-th unit cochain
-    of degree n, each carrier deriving it its own way, and PACK_BLOCK rows
-    come from one differential (Kronecker substitution, as in
-    deform.mc_check): that of x, worth lam**i on the i-th unit key of the
-    block, at lam = 2**b.  Every kernel only adds and multiplies, and x
-    and m have den 1, so on each output key the value is the sum of
+    PACK_BLOCK rows come from one differential (Kronecker substitution, as
+    in deform.mc_check): that of x, worth lam**i on the i-th unit key of
+    the block, at lam = 2**b.  Every kernel only adds and multiplies, and
+    x and m have den 1, so on each output key the value is the sum of
     e_i 2**(b i), e_i row i's entry there.  A unit cochain meets at most
     one entry of m per output key, and m's numerators are 1, so e_i sums
     at most n + 2 circle terms (two slots of m o x, n of x o m), each
     +-k: k is the relative structure constant, 0 or 1, or 1 in the full
     carrier.  Thus |e_i| <= n + 2 < 2**(b-1) for b = (n + 2).bit_length()
     + 1, and the e_i are the signed base-2**b digits of the value, read
-    at its nonzero slots only.  Each relative k is checked as it is
-    derived: one other than 0 or 1 would break the bound, and raises
-    ValueError before any slot is read.
+    at its nonzero slots only."""
+    m, b = SparseMat(*shape), (n + 2).bit_length() + 1
+    half, mask, entries = 1 << (b - 1), (1 << b) - 1, m.entries
+    live = ((k, key) for k, key in enumerate(keys) if k not in skip)
+    for block in iter(lambda: list(islice(live, PACK_BLOCK)), []):
+        x = SimpCochain._of(n, {key: 1 << b * i for i, (_, key) in enumerate(block)})
+        for out, v in differential(car, x).values.items():
+            try:
+                col = row(out)
+            except KeyError:
+                raise ValueError("d leaves the unit keys at %r" % (out,)) from None
+            while v:  # the lowest set bit left lies in the next nonzero digit
+                i = ((v & -v).bit_length() - 1) // b
+                e = ((v >> b * i) + half & mask) - half
+                entries[block[i][0], col] = e
+                v -= e << b * i
+    return m
 
-    The ranks come bottom-up from one chain_ranks pass over these
-    transposes, which clears: d_{n+1} d_n = 0 and the rows of the
+
+def hh_dims(poset, max_n, which="relative", strict=True):
+    """Hochschild cohomology dimensions [dim HH^0, ..., dim HH^max_n].
+
+    which='relative' uses the diagonal-relative complex, by default the
+    normalized one keyed by strict chains: the cochains that vanish when
+    an argument lies in the diagonal, a subcomplex quasi-isomorphic to the
+    whole (Loday, Cyclic Homology, 1.5.7; Cibils, JPAA 56, 1989), so its
+    dimensions are those of strict=False, keyed by weak chains (max_n <=
+    4).  d keeps strict unit keys on strict keys (else ValueError).  Strict
+    chains stop at the height of P: the degrees past it read 0 and build
+    nothing.  Each level used is counted against posets.CHAIN_BUDGET
+    (TooLarge) before any is built.  which='full' uses the full
+    endomorphism complex (max_n <= 2, table growth), keyed by basis tuples
+    and an output interval, whose row is the mixed-radix index of the key
+    over poset.intervals(), so no list of keys is built.
+
+    Each transposed d_n is a packed_transpose, and each relative k is
+    checked as it is derived: one other than 0 or 1 would break its slot
+    bound, and raises ValueError.  The ranks come bottom-up from one
+    chain_ranks pass, which clears: d_{n+1} d_n = 0 and the rows of the
     transpose of d_{n+1} are the columns of the transpose of d_n, so a
     unit key of degree n + 1 at a pivot column of the transpose of d_n is
     packed into no block, and the rank stays the same.
@@ -325,9 +353,9 @@ def hh_dims(poset, max_n, which="relative"):
     if max_n < 0:
         raise ValueError("max_n must be >= 0")
     if which == "relative":
-        if max_n > 4:
-            raise TooLarge("relative complex capped at degree 4")
-        poset.chains(max_n + 1)  # the top level first: no level is built past the budget
+        if max_n > 4 and not strict:
+            raise TooLarge("weak relative complex capped at degree 4")
+        sizes = poset.chain_counts(max_n + 1, strict)  # a strict one ends at its first 0
         car = RelHochschildCarrier(poset)
         derive = car._structure
 
@@ -338,8 +366,8 @@ def hh_dims(poset, max_n, which="relative"):
             return k
 
         car._structure = structure
-        keys = [poset.chains(n) for n in range(max_n + 2)]
-        sizes, basis = [len(ks) for ks in keys], keys.__getitem__
+        keys = [poset.chains(n, strict) for n in range(len(sizes))]
+        basis = keys.__getitem__
         row = {key: r for ks in keys for r, key in enumerate(ks)}.__getitem__
     elif which == "full":
         if max_n > 2:
@@ -365,19 +393,7 @@ def hh_dims(poset, max_n, which="relative"):
     else:
         raise ValueError("which must be 'relative' or 'full'")
 
-    def transpose(n, skip):
-        m, b = SparseMat(sizes[n], sizes[n + 1]), (n + 2).bit_length() + 1
-        half, mask, entries = 1 << (b - 1), (1 << b) - 1, m.entries
-        live = ((k, key) for k, key in enumerate(basis(n)) if k not in skip)
-        for block in iter(lambda: list(islice(live, PACK_BLOCK)), []):
-            x = SimpCochain._of(n, {key: 1 << b * i for i, (_, key) in enumerate(block)})
-            for out, v in differential(car, x).values.items():
-                col = row(out)
-                while v:  # the lowest set bit left lies in the next nonzero digit
-                    i = ((v & -v).bit_length() - 1) // b
-                    e = ((v >> b * i) + half & mask) - half
-                    entries[block[i][0], col] = e
-                    v -= e << b * i
-        return m
-
-    return dims_from_ranks(sizes[: max_n + 1], chain_ranks(max_n + 1, transpose))
+    top = len(sizes) - 1  # d_0, ..., d_{top-1}
+    ranks = chain_ranks(top, lambda n, skip: packed_transpose(
+        car, n, basis(n), sizes[n : n + 2], row, skip))
+    return dims_from_ranks(sizes[:top], ranks) + [0] * (max_n + 1 - top)

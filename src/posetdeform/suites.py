@@ -8,7 +8,8 @@ two-argument product compatibility (hga_suite), the differential
 graded Lie laws derived from the circle product (dgla_suite), and the
 isomorphism with the relative Hochschild operad (gsiso.verify_morphism,
 which adds itself to SUITES as "iso").  SUITES registers all five under
-one signature, suite(car, samples, seed, max_degree).  All comparisons
+one signature, suite(car, samples, seed, max_degree), with the top chain
+level each can read as suite.reads(max_degree).  All comparisons
 are exact and all go through SuiteReport.same (two sides are ==, degree
 included: every opcore operation gives its formula degree, zeros too) or
 SuiteReport.vanishes (one side is zero); a mismatch is recorded as the
@@ -288,3 +289,9 @@ SUITES = {
     "hga": hga_suite,
     "dgla": dgla_suite,
 }
+# suite.reads(max_degree): the top chain level a suite can read, random
+# elements and every intermediate composite included
+operad_suite.reads = lambda d: max(3, 2 * d + min(2, d) - 2)  # m o m, (f o_i g) o_j h
+brace_suite.reads = lambda d: max(1, 2 * d - 1)  # x{xs}{ys}, later arguments of degree <= 1
+hga_suite.reads = lambda d: max(d + 2, 2 * d + max(1, min(2, d)))  # dot(dot(x, y), z), d(dx)
+dgla_suite.reads = lambda d: max(3, 2 * d)  # d(m), d[f, g]

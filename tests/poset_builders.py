@@ -7,8 +7,9 @@ the subdivision sd(P) a homeomorphic one; the nerve of a disjoint union
 is the disjoint union of the nerves.  The face poset of a simplicial
 complex, given by its facets, has the complex's barycentric subdivision
 as its nerve, so the facet lists TORUS7, S3_5 and RP2_6 give posets with
-known Betti numbers.  These constructors, and the order test le, stay out
-of the package: only the tests need them."""
+known Betti numbers.  Removing a beat point keeps the homotopy type of the
+nerve, so core(P) does too.  These constructors, and the order test le,
+stay out of the package: only the tests need them."""
 
 from itertools import combinations, permutations
 
@@ -73,6 +74,27 @@ def subdivision(p):
     pairs = [(label(c[:i] + c[i + 1 :]), label(c)) for c in chains if len(c) > 1
              for i in range(len(c))]
     return Poset.from_relations(map(label, chains), pairs, name="sd(%s)" % p.name)
+
+
+def core(p):
+    """The core of P: beat points taken out one at a time, the least
+    index first, until none is left (Stong, Trans. AMS 123, 1966; Barmak,
+    LNM 2032, 2011).  x is a beat point when the elements left strictly
+    below it have a greatest one, or those strictly above it a least one.
+    Taking one out keeps the homotopy type of the nerve, so core(P) has
+    P's cohomology, though k core(P) is a smaller algebra."""
+    left = list(range(p.n))
+
+    def beat(x):
+        below = [y for y in left if y != x and le(p, y, x)]
+        above = [y for y in left if y != x and le(p, x, y)]
+        return (any(all(le(p, z, y) for z in below) for y in below)
+                or any(all(le(p, y, z) for z in above) for y in above))
+
+    while (x := next(filter(beat, left), None)) is not None:
+        left.remove(x)
+    pairs = [(p.labels[i], p.labels[j]) for i in left for j in left if i != j and le(p, i, j)]
+    return Poset.from_relations([p.labels[i] for i in left], pairs, name="core(%s)" % p.name)
 
 
 def disjoint_union(*ps):

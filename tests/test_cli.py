@@ -23,6 +23,7 @@ from posetdeform import cli, deform, linalg, posets, simplicial
 from posetdeform.deform import MAX_ORDER, MCElement, moduli
 from posetdeform.posets import CHAIN_BUDGET, diamond_poset, sphere_poset
 from posetdeform.simplicial import SimpCochain
+from posetdeform.suites import SUITES
 
 ROOT = Path(__file__).resolve().parents[1]
 POSETS = ROOT / "posets"
@@ -505,8 +506,8 @@ def test_verify_past_the_chain_budget_is_an_input_error(capsys, monkeypatch):
 
 
 def test_verify_counts_its_top_level_before_it_samples(capsys, monkeypatch):
-    """At --max-degree 3 the suites can read chains up to degree 8 (hga's
-    dot(dot(x, y), z)), far past a budget of 1,220 vertices on sphere14:
+    """At --max-degree 3 the operad suite can read chains up to degree 6
+    ((f o_i g) o_j h), far past a budget of 1,220 vertices on sphere14:
     verify counts that top level first and refuses with exit 2 before it
     draws one element."""
     def no_sampling(*args):
@@ -543,10 +544,10 @@ def test_verify_on_a_long_chain_is_refused_before_it_samples(capsys, tmp_path, m
     assert "degrees 0..6" in lines[0] and str(CHAIN_BUDGET) in lines[0]
 
 
-@pytest.mark.parametrize("max_degree", [1, 2, 3])
-def test_verify_counts_every_level_its_suites_read(capsys, monkeypatch, max_degree):
-    """verify's one count of its own, before any trial, reaches every weak
-    level the five suites then read: 3, 6 and 8 at --max-degree 1, 2, 3."""
+def record_levels(monkeypatch):
+    """Lists of the levels verify counts ahead, before any trial (a
+    chain_counts call from outside Poset.chains), and of the weak levels
+    Poset.chains is asked for."""
     chains, chain_counts = posets.Poset.chains, posets.Poset.chain_counts
     ahead, read, inside = [], [], []
 
@@ -565,13 +566,49 @@ def test_verify_counts_every_level_its_suites_read(capsys, monkeypatch, max_degr
 
     monkeypatch.setattr(posets.Poset, "chains", reading)
     monkeypatch.setattr(posets.Poset, "chain_counts", counting)
+    return ahead, read
+
+
+@pytest.mark.parametrize("max_degree", [0, 1, 2, 3])
+def test_verify_counts_every_level_its_suites_read(capsys, monkeypatch, max_degree):
+    """verify's one count of its own, before any trial, reaches every weak
+    level the five suites then read: 3, 3, 6 and 8 at --max-degree 0..3."""
+    ahead, read = record_levels(monkeypatch)
     code, _, _ = run(
         capsys, "verify", poset_path("diamond"), "--samples", "2",
         "--max-degree", str(max_degree),
     )
     assert code == 0
-    assert ahead == [{1: 3, 2: 6, 3: 8}[max_degree]]
+    assert ahead == [{0: 3, 1: 3, 2: 6, 3: 8}[max_degree]]
     assert max(read) <= ahead[0]
+
+
+@pytest.mark.parametrize("max_degree", [0, 1, 2, 3])
+@pytest.mark.parametrize("suite", sorted(SUITES))
+def test_each_suite_reads_within_its_declared_bound(capsys, monkeypatch, suite, max_degree):
+    """A one-suite verify counts ahead to that suite's own bound,
+    SUITES[suite].reads(max_degree), and every level the suite then reads
+    lies within it, on diamond, chain2 and cr4 for seeds 0..2; some run
+    reads the bound itself.  At --max-degree 3 operad reads at most 6,
+    brace 5, hga 8, dgla 6, iso 7."""
+    bound = SUITES[suite].reads(max_degree)
+    if max_degree == 3:
+        assert bound == {"operad": 6, "brace": 5, "hga": 8, "dgla": 6, "iso": 7}[suite]
+    ahead, read = record_levels(monkeypatch)
+    top = 0
+    for name in ("diamond", "chain2", "cr4"):
+        for seed in range(3):
+            ahead.clear()
+            read.clear()
+            code, _, _ = run(
+                capsys, "verify", poset_path(name), "--suite", suite, "--samples", "2",
+                "--seed", str(seed), "--max-degree", str(max_degree),
+            )
+            assert code == 0
+            assert ahead == [bound]
+            assert max(read) <= bound, (name, seed)
+            top = max(top, *read)
+    assert top == bound
 
 
 @pytest.mark.parametrize("verb", ["mc-check", "gauge-equiv"])

@@ -65,8 +65,9 @@ def test_tables_equal_the_fresh_derivation_on_level_posets(p):
 
 def test_rel_eval_count_of_hh_dims(monkeypatch):
     """A regression guard: hh_dims(sphere14, 2) evaluates each inner
-    chain and each (j, a, inner value) it meets once, 430 calls in all
-    (1,536 when each output chain took two fresh ones)."""
+    chain and each (j, a, inner value) it meets once, 430 calls in all on
+    the weak complex (1,536 when each output chain took two fresh ones)
+    and 284 on the strict one."""
     calls = [0]
 
     def counted(f, args):
@@ -74,8 +75,10 @@ def test_rel_eval_count_of_hh_dims(monkeypatch):
         return rel_eval(f, args)
 
     monkeypatch.setattr(hochschild, "rel_eval", counted)
-    assert hh_dims(sphere_poset(), 2, "relative") == [1, 0, 1]
-    assert calls[0] == 430
+    for strict, count in ((False, 430), (True, 284)):
+        calls[0] = 0
+        assert hh_dims(sphere_poset(), 2, "relative", strict) == [1, 0, 1]
+        assert calls[0] == count
 
 
 class Doubled:
@@ -119,7 +122,12 @@ def test_a_kept_wrong_evaluation_reaches_every_chain_that_reuses_it(
     value and reads it for every (j, q, c) whose pair has that chain in
     that role, as the fresh derivation does, and nowhere else, though it
     evaluated the chain fewer times than it has such c.  The iso suite
-    then fails, and hh_dims refuses the constant 2."""
+    then fails, and hh_dims refuses the constant 2 on the weak complex and,
+    for the outer chain, on the strict one.  In the strict complex the
+    inner chain meets only rows that chain_ranks clears: that of
+    (bot, top) in d_1, a pivot column of d_0, and those of d_2, all of
+    them pivot columns of d_1 (rank 2 on two strict 2-chains).  There the
+    doubled k is never read, and the dimensions stay true."""
     chain = tuple(map(diamond.index, ("bot", "a", "top")))
     mutant = Doubled(monkeypatch, chain, outer)
     got = tables(RelHochschildCarrier(diamond), length=4)
@@ -132,4 +140,9 @@ def test_a_kept_wrong_evaluation_reaches_every_chain_that_reuses_it(
     rep = verify_morphism(SimplicialCarrier(diamond), samples=3, seed=1, max_degree=3)
     assert not rep.ok and rep.failed >= 1
     with pytest.raises(ValueError, match="overflow a slot"):
-        hh_dims(diamond, 2, "relative")
+        hh_dims(diamond, 2, "relative", strict=False)
+    if outer:
+        with pytest.raises(ValueError, match="overflow a slot"):
+            hh_dims(diamond, 2, "relative")
+    else:
+        assert hh_dims(diamond, 2, "relative") == [1, 0, 0]

@@ -5,8 +5,8 @@ transpose builds the transposed Hochschild differentials of hh_dims the
 way they were built before unit keys were packed into blocks: one
 opcore.differential per unit key, row k of the transpose of d_n read off
 d of the k-th unit cochain.  Rows and columns are indexed as hh_dims
-indexes them, by weak chain for the relative carrier and, for the full
-one, by the lexicographic place of the key among all tuples of
+indexes them, by weak or strict chain for the relative carrier and, for
+the full one, by the lexicographic place of the key among all tuples of
 intervals, which is its mixed-radix index.
 
 structure derives a relative structure constant the way
@@ -21,16 +21,18 @@ from posetdeform.opcore import differential
 from posetdeform.simplicial import SimpCochain
 
 
-def unit_keys(car, n):
-    """The unit keys of degree n of the carrier, in row order."""
+def unit_keys(car, n, strict=False):
+    """The unit keys of degree n of the carrier, in row order: for the
+    relative one the weak chains, or the strict ones if strict."""
     if car.name == "relative":
-        return car.poset.chains(n)
+        return car.poset.chains(n, strict)
     return list(product(car.poset.intervals(), repeat=n + 1))
 
 
-def transpose(car, n, skip=frozenset()):
+def transpose(car, n, skip=frozenset(), strict=False):
     """The transpose of d_n, the rows in skip left empty."""
-    keys, col = unit_keys(car, n), {key: c for c, key in enumerate(unit_keys(car, n + 1))}
+    keys = unit_keys(car, n, strict)
+    col = {key: c for c, key in enumerate(unit_keys(car, n + 1, strict))}
     m = SparseMat(len(keys), len(col))
     for k, key in enumerate(keys):
         if k in skip:
