@@ -1,31 +1,32 @@
 """Sparse exact linear algebra over the rationals.
 
-Fraction-free Gaussian elimination over the integers: columns are
-processed left to right and the pivot is the live row of largest index
-with a nonzero entry in the current column.  Same matrix, same answer,
-always.  Nothing here ever touches a float: a float entry raises
-TypeError (scalars.rational).
-Each column keeps the set of its unpivoted rows only.  An elimination
-that holds more than FILL_BUDGET entries at once stops with
+Fraction-free Gaussian elimination over the integers, row by row against
+a table of pivots keyed by leading column (_eliminate; Edelsbrunner,
+Letscher and Zomorodian, "Topological persistence and simplification",
+2002).  Same matrix, same answer, always.  Nothing here ever touches a
+float: a float entry raises TypeError (scalars.rational).  An
+elimination that holds more than FILL_BUDGET entries at once stops with
 posets.TooLarge, so every function here can raise it.
 
 Every answer is read off the pivot columns of one elimination, and a
 column is a pivot exactly when it is independent of the columns before
-it, whichever live row is taken as pivot.  With the free coordinates
+it, whichever rows are taken as pivots.  With the free coordinates
 fixed, each solution below is unique, since the pivot columns are
-independent; so the row decides only how much fills in.  On coboundaries
-in lexicographic chain order the last row fills in far less than the
-first (Bauer, "Ripser", 2021, on how much such orders matter there): a
-third fewer entry updates on the nerves of face posets, and the d_2 of
-four levels of twenty elements in seconds, where the first row did not
-finish.  rank counts the pivots; rank_kernel back-substitutes one kernel
-vector per free column; solve_columns and solve_in_image put right-hand
-sides in as trailing columns, each in the image exactly when it is not a
-pivot; class_basis keeps the kernel vectors whose unit column is a pivot
-of a second elimination; chain_ranks ranks a whole cochain complex in
-one pass that clears before it eliminates (the twist of Chen and Kerber,
-"Persistent homology computation with a twist", 2011): the pivot
-columns of one differential index rows the next one need not have.
+independent; so the pivot rows decide only how much fills in.  The
+pivots and rows are those of the column sweep that pivots on the live
+row of largest index, and on coboundaries in lexicographic chain order
+that row fills in far less than the first (Bauer, "Ripser", 2021, on how
+much such orders matter there): a third fewer entry updates on the
+nerves of face posets, and the d_2 of four levels of twenty elements in
+seconds, where the first row did not finish.  rank counts the pivots;
+rank_kernel back-substitutes one kernel vector per free column;
+solve_columns and solve_in_image put right-hand sides in as trailing
+columns, each in the image exactly when it is not a pivot; class_basis
+keeps the kernel vectors whose unit column is a pivot of a second
+elimination; chain_ranks ranks a whole cochain complex in one pass that
+clears before it eliminates (the twist of Chen and Kerber, "Persistent
+homology computation with a twist", 2011): the pivot columns of one
+differential index rows the next one need not have.
 """
 
 from fractions import Fraction
@@ -38,8 +39,9 @@ F0 = Fraction(0)
 F1 = Fraction(1)
 
 # Most entries one elimination may hold at once (_eliminate).  The largest
-# peak in the tests is 155,809 (the strict d_2 of four levels of twelve);
-# four levels of twenty, which CI answers to degree 2, peak at 1,232,801.
+# peaks in the tests are 89,680 (the full d_2 of a chain of six) and 89,549
+# (the strict d_2 of four levels of twelve); four levels of twenty, which
+# CI answers to degree 2, peak at 671,165.
 FILL_BUDGET = 5_000_000
 
 
@@ -75,28 +77,23 @@ def _eliminate(mat):
     is only replaced by scale*row - factor*prow with scale > 0: each
     stays a nonzero multiple of its row over Q.
 
-    colrows[c] holds only unpivoted rows, each zero left of c when c is
-    reached: the pivot row is their greatest and leaves its other columns'
-    sets, and the others, reduced by it alone, lose their entry at c.
-    Any of them would do: the pivot columns, and so every answer read off
-    them, are the same whichever is taken; the greatest fills in far less
-    on the coboundaries here.
+    Rows go in decreasing index, each reduced by the pivot row at its
+    leading (smallest) column until it is zero or that column has none,
+    whose pivot it becomes.  Each row meets the pivot rows, in the same
+    order, that the column sweep pivoting on the greatest live row
+    reduces it by, so the pivots and rows are that sweep's; but no row
+    fills in before it is reached, and an empty column costs nothing.
     nnz counts the entries in, plus fill-ins, less cancellations, the
     pivot column's included: the entries held.  A fill-in past
     FILL_BUDGET raises TooLarge.
     """
     rowmap = {}
-    colrows = {}
     fractional = set()
     for (r, c), v in mat.entries.items():
         row = rowmap.get(r)
         if row is None:
             row = rowmap[r] = {}
         row[c] = v
-        s = colrows.get(c)
-        if s is None:
-            s = colrows[c] = set()
-        s.add(r)
         if v.__class__ is not int:
             fractional.add(r)
     for r in fractional:
@@ -105,37 +102,34 @@ def _eliminate(mat):
         for c, v in row.items():
             row[c] = v.numerator * (den // v.denominator)
 
-    pivots = []
+    table = {}  # leading column -> (row, its entry there, the rest of it)
     nnz = len(mat.entries)
-    for c in range(mat.cols):
-        live = colrows.pop(c, None)
-        if not live:
-            continue
-        pr = max(live)
-        live.remove(pr)
-        pivots.append((c, pr))
-        prow = rowmap[pr]
-        pval = prow.pop(c)  # put back once the rows of live are reduced
-        for cc in prow:
-            colrows[cc].discard(pr)
-        for r in live:
-            row = rowmap[r]
+    for r in sorted(rowmap, reverse=True):
+        row = rowmap[r]
+        while row:
+            c = min(row)
+            pivot = table.get(c)
+            if pivot is None:
+                table[c] = r, row.pop(c), row  # put back once all are reduced
+                break
+            _, pval, prow = pivot
             a = row.pop(c)
             nnz -= 1
-            g = gcd(a, pval) if pval > 0 else -gcd(a, pval)
-            scale, factor = pval // g, a // g
-            if scale != 1:
-                for cc in row:
-                    row[cc] *= scale
+            if pval == 1 or pval == -1:
+                factor = a * pval
+            else:
+                g = gcd(a, pval) if pval > 0 else -gcd(a, pval)
+                scale, factor = pval // g, a // g
+                if scale != 1:
+                    for cc in row:
+                        row[cc] *= scale
             for cc, vv in prow.items():
                 nv = row.get(cc, 0) - factor * vv
                 if nv == 0:
                     del row[cc]
-                    colrows[cc].discard(r)
                     nnz -= 1
                 else:
                     if cc not in row:
-                        colrows[cc].add(r)
                         nnz += 1
                         if nnz > FILL_BUDGET:
                             raise TooLarge(
@@ -143,7 +137,11 @@ def _eliminate(mat):
                                 % (mat.rows, mat.cols, FILL_BUDGET)
                             )
                     row[cc] = nv
+    pivots = []
+    for c in sorted(table):
+        r, pval, prow = table[c]
         prow[c] = pval
+        pivots.append((c, r))
     return pivots, rowmap
 
 
@@ -218,8 +216,8 @@ def chain_ranks(count, matrix):
     builds M_t, leaving out (empty) the rows whose index is in skip: the
     pivot columns of M_{t-1}.
 
-    Dropping them keeps the rank.  Column-wise elimination takes a column
-    as pivot exactly when it is independent of the columns before it, so
+    Dropping them keeps the rank.  _eliminate's pivot columns are those
+    independent of the columns before them, whatever the row order, so
     the pivot columns P of M_{t-1} are linearly independent.  A vector of
     the image of M_t lies in the kernel of M_{t-1}; if it is supported on
     P it is a vanishing combination of those columns, hence 0.  So the

@@ -193,6 +193,14 @@ def test_four_levels_of_twelve_to_degree_2():
     assert cohomology_dims(levels_poset(4, 12), 2) == [1, 0, 0]
 
 
+def test_four_levels_of_twelve_fit_a_fill_budget_of_100000(monkeypatch):
+    """Row by row, no row of the strict d_2 fills in before it is reached:
+    it holds at most 89,549 entries, where the column sweep, each column
+    reducing every live row at once, held 155,809."""
+    monkeypatch.setattr(linalg, "FILL_BUDGET", 100_000)
+    assert cohomology_dims(levels_poset(4, 12), 2) == [1, 0, 0]
+
+
 def product(a, b):
     """The entries of a * b, as a dict (row, col) -> value without zeros."""
     rows = {}
