@@ -63,7 +63,7 @@ from .simplicial import Carrier, SimpCochain, SimplicialCarrier, compose_sum
 
 FULL_TABLE_LIMIT = 10_000
 # unit keys packed into one differential by packed_transpose: each of its values
-# is at most PACK_BLOCK slots of b <= 4 bits
+# is at most PACK_BLOCK slots of b = (n + 2).bit_length() + 1 bits in degree n
 PACK_BLOCK = 256
 
 
@@ -333,14 +333,14 @@ def hh_dims(poset, max_n, which="relative", strict=True):
     normalized one keyed by strict chains: the cochains that vanish when
     an argument lies in the diagonal, a subcomplex quasi-isomorphic to the
     whole (Loday, Cyclic Homology, 1.5.7; Cibils, JPAA 56, 1989), so its
-    dimensions are those of strict=False, keyed by weak chains (max_n <=
-    4).  d keeps strict unit keys on strict keys (else ValueError).  Strict
-    chains stop at the height of P: the degrees past it read 0 and build
-    nothing.  Each level used is counted against posets.CHAIN_BUDGET
-    (TooLarge) before any is built.  which='full' uses the full
-    endomorphism complex (max_n <= 2, table growth), keyed by basis tuples
-    and an output interval, whose row is the mixed-radix index of the key
-    over poset.intervals(), so no list of keys is built.
+    dimensions are those of strict=False, keyed by weak chains.  d keeps
+    strict unit keys on strict keys (else ValueError).  Either complex is
+    counted against posets.CHAIN_BUDGET (TooLarge) before a level is
+    built, and ends at its first empty level (Poset.chains): the degrees
+    past it read 0.  which='full' uses the full endomorphism complex
+    (max_n <= 2, table growth), keyed by basis tuples and an output
+    interval; a key's row is its mixed-radix index over poset.intervals(),
+    so no list of keys is built.
 
     Each transposed d_n is a packed_transpose, and each relative k is
     checked as it is derived: one other than 0 or 1 would break its slot
@@ -353,9 +353,7 @@ def hh_dims(poset, max_n, which="relative", strict=True):
     if max_n < 0:
         raise ValueError("max_n must be >= 0")
     if which == "relative":
-        if max_n > 4 and not strict:
-            raise TooLarge("weak relative complex capped at degree 4")
-        sizes = poset.chain_counts(max_n + 1, strict)  # a strict one ends at its first 0
+        sizes = poset.chain_counts(max_n + 1, strict)  # ends at its first 0
         car = RelHochschildCarrier(poset)
         derive = car._structure
 

@@ -122,13 +122,14 @@ class Poset:
         one, degrees 0..n are counted first (chain_counts raises TooLarge
         past CHAIN_BUDGET, before anything is built), then the missing
         levels are built bottom-up, level k extending each (k-1)-chain by
-        the up-set of its last entry, less that entry for strict chains."""
+        the up-set of its last entry, less that entry for strict chains,
+        up to the first empty level, where a complex ends (past the height
+        of P for strict chains): a level past it reads (), never built."""
         got = self._chains.get((n, strict))
         if got is None:
             if n < 0:
                 raise ValueError("chain degree must be >= 0")
-            self.chain_counts(n, strict)
-            for k in range(n + 1):
+            for k in range(len(self.chain_counts(n, strict))):  # got is () past the end
                 below, got = got, self._chains.get((k, strict))
                 if got is None:
                     got = self._chains[k, strict] = tuple(

@@ -27,7 +27,7 @@ strict chain basis.
 """
 
 from fractions import Fraction
-from itertools import compress, count, filterfalse, repeat
+from itertools import compress, count, filterfalse, repeat, takewhile
 from math import gcd, lcm
 from operator import add, eq, floordiv, itemgetter, mul
 
@@ -518,17 +518,17 @@ def _odd_run_starts(eqs):
 def cohomology_dims(poset, max_n, strict=True):
     """Nerve cohomology dimensions [dim H^0, ..., dim H^max_n] over Q.
 
-    The top level, max_n + 1, is asked for first: Poset.chains counts
-    every level up to it (TooLarge past posets.CHAIN_BUDGET) before it
-    builds any.  The ranks come top-down, d_max_n first, from one
-    chain_ranks pass that clears: d_{n+1} d_n = 0 and the rows of d_n are
-    the (n+1)-chains, the columns of d_{n+1}, so the rows of d_n at the
-    pivot columns of d_{n+1} are never built, and the rank stays the same."""
+    Level max_n + 1 is asked for first: Poset.chains counts the levels
+    to it (TooLarge past posets.CHAIN_BUDGET) before it builds any, and
+    builds none past the first empty one; the degrees from there on read
+    0, as in hh_dims.  The ranks come top-down from one chain_ranks pass
+    that clears: d_{n+1} d_n = 0, and the rows of d_n, the columns of
+    d_{n+1}, at d_{n+1}'s pivots are never built; the rank stays the same."""
     if max_n < 0:
         raise ValueError("max_n must be >= 0")
     poset.chains(max_n + 1, strict=strict)
-    sizes = [len(poset.chains(n, strict=strict)) for n in range(max_n + 2)]
-    ranks = chain_ranks(
-        max_n + 1, lambda t, skip: coboundary_matrix(poset, max_n - t, strict, skip)
-    )
-    return dims_from_ranks(sizes[: max_n + 1], ranks[::-1])
+    levels = (poset.chains(n, strict=strict) for n in range(max_n + 1))
+    sizes = list(map(len, takewhile(len, levels)))  # stops before the first empty level
+    ranks = chain_ranks(len(sizes), lambda t, skip: coboundary_matrix(
+        poset, len(sizes) - 1 - t, strict, skip))
+    return dims_from_ranks(sizes, ranks[::-1]) + [0] * (max_n + 1 - len(sizes))

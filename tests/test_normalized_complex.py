@@ -17,7 +17,7 @@ from posetdeform.hochschild import RelHochschildCarrier, hh_dims
 from posetdeform.opcore import differential
 from posetdeform.posets import TooLarge, chain_poset, crown_poset, diamond_poset, sphere_poset
 from posetdeform.simplicial import SimpCochain, cohomology_dims
-from poset_builders import product_poset
+from poset_builders import levels_poset, product_poset
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings
@@ -76,6 +76,25 @@ def test_degrees_past_the_height_read_zero_and_build_nothing():
     assert max(n for n, strict in p._chains if strict) == 3
 
 
+def test_nerve_degrees_past_the_height_read_zero_and_build_nothing():
+    """cohomology_dims ends where hh_dims does: on diamond, degree 40
+    ranks only to level 3, the first empty one, and Poset.chains reads a
+    level past it as () without building or keeping it."""
+    p = diamond_poset()
+    assert cohomology_dims(p, 40) == [1] + [0] * 40
+    assert p.chains(40, strict=True) == ()
+    assert max(n for n, strict in p._chains if strict) == 3
+
+
+def test_slot_widths_past_four_bits():
+    """levels_poset(8, 2) is S^7, the 8-fold suspension of S^0, on 16
+    elements: in strict degrees 6 and 7 the slot width of the packed
+    differential, b = (n + 2).bit_length() + 1, is 5 bits."""
+    p = levels_poset(8, 2)
+    expected = [1, 0, 0, 0, 0, 0, 0, 1, 0]
+    assert hh_dims(p, 8, "relative") == cohomology_dims(p, 8) == expected
+
+
 def test_strict_chains_are_counted_against_the_budget(monkeypatch):
     """chain12's strict chains are its nonempty subsets: those of degrees
     0..11 hold 12 * 2**11 = 24,576 vertices.  They are counted against
@@ -89,7 +108,7 @@ def test_strict_chains_are_counted_against_the_budget(monkeypatch):
 
 
 def test_the_strict_complex_needs_no_degree_cap():
-    """S^2 x S^1 to degree 5, past the weak complex's cap of 4: Betti
-    numbers 1, 1, 1, 1 by Kunneth, and 0 past its dimension."""
+    """S^2 x S^1 to degree 5: Betti numbers 1, 1, 1, 1 by Kunneth, and 0
+    past its dimension."""
     p = s2_x_s1()
     assert hh_dims(p, 5, "relative") == [1, 1, 1, 1, 0, 0] == cohomology_dims(p, 5)
