@@ -291,7 +291,7 @@ def _table_lines(value, indent=""):
                 yield "%s%s: %s" % (indent, k, _scalar(v))
     elif isinstance(value, list):
         if all(not isinstance(x, (dict, list)) for x in value):
-            yield "%s%s" % (indent, " ".join(_scalar(x) for x in value))
+            yield "%s%s" % (indent, " ".join(map(_scalar, value)))
         else:
             for x in value:
                 yield from _table_lines(x, indent + "  ")

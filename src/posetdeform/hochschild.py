@@ -40,7 +40,8 @@ Composition in either carrier (its kernel compose_into, see
 simplicial.Carrier) enumerates the pairs of entries of f and g that meet
 in slot j (grouped by the interval there), never all tuples of the
 output degree, and needs no cap; only for dense relative f and g does it
-take every chain of the output degree (the simplicial carrier's plan).
+take every chain of the output degree, reading f's and g's values there
+by the simplicial carrier's two gathers per shape (its _plan).
 The groupings are cached on the cochains (SimpCochain.grouped),
 identity() and mult() have theirs from the start, so m o_j x and
 x o_j m for a unit x cost one probe plus a step per pair.
@@ -54,7 +55,7 @@ deform.associativity_witness).
 
 from fractions import Fraction
 from itertools import islice, product
-from operator import add, mul
+from operator import mul
 
 from .linalg import SparseMat, chain_ranks, dims_from_ranks
 from .opcore import ArityMismatch, differential
@@ -198,14 +199,15 @@ class RelHochschildCarrier(SimplicialCarrier):
     def compose_into(self, out, s, f, j, g):
         """Add s (f o_j g) into out: the simplicial kernel's s f(a) g(b)
         on each output chain c, times its k.  A list out, from compose_sum,
-        takes every chain of the shape at once, with the constants of the
-        shape listed once per carrier."""
+        receives every chain of the shape at once: the lazy products
+        f(a) g(b) times the constants of the shape, listed once per
+        carrier, with s, which compose_sum applies as it folds."""
         p, q = f.degree, g.degree
         if type(out) is list:
             ks = self._consts.get((p, j, q))
             if ks is None:
                 ks = self._consts[p, j, q] = self._table(j, q, self.poset.chains(p + q - 1))
-            out[:] = map(add, out, map(mul, ks, self._products(s, f, j, g)))
+            out.append((map(mul, ks, self._products(f, j, g)), s))
             return
         term, get = {}, out.get
         super().compose_into(term, s, f, j, g)

@@ -14,9 +14,10 @@ are the operadic identity and the multiplication, and through them the
 whole opcore structure (braces, dot, differential, bracket) applies.
 Each output chain c comes from one pair only, a = c[:j] + c[j+q-1:] and
 b = c[j-1:j+q]: for dense f and g (SimplicialCarrier.vector: int-valued,
-nonzero on at least half the chains of their degree) compose_sum
-gathers those pairs by one position list per shape (p, j, q), in C-level
-maps over int lists.
+nonzero on at least half the chains of their degree) the carrier reads
+the values of those pairs by two itemgetters per shape (p, j, q), and
+compose_sum folds each term's lazy products into the one list it builds
+per sum, all in C-level maps over ints.
 
 SimpCochain is the cochain type of every carrier (the full Hochschild
 carrier keys it by intervals, see its docstring) and carries all the
@@ -29,7 +30,7 @@ strict chain basis.
 from fractions import Fraction
 from itertools import compress, count, filterfalse, repeat, takewhile
 from math import gcd, lcm
-from operator import add, eq, floordiv, itemgetter, mul
+from operator import add, eq, floordiv, itemgetter, mul, sub
 
 from .linalg import SparseMat, chain_ranks, dims_from_ranks
 from .scalars import TruncSeries, format_rat, ratio, rational
@@ -284,8 +285,9 @@ class Carrier:
     """The carrier interface: what every carrier shares, whatever the keys
     of its SimpCochains mean.  A carrier is an operad with multiplication:
     from the subclass, the kernel compose_into(out, s, f, j, g), adding
-    s f o_j g to a dict of numerators over f.den * g.den (or to a list
-    indexed like the chains, see compose_sum), and compose_at(f, j, g),
+    s f o_j g to a dict of numerators over f.den * g.den (or, given a
+    list by compose_sum, appending f o_j g's lazy products, indexed like
+    the chains, with s), and compose_at(f, j, g),
     the one-term compose_sum; identity() and mult() (a fixed associative
     arity-2 element, m o m = 0), built once by its _build(n) and shared,
     since no operation changes a cochain in place, with their grouping by
@@ -318,25 +320,56 @@ class Carrier:
         return got
 
 
+# how many dense terms compose_sum folds lazily before it builds their
+# running sum into a list: a fold nests a map or two per term, and CPython
+# recurses through them in C, which overflows the stack some 100,000 deep
+FOLD_DEPTH = 32
+
+
 def compose_sum(car, degree, terms):
     """The sum of (-1)**e f o_j g over terms (e, f, j, g) in one pass: each
     car.compose_into adds its numerators, over the lcm of the f.den * g.den
     and signed, into one accumulator, whose zeros go and gcd is taken at
-    the end: a list indexed like the chains car.dense_chains gives when
-    every f and g is dense (SimplicialCarrier.vector), else a dict.  A
-    slot j outside 1..f.degree raises SlotOutOfRange."""
+    the end.  When every f and g is dense (SimplicialCarrier.vector) the
+    accumulator is a list of (products, s), each term's lazy products
+    indexed like the chains car.dense_chains gives and its scale s, which
+    _folded sums: one list is built, for the whole sum (and every
+    FOLD_DEPTH terms of a longer one), and _gathered wraps it.  Else it is
+    a dict of numerators.  A slot j outside 1..f.degree raises
+    SlotOutOfRange."""
     den = lcm(*[f.den * g.den for _, f, _, g in terms])
     dense = getattr(car, "dense_chains", None)
     chains = dense(degree, terms) if dense else None
-    out = {} if chains is None else [0] * len(chains)
+    out = {} if chains is None else []
     for e, f, j, g in terms:
         if not 1 <= j <= f.degree:
             raise SlotOutOfRange("slot %d invalid for arity %d" % (j, f.degree))
+        if chains is not None and len(out) == FOLD_DEPTH:
+            out[:] = [(list(_folded(out)), 1)]
         s = den // (f.den * g.den)
         car.compose_into(out, -s if e % 2 else s, f, j, g)
     if chains is not None:
-        return SimpCochain._gathered(car.poset, degree, chains, out, den)
+        return SimpCochain._gathered(car.poset, degree, chains, list(_folded(out)), den)
     return SimpCochain._reduced(degree, {k: v for k, v in out.items() if v}, den)
+
+
+def _folded(terms):
+    """The lazy sum of s * v over a nonempty list of (v, s): each v is
+    added for s = 1, subtracted for s = -1, else scaled by one map first."""
+    (acc, s), *rest = terms
+    if s != 1:
+        acc = map(mul, acc, repeat(s))
+    for v, s in rest:
+        if s not in (1, -1):
+            v, s = map(mul, v, repeat(s)), 1
+        acc = map(add if s == 1 else sub, acc, v)
+    return acc
+
+
+def _gather(ix):
+    """A C-level gather of the items at positions ix, as a sequence: for
+    one position a one-item slice, since itemgetter(i) gives the bare item."""
+    return itemgetter(*ix) if len(ix) != 1 else itemgetter(slice(ix[0], ix[0] + 1))
 
 
 class SimplicialCarrier(Carrier):
@@ -378,31 +411,40 @@ class SimplicialCarrier(Carrier):
         return vec
 
     def dense_chains(self, degree, terms):
-        """poset.chains(degree) if every f and g of terms has a vector; a
-        degree below 0 means a bad slot, which compose_sum raises."""
+        """poset.chains(degree) if every f and g of terms has a vector,
+        read first off the one kept on it for this poset (a kept None goes
+        to the dict path as well); a degree below 0 means a bad slot, which
+        compose_sum raises."""
+        poset = self.poset
         for _, f, _, g in terms:
-            if self.vector(g) is None or self.vector(f) is None:
-                return None
-        return self.poset.chains(degree) if terms and degree >= 0 else None
+            for x in (g, f):
+                kept = x._vec
+                if kept is None or kept[0] is not poset:
+                    kept = poset, self.vector(x)
+                if kept[1] is None:
+                    return None
+        return poset.chains(degree) if terms and degree >= 0 else None
 
     def _plan(self, p, j, q):
-        """Positions A, B in chains(p), chains(q), once per shape: the i-th
-        chain c of chains(p + q - 1) is glued in slot j from one pair only,
-        a = c[:j] + c[j+q-1:] at A[i] and b = c[j-1:j+q] at B[i]."""
+        """Gathers A, B of vectors indexed like chains(p), chains(q), made
+        once per shape (_gather): the i-th chain c of chains(p + q - 1) is
+        glued in slot j from one pair only, a = c[:j] + c[j+q-1:] and
+        b = c[j-1:j+q], and A(f's vector)[i], B(g's vector)[i] are their
+        values, each gather one C call."""
         got = self._plans.get((p, j, q))
         if got is None:
             wa, wb = [dict(zip(self.poset.chains(n), count())) for n in (p, q)]
             out = self.poset.chains(p + q - 1)
             got = self._plans[p, j, q] = (
-                [wa[c[:j] + c[j + q - 1 :]] for c in out], [wb[c[j - 1 : j + q]] for c in out])
+                _gather([wa[c[:j] + c[j + q - 1 :]] for c in out]),
+                _gather([wb[c[j - 1 : j + q]] for c in out]))
         return got
 
-    def _products(self, s, f, j, g):
-        """s f(a_i) g(b_i) over the plan of f o_j g in C loops, off the
-        vectors dense_chains has just checked."""
+    def _products(self, f, j, g):
+        """The lazy f(a_i) g(b_i) over the output chains of f o_j g, read by
+        the plan's two gathers off the vectors dense_chains has just checked."""
         pa, pb = self._plan(f.degree, j, g.degree)
-        got = map(mul, map(f._vec[1].__getitem__, pa), map(g._vec[1].__getitem__, pb))
-        return got if s == 1 else map(mul, got, repeat(s))
+        return map(mul, pa(f._vec[1]), pb(g._vec[1]))
 
     def compose_at(self, f, j, g):
         """f o_j g by face restriction, the one-term compose_sum."""
@@ -420,9 +462,10 @@ class SimplicialCarrier(Carrier):
         fewer groups than f has entries: only the ones on g's intervals;
         else they are all of f's.  s scales each value of f once, if not 1
         (-1 negates: no gcd for a series).  A list out, from compose_sum,
-        adds all pairs at once (_products)."""
+        receives all pairs at once, the lazy _products with s, which
+        compose_sum folds."""
         if type(out) is list:
-            out[:] = map(add, out, self._products(s, f, j, g))
+            out.append((self._products(f, j, g), s))
             return
         by_ends, get = g.grouped((0, -1)), out.get
         by_slot, entries = f._ix and f._ix.get((j - 1, j)), f.values.items()

@@ -1,5 +1,6 @@
 """Command line surface: exit codes, report shapes, schema, determinism."""
 
+import argparse
 import io
 import json
 import os
@@ -99,6 +100,30 @@ def test_validate_table_output(capsys):
     code, out, _ = run(capsys, "validate", poset_path("cr4"))
     assert code == 0
     assert "elements" in out and "4" in out
+
+
+def test_table_lines_of_mixed_lists_in_either_format(capsys):
+    """A list of scalars is one table line, each entry as _scalar writes
+    it (None as -, bools as yes and no, an int as str); a list holding an
+    empty list or dict is written entry by entry instead, and an empty
+    list or dict as a value reads (none).  JSON writes what json.dumps
+    does."""
+    report = {
+        "flat": [None, True, False, 0, -3, 10**20],
+        "mixed": [None, True, [], {}, 0],
+        "empty": [],
+        "none": {},
+    }
+    want = [
+        "flat:", "  - yes no 0 -3 100000000000000000000",
+        "mixed:", "    -", "  -", "    yes", "  -", "    ", "  -", "  -", "    0", "  -",
+        "empty: (none)", "none: (none)",
+    ]
+    assert list(cli._table_lines(report)) == want
+    for fmt, out in (("table", "\n".join(want) + "\n"),
+                     ("json", json.dumps(report, indent=2, sort_keys=True) + "\n")):
+        cli._emit(report, argparse.Namespace(no_meta=True, format=fmt))
+        assert capsys.readouterr().out == out
 
 
 def test_cohomology_strict_and_weak(capsys):

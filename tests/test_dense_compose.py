@@ -6,7 +6,9 @@ nonzero on at least half the chains of its degree), and into a dict
 otherwise.  dict_sum below forces the dict path on any terms; both must
 give the same canonical cochain on the simplicial and relative carriers
 and through SignFlip, for densities on both sides of the rule, sums that
-mix dense and sparse terms, degree-0 g and sums that cancel."""
+mix dense and sparse terms, degree-0 g, sums that cancel, levels of one
+chain, terms scaled by neither 1 nor -1, and a sum too long to fold in
+one nest of maps."""
 
 import random
 from fractions import Fraction
@@ -20,7 +22,7 @@ from hypothesis import strategies as st
 
 from posetdeform.hochschild import RelHochschildCarrier
 from posetdeform.opcore import SignFlip
-from posetdeform.posets import Poset, crown_poset, diamond_poset
+from posetdeform.posets import Poset, chain_poset, crown_poset, diamond_poset
 from posetdeform.simplicial import SimpCochain, SimplicialCarrier, compose_sum
 from test_compose_reference import dense
 
@@ -165,3 +167,63 @@ def test_a_dense_cochain_off_the_chains_is_refused():
         assert 2 * len(f.values) >= len(cr4.chains(2))
         with pytest.raises(ValueError, match="not a chain of"):
             car.compose_at(f, 1, g)
+
+
+def test_one_chain_levels():
+    """chain_poset(1) has one chain in each level, so every plan gathers
+    one position: each factor must still give a sequence, and sums of
+    dense terms there agree with the dict path on the four carriers."""
+    point = chain_poset(1)
+    cars = [SimplicialCarrier(point), RelHochschildCarrier(point)]
+    rng = random.Random("dense:one-chain")
+
+    def one(n):
+        value = Fraction(rng.choice([-5, -1, 2, 7]), rng.randint(1, 3))
+        return SimpCochain(n, {(0,) * (n + 1): value})
+
+    for car in cars + [SignFlip(c) for c in cars]:
+        for degree in range(4):
+            terms = []
+            for e in range(3):
+                p = rng.randint(max(1, degree - 2), degree + 1)
+                terms.append((e, one(p), rng.randint(1, p), one(degree - p + 1)))
+            for some in (terms[:1], terms):
+                got = compose_sum(car, degree, some)
+                assert got == dict_sum(car, degree, some)
+                assert got._vec[0] is point and got.values == {
+                    c: v for c, v in zip(point.chains(degree), got._vec[1]) if v}
+
+
+@pytest.mark.parametrize("kind", list(CARRIERS))
+def test_a_long_sum_folds_a_bounded_depth(kind):
+    """200,000 copies of one dense term sum to 200,000 times it: the list
+    path builds its running sum every FOLD_DEPTH terms, where one map
+    nested per term would overflow the interpreter's stack."""
+    car = CARRIERS[kind]
+    rng = random.Random("dense:long")
+    f, g = (SimplicialCarrier(DIAMOND).random_elem(1, rng) for _ in range(2))
+    got = compose_sum(car, 1, [(0, f, 1, g)] * 200_000)
+    assert got._vec is not None
+    assert got == car.compose_at(f, 1, g).scale(200_000)
+
+
+@pytest.mark.parametrize("kind", list(CARRIERS))
+def test_sums_over_unequal_denominators(kind):
+    """Terms whose f.den and g.den differ, so that compose_sum scales each
+    by den // (f.den * g.den), neither 1 nor -1, in both signs."""
+    car = CARRIERS[kind]
+    rng = random.Random("dense:dens")
+
+    def on(n, den):
+        return SimpCochain(n, {c: Fraction(rng.choice([-3, -1, 1, 2, 5]), den)
+                               for c in DIAMOND.chains(n)})
+
+    for (p, q), j in zip(((2, 1), (1, 2), (2, 2), (3, 1), (1, 0)), (1, 1, 2, 3, 1)):
+        degree = p + q - 1
+        terms = [(0, on(p, 2), j, on(q, 3)), (1, on(p, 5), j, on(q, 1)),
+                 (0, on(p, 1), 1, on(q, 4)), (1, on(p, 3), j, on(q, 2))]
+        den = lcm(*[f.den * g.den for _, f, _, g in terms])
+        assert all(den // (f.den * g.den) not in (1, -1) for _, f, _, g in terms)
+        for some in (terms[:1], terms[:2], terms):
+            got = compose_sum(car, degree, some)
+            assert got._vec is not None and got == dict_sum(car, degree, some)
