@@ -2,6 +2,7 @@
 
 import ast
 import inspect
+import json
 from pathlib import Path
 
 import pytest
@@ -72,6 +73,26 @@ def test_sign_sabotage_witnesses_name_a_chain(diamond, name):
         assert rep.failures
         for f in rep.failures:
             assert f["witness"].startswith("("), f
+
+
+SIGNFLIP_GOLDEN = Path(__file__).resolve().parent / "golden" / "signflip_suites.json"
+
+
+def signflip_reports(posets):
+    """to_dict of every suite under SignFlip on the simplicial carrier of
+    each poset, at samples 3, seed 1 and max-degree 3: its failures and
+    their witnesses, which read the values of both sides by key."""
+    return {p.name: [SUITES[name](SignFlip(SimplicialCarrier(p)), samples=3, seed=1,
+                                  max_degree=3).to_dict() for name in SUITES]
+            for p in posets}
+
+
+def test_sign_sabotage_reports_match_golden(diamond, cr4):
+    """The failure lists and witnesses under SignFlip on diamond and cr4,
+    byte for byte, against a file captured before dense composites kept
+    only their vectors."""
+    got = json.dumps(signflip_reports([diamond, cr4]), indent=2, sort_keys=True) + "\n"
+    assert got.encode() == SIGNFLIP_GOLDEN.read_bytes()
 
 
 class SlotOneFlip:
