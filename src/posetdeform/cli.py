@@ -290,7 +290,9 @@ def _table_lines(value, indent=""):
             else:
                 yield "%s%s: %s" % (indent, k, _scalar(v))
     elif isinstance(value, list):
-        if all(not isinstance(x, (dict, list)) for x in value):
+        if {*map(type, value)} <= {int, str}:  # no bool, None or container
+            yield "%s%s" % (indent, " ".join(map(str, value)))
+        elif all(not isinstance(x, (dict, list)) for x in value):
             yield "%s%s" % (indent, " ".join(map(_scalar, value)))
         else:
             for x in value:

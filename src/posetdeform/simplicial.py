@@ -17,7 +17,10 @@ b = c[j-1:j+q]: for dense f and g (SimplicialCarrier.vector: int-valued,
 nonzero on at least half the chains of their degree) the carrier reads
 the values of those pairs by two itemgetters per shape (p, j, q), and
 compose_sum folds each term's lazy products into the one list it builds
-per sum, all in C-level maps over ints.
+per sum, all in C-level maps over ints.  That list is the result: a dense
+composite keeps only its vector, which ==, is_zero, sums and scaling read
+when every operand keeps one for the same poset, and builds its values
+dict the first time something reads it by key.
 
 SimpCochain is the cochain type of every carrier (the full Hochschild
 carrier keys it by intervals, see its docstring) and carries all the
@@ -60,14 +63,19 @@ class SimpCochain:
 
     Rational values are int numerators over one denominator: the value on
     a key is values[key] / den, with den > 0 and gcd(den, *values) == 1.
-    That form is unique, so equality compares den and values directly, and
-    add, scale and compose_at run on ints and reduce by one gcd at the end.
+    That form is unique, so equality compares den and values directly (or
+    the vectors below), and add, scale and compose_at run on ints and
+    reduce by one gcd at the end.
     Fractions appear only in the constructor, value() and to_dict, and in
     from_dict for a value not written as plain n or n/d (scalars.ratio).
     No operation changes a cochain in place: each returns a new one, so
     one cochain can be shared, as the carriers share identity() and mult(),
     and grouped and SimplicialCarrier.vector can cache groupings of its
-    values and its dense vector on it (neither in ==, repr, JSON).
+    values and its dense vector on it.  A dense composite (_gathered)
+    starts with the vector only and builds values on first read; ==,
+    is_zero, lincomb (so +, -) and scale run on the vectors, and return
+    vector-only cochains, when every operand keeps an int vector for one
+    poset object (_kept_poset), and on values otherwise.
     Series values (scalars.TruncSeries: deform.MCElement.w, the Witt
     cochains of deform, which are series cochains read as 1 + value, and
     deform.deformation_product) have den 1, are never reduced and take int
@@ -77,7 +85,7 @@ class SimpCochain:
     different orders (scalars.OrderMismatch).  A zero of negative degree
     (opcore.brace) is made only through _of; the constructor refuses it."""
 
-    __slots__ = ("degree", "values", "den", "_ix", "_vec")
+    __slots__ = ("degree", "_values", "den", "_ix", "_vec")
 
     def __init__(self, degree, values=()):
         if degree < 0:
@@ -98,7 +106,7 @@ class SimpCochain:
         # numerators over the lcm of reduced denominators need no gcd
         dens = [v.denominator for v in vals.values() if not isinstance(v, (int, TruncSeries))]
         self.den = den = lcm(*dens)
-        self.values = vals if not dens else {
+        self._values = vals if not dens else {
             ch: v if isinstance(v, TruncSeries) else v.numerator * (den // v.denominator)
             for ch, v in vals.items()
         }
@@ -108,7 +116,7 @@ class SimpCochain:
         """Wrap canonical numerators over den without copying or checking."""
         c = cls.__new__(cls)
         c.degree = degree
-        c.values = values
+        c._values = values
         c.den = den
         c._ix = c._vec = None
         return c
@@ -124,34 +132,71 @@ class SimpCochain:
         return cls._of(degree, values, den)
 
     @classmethod
-    def _gathered(cls, poset, degree, chains, vec, den):
+    def _gathered(cls, poset, degree, vec, den):
         """Wrap int numerators over den > 0, given as a list indexed like
-        chains, poset.chains(degree) (zeros included), divided by their gcd;
-        the cochain keeps the list as its vector (SimplicialCarrier.vector)."""
-        g = gcd(den, *vec)
-        if g != 1:
-            den, vec = den // g, list(map(floordiv, vec, repeat(g)))
-        c = cls._of(degree, dict(compress(zip(chains, vec), vec)), den)
+        poset.chains(degree) (zeros included), divided by their gcd: the
+        cochain keeps the list as its vector (SimplicialCarrier.vector) and
+        builds no values until they are read."""
+        if den != 1:
+            g = gcd(den, *vec)
+            if g != 1:
+                den, vec = den // g, list(map(floordiv, vec, repeat(g)))
+        c = cls._of(degree, None, den)
         c._vec = (poset, vec)
         return c
+
+    @property
+    def values(self):
+        """{key: nonzero numerator}; for a cochain kept only as a vector
+        (_gathered), built from it on the first read and cached."""
+        got = self._values
+        if got is None:
+            poset, vec = self._vec
+            chains = poset._chains[self.degree, False]  # built with the vector
+            got = self._values = dict(compress(zip(chains, vec), vec))
+        return got
+
+    @staticmethod
+    def _kept_poset(xs):
+        """The one poset object every x of xs keeps a vector for (a kept
+        vector is int-valued), if there is one; else None."""
+        poset = None
+        for x in xs:
+            kept = x._vec
+            if kept is None or kept[1] is None or (poset is not None and kept[0] is not poset):
+                return None
+            poset = kept[0]
+        return poset
 
     def value(self, chain):
         v = self.values.get(chain, 0)
         return v if isinstance(v, TruncSeries) else Fraction(v, self.den)
 
     def is_zero(self):
-        return not self.values
+        got = self._values
+        return not got if got is not None else not any(self._vec[1])
 
     @classmethod
     def lincomb(cls, degree, terms):
         """The sum of (-1)**e x over a list of terms (e, x), x of this
         degree, in one pass: each x's numerators, times lcm(dens) // x.den
         and signed, are summed into one dict, whose zeros go and gcd is
-        taken at the end, as in compose_sum."""
-        den, out = lcm(*[x.den for _, x in terms]), {}
+        taken at the end, as in compose_sum.  When every x keeps a vector
+        for one poset, the vectors are summed as compose_sum's list path
+        sums its terms, and the result keeps only its vector."""
+        den = lcm(*[x.den for _, x in terms])
+        if any(x.degree != degree for _, x in terms):
+            raise ValueError("degree mismatch in cochain sum")
+        poset = SimpCochain._kept_poset([x for _, x in terms])
+        if poset is not None:
+            out = []
+            for e, x in terms:
+                if len(out) == FOLD_DEPTH:
+                    out[:] = [(list(_folded(out)), 1)]
+                out.append((x._vec[1], -(den // x.den) if e % 2 else den // x.den))
+            return cls._gathered(poset, degree, list(_folded(out)), den)
+        out = {}
         for e, x in terms:
-            if x.degree != degree:
-                raise ValueError("degree mismatch in cochain sum")
             s = -(den // x.den) if e % 2 else den // x.den
             if not out:
                 out = _times(x.values, s)
@@ -178,9 +223,14 @@ class SimpCochain:
 
     def scale(self, c):
         """c * self for an int or Fraction c: the numerators times
-        c.numerator over den times c.denominator."""
+        c.numerator over den times c.denominator, on the vector if self
+        keeps one."""
         if not c:
             return SimpCochain(self.degree)
+        poset = self._kept_poset([self])
+        if poset is not None:
+            vec = list(map(mul, self._vec[1], repeat(c.numerator)))
+            return SimpCochain._gathered(poset, self.degree, vec, self.den * c.denominator)
         out = _times(self.values, c.numerator)
         if c.denominator == 1 and c.numerator in (1, -1):
             return SimpCochain._of(self.degree, out, self.den)
@@ -198,12 +248,12 @@ class SimpCochain:
         return self.scale(f)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, SimpCochain)
-            and self.degree == other.degree
-            and self.den == other.den
-            and self.values == other.values
-        )
+        if not (isinstance(other, SimpCochain) and self.degree == other.degree
+                and self.den == other.den):
+            return False
+        if self._kept_poset([self, other]) is not None:
+            return self._vec[1] == other._vec[1]
+        return self.values == other.values
 
     __hash__ = None
 
@@ -332,24 +382,24 @@ def compose_sum(car, degree, terms):
     and signed, into one accumulator, whose zeros go and gcd is taken at
     the end.  When every f and g is dense (SimplicialCarrier.vector) the
     accumulator is a list of (products, s), each term's lazy products
-    indexed like the chains car.dense_chains gives and its scale s, which
-    _folded sums: one list is built, for the whole sum (and every
-    FOLD_DEPTH terms of a longer one), and _gathered wraps it.  Else it is
-    a dict of numerators.  A slot j outside 1..f.degree raises
-    SlotOutOfRange."""
+    indexed like poset.chains(degree) and its scale s, which _folded sums:
+    one list is built, for the whole sum (and every FOLD_DEPTH terms of a
+    longer one), and _gathered keeps it as the result's vector, with no
+    values dict.  Else it is a dict of numerators.  A slot j outside
+    1..f.degree raises SlotOutOfRange."""
     den = lcm(*[f.den * g.den for _, f, _, g in terms])
-    dense = getattr(car, "dense_chains", None)
-    chains = dense(degree, terms) if dense else None
-    out = {} if chains is None else []
+    dense = getattr(car, "all_dense", None)
+    listed = dense is not None and dense(degree, terms)
+    out = [] if listed else {}
     for e, f, j, g in terms:
         if not 1 <= j <= f.degree:
             raise SlotOutOfRange("slot %d invalid for arity %d" % (j, f.degree))
-        if chains is not None and len(out) == FOLD_DEPTH:
+        if listed and len(out) == FOLD_DEPTH:
             out[:] = [(list(_folded(out)), 1)]
         s = den // (f.den * g.den)
         car.compose_into(out, -s if e % 2 else s, f, j, g)
-    if chains is not None:
-        return SimpCochain._gathered(car.poset, degree, chains, list(_folded(out)), den)
+    if listed:
+        return SimpCochain._gathered(car.poset, degree, list(_folded(out)), den)
     return SimpCochain._reduced(degree, {k: v for k, v in out.items() if v}, den)
 
 
@@ -410,8 +460,8 @@ class SimplicialCarrier(Carrier):
         x._vec = (self.poset, vec)
         return vec
 
-    def dense_chains(self, degree, terms):
-        """poset.chains(degree) if every f and g of terms has a vector,
+    def all_dense(self, degree, terms):
+        """Whether terms is nonempty and every f and g of it has a vector,
         read first off the one kept on it for this poset (a kept None goes
         to the dict path as well); a degree below 0 means a bad slot, which
         compose_sum raises."""
@@ -422,8 +472,8 @@ class SimplicialCarrier(Carrier):
                 if kept is None or kept[0] is not poset:
                     kept = poset, self.vector(x)
                 if kept[1] is None:
-                    return None
-        return poset.chains(degree) if terms and degree >= 0 else None
+                    return False
+        return bool(terms) and degree >= 0
 
     def _plan(self, p, j, q):
         """Gathers A, B of vectors indexed like chains(p), chains(q), made
@@ -442,7 +492,7 @@ class SimplicialCarrier(Carrier):
 
     def _products(self, f, j, g):
         """The lazy f(a_i) g(b_i) over the output chains of f o_j g, read by
-        the plan's two gathers off the vectors dense_chains has just checked."""
+        the plan's two gathers off the vectors all_dense has just checked."""
         pa, pb = self._plan(f.degree, j, g.degree)
         return map(mul, pa(f._vec[1]), pb(g._vec[1]))
 
@@ -498,7 +548,7 @@ class SimplicialCarrier(Carrier):
             while b == 3:
                 b = bits(2)
             vec.append((a - 3) * (6, 3, 2)[b])
-        return SimpCochain._gathered(self.poset, n, chains, vec, 6)
+        return SimpCochain._gathered(self.poset, n, vec, 6)
 
     def diff_witness(self, x, y):
         """First basis chain where two same-degree cochains differ."""

@@ -104,19 +104,26 @@ def test_validate_table_output(capsys):
 
 def test_table_lines_of_mixed_lists_in_either_format(capsys):
     """A list of scalars is one table line, each entry as _scalar writes
-    it (None as -, bools as yes and no, an int as str); a list holding an
-    empty list or dict is written entry by entry instead, and an empty
-    list or dict as a value reads (none).  JSON writes what json.dumps
-    does."""
+    it (None as -, bools as yes and no, an int as str), a list of ints and
+    strs only included; a list holding an empty list or dict is written
+    entry by entry instead, and an empty list or dict as a value reads
+    (none).  JSON writes what json.dumps does."""
     report = {
         "flat": [None, True, False, 0, -3, 10**20],
+        "ints": [3, -1, 0, 10**30],
+        "words": ["x", 2, "", -7],
+        "bools": [True, 1, False, 0],
         "mixed": [None, True, [], {}, 0],
+        "nested": [None, True, [], 5],
         "empty": [],
         "none": {},
     }
     want = [
         "flat:", "  - yes no 0 -3 100000000000000000000",
+        "ints:", "  3 -1 0 1000000000000000000000000000000",
+        "words:", "  x 2  -7", "bools:", "  yes 1 no 0",
         "mixed:", "    -", "  -", "    yes", "  -", "    ", "  -", "  -", "    0", "  -",
+        "nested:", "    -", "  -", "    yes", "  -", "    ", "  -", "    5", "  -",
         "empty: (none)", "none: (none)",
     ]
     assert list(cli._table_lines(report)) == want

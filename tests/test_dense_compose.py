@@ -198,13 +198,16 @@ def test_one_chain_levels():
 def test_a_long_sum_folds_a_bounded_depth(kind):
     """200,000 copies of one dense term sum to 200,000 times it: the list
     path builds its running sum every FOLD_DEPTH terms, where one map
-    nested per term would overflow the interpreter's stack."""
+    nested per term would overflow the interpreter's stack, and so does a
+    lincomb of 200,000 copies of the composite's vector."""
     car = CARRIERS[kind]
     rng = random.Random("dense:long")
     f, g = (SimplicialCarrier(DIAMOND).random_elem(1, rng) for _ in range(2))
     got = compose_sum(car, 1, [(0, f, 1, g)] * 200_000)
     assert got._vec is not None
     assert got == car.compose_at(f, 1, g).scale(200_000)
+    summed = SimpCochain.lincomb(1, [(0, car.compose_at(f, 1, g))] * 200_000)
+    assert summed._values is None and summed == got
 
 
 @pytest.mark.parametrize("kind", list(CARRIERS))
@@ -227,3 +230,62 @@ def test_sums_over_unequal_denominators(kind):
         for some in (terms[:1], terms[:2], terms):
             got = compose_sum(car, degree, some)
             assert got._vec is not None and got == dict_sum(car, degree, some)
+
+
+def test_equal_vectors_on_two_posets_are_not_equal_cochains():
+    """(a < b, c) and (a, b < c) each have four weak 1-chains, not the
+    same four: equal vectors kept on each are different cochains, and the
+    arithmetic on the pair, which reads it off values, agrees with the
+    dict forms, as is_zero and scale do on each."""
+    left = Poset.from_relations("abc", [("a", "b")], name="left")
+    right = Poset.from_relations("abc", [("b", "c")], name="right")
+    assert len(left.chains(1)) == len(right.chains(1)) == 4
+    assert left.chains(1) != right.chains(1)
+    vec = [2, 0, -3, 4]
+    x, y = (SimpCochain(1, dict(zip(p.chains(1), vec))) for p in (left, right))
+    for p, z in ((left, x), (right, y)):
+        assert SimplicialCarrier(p).vector(z) == vec and z._vec[0] is p
+    assert x != y and not x == y
+    for add in (True, False):
+        keys = set(x.values) | set(y.values)
+        want = SimpCochain(1, {c: x.value(c) + (1 if add else -1) * y.value(c) for c in keys})
+        assert (x + y if add else x - y) == want
+    for p, z in ((left, x), (right, y)):
+        assert not z.is_zero() and (z - z).is_zero()
+        for c in (Fraction(-5, 6), -1, 1, 3):
+            got = z.scale(c)
+            assert got._vec[0] is p
+            assert got == SimpCochain(1, {ch: c * z.value(ch) for ch in z.values})
+
+
+def test_dense_arithmetic_keeps_only_vectors():
+    """A list-path result builds no values through ==, is_zero(), +, -
+    and scale on dense operands, nor do the results; the first read of
+    each one's values gives what the dict path gives."""
+    car = SimplicialCarrier(DIAMOND)
+    rng = random.Random("dense:lazy")
+    f, g, h = (car.random_elem(n, rng) for n in (2, 1, 2))
+    x = car.compose_at(f, 1, g)
+    ops = {
+        "x": lambda a, b: a,
+        "x + h": lambda a, b: a + b,
+        "x - h": lambda a, b: a - b,
+        "x - x": lambda a, b: a - a,
+        "-x": lambda a, b: -a,
+        "x * 4/9": lambda a, b: a.scale(Fraction(4, 9)),
+        "x * 6": lambda a, b: a.scale(6),
+    }
+    got = {name: op(x, h) for name, op in ops.items()}
+    assert got["x + h"] == h + x and got["x - h"] != got["x + h"]
+    assert got["x - x"].is_zero() and not got["x"].is_zero()
+    assert -got["-x"] == x and got["x * 6"] == got["x * 4/9"].scale(Fraction(27, 2))
+    assert all(z._values is None for z in got.values())
+
+    def plain(z):  # the same cochain with its values dict and no vector
+        return SimpCochain._of(z.degree, dict(z.values), z.den)
+
+    assert got["x"].values == dict_sum(car, 2, [(0, f, 1, g)]).values
+    for name, op in ops.items():
+        want = op(plain(x), plain(h))
+        assert want._vec is None and got[name].den == want.den
+        assert got[name].values == want.values, name
